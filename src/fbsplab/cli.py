@@ -7,16 +7,24 @@ output the tool drops a ``<out>.run.json`` sidecar recording the subcommand
 and the fully resolved config, and a sidecar is itself accepted by
 --config, which reruns the recorded settings.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input or config,
-3 numerical failure (singular gradient, divergence, failed check).
+Each knob is declared once, as a row of its subcommand's knob table
+(``_GEN_KNOBS`` through ``_SWEEP_KNOBS``) giving its config key, flag, type
+or choices, default and help. ``build_parser`` makes the flags from those
+rows and ``_resolve`` the config. train and sweep configs have task,
+features and train sections, and sweep adds a sweep section; the features
+and train defaults are the field defaults of ``FeatureSpec`` and
+``TrainConfig``.
+
+Exit codes: 0 success, 1 usage error, 2 invalid input or config (running
+out of memory included), 3 numerical failure (singular gradient,
+divergence, failed check).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from fbsplab.bank import (
@@ -38,7 +46,7 @@ from fbsplab.perturb import (
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import WindowSpec, generate
+from fbsplab.signals import _GENERATOR_PARAMS, WindowSpec, generate
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -61,17 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _as_float(value) -> float:
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("inf", "+inf", "infinity"):
-            return math.inf
-        if text == "-inf":
-            return -math.inf
-        return float(value)
-    return float(value)
-
-
 def _load_config(path: str) -> dict:
     doc = read_json(path)
     if isinstance(doc, dict) and set(doc) == {"command", "config"}:
@@ -90,58 +87,166 @@ def _merge(defaults: dict, config: dict, overrides: dict, where: str) -> dict:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
 
+
 def _write_sidecar(out_path: str, command: str, resolved: dict) -> None:
     write_json(out_path + ".run.json", {"command": command, "config": resolved})
 
 
-# ---------------------------------------------------------------------------
-# gen
-# ---------------------------------------------------------------------------
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
-_GEN_DEFAULTS = {
-    "kind": "sine", "duration": 1.0, "sample_rate": 8000.0, "seed": 0,
-    "amplitude": 0.8, "frequency": 440.0, "f_start": 300.0, "f_end": 3000.0,
-    "low_hz": 500.0, "high_hz": 2000.0, "phase": 0.0, "encoding": "pcm16",
+
+def _from_fields(cls, section: dict):
+    """Build a FeatureSpec or TrainConfig, casting each value to the type of
+    its field's default."""
+    return cls(**{f.name: type(f.default)(section[f.name]) for f in fields(cls)})
+
+
+# ---------------------------------------------------------------------------
+# knob tables
+# ---------------------------------------------------------------------------
+#
+# A row is (config key, flag, type or choices, default, help). A list of
+# strings is the flag's choices; a type of None keeps the flag's text as
+# typed, and ``list`` also splits it on commas. A key "section.name" is a
+# knob inside that section of a train/sweep config, and a row whose default
+# is a dict declares a whole section. A row without a flag is set only by
+# a config file. Flags stay None when not given, so the config or the
+# default shows through.
+
+_INPUT = ("input", "--input", None, None, "input wav")
+_PARAMS_FILE = ("params_file", "--params", None, None, "bank parameter JSON (fbsp mode)")
+_N_FFT = ("n_fft", "--n-fft", int, None, "default: the params file's n_fft, else 256")
+_ENCODING = ("encoding", "--encoding", ["pcm16", "float32"], "pcm16", None)
+
+_GEN_KNOBS = [
+    ("kind", "--kind", sorted(_GENERATOR_PARAMS), "sine", None),
+    ("duration", "--duration", float, 1.0, "seconds"),
+    ("sample_rate", "--sample-rate", float, 8000.0, "Hz, a whole number"),
+    ("seed", "--seed", int, 0, None),
+    ("amplitude", "--amplitude", float, 0.8, None),
+    ("frequency", "--frequency", float, 440.0, "sine frequency in Hz"),
+    ("f_start", "--f-start", float, 300.0, "chirp start in Hz"),
+    ("f_end", "--f-end", float, 3000.0, "chirp end in Hz"),
+    ("low_hz", "--low-hz", float, 500.0, "band_noise lower edge in Hz"),
+    ("high_hz", "--high-hz", float, 2000.0, "band_noise upper edge in Hz"),
+    ("phase", "--phase", float, 0.0, "sine phase in radians"),
+    _ENCODING,
+]
+
+_SPEC_KNOBS = [
+    _INPUT,
+    ("mode", "--mode", ["stft", "fbsp"], "stft", None),
+    _PARAMS_FILE,
+    _N_FFT,
+    ("hop", "--hop", int, None, "default: n_fft // 2"),
+    ("window", "--window", ["rectangular", "hann"], "hann", None),
+    ("eps", "--eps", float, DEFAULT_EPS, "log-power floor"),
+]
+
+_RESP_KNOBS = [
+    ("mode", "--mode", ["stft", "fbsp"], "fbsp", None),
+    _PARAMS_FILE,
+    _N_FFT,
+    ("window", "--window", ["rectangular", "hann"], "rectangular", None),
+    ("num_probes", "--num-probes", int, None, "default: n_fft // 2 + 1"),
+]
+
+_GRAD_KNOBS = [
+    ("n_fft", "--n-fft", int, 64, None),
+    ("seed", "--seed", int, 0, None),
+    ("draws", "--draws", int, 5, "random admitted (m, f_b) draws"),
+    ("m", "--m", float, 1.7, "fixed check point"),
+    ("f_b", "--f-b", float, 0.9, "fixed check point"),
+    ("step", "--step", float, 1e-6, "central difference step"),
+]
+
+_PERTURB_KNOBS = [
+    _INPUT,
+    ("snr_db", "--snr-db", None, None, "SNR in dB ('inf' passes through)"),
+    ("cutoff_hz", "--cutoff-hz", float, None, "low-pass cutoff in Hz"),
+    ("order", "--order", int, 5, "Butterworth order"),
+    ("seed", "--seed", int, 0, None),
+    _ENCODING,
+]
+
+_DEFAULT_TASK = {
+    "classes": [
+        {"name": "low_tone", "kind": "tone", "low_hz": 350.0, "high_hz": 650.0},
+        {"name": "mid_chirp", "kind": "chirp", "low_hz": 900.0, "high_hz": 1800.0},
+        {"name": "high_noise", "kind": "band_noise",
+         "low_hz": 2200.0, "high_hz": 3200.0},
+    ],
+    "samples_per_class": 40,
+    "duration": 0.75,
+    "sample_rate": 8000.0,
+    "seed": 0,
+    "snr_range": None,
+    "train_fraction": 0.8,
 }
 
-_GEN_PARAM_KEYS = {
-    "sine": ("frequency", "amplitude", "phase"),
-    "chirp": ("f_start", "f_end", "amplitude"),
-    "band_noise": ("low_hz", "high_hz", "amplitude"),
-    "silence": (),
-}
+_TRAIN_KNOBS = [
+    ("task", None, None, _DEFAULT_TASK, None),
+    ("features", None, None, _field_defaults(FeatureSpec), None),
+    ("train", None, None, _field_defaults(TrainConfig), None),
+    # a top-level --seed regenerates the data; per-section seeds stay in files
+    ("task.seed", "--seed", int, _DEFAULT_TASK["seed"], "override the task seed"),
+    ("train.epochs", "--epochs", int, TrainConfig.epochs, None),
+    ("train.lr", "--lr", float, TrainConfig.lr, None),
+    ("train.lambda_fbsp", "--lambda-fbsp", float, TrainConfig.lambda_fbsp, None),
+    ("train.freeze_epochs", "--freeze-epochs", int, TrainConfig.freeze_epochs, None),
+]
+
+_SWEEP_KNOBS = _TRAIN_KNOBS + [
+    ("sweep", None, None, {}, None),
+    ("sweep.kind", "--kind", ["awgn", "lowpass"], "awgn", None),
+    ("sweep.axis", "--axis", list, None, "comma-separated axis values ('inf' allowed)"),
+    ("sweep.order", "--order", int, 5, "Butterworth order (lowpass)"),
+    ("sweep.seed", None, int, 0, None),
+]
 
 
-def _cmd_gen(args) -> int:
+def _resolve(args) -> dict:
+    """Merge a command's defaults, its --config file and its explicit flags."""
     config = _load_config(args.config) if args.config else {}
-    overrides = {
-        "kind": args.kind, "duration": args.duration,
-        "sample_rate": args.sample_rate, "seed": args.seed,
-        "amplitude": args.amplitude, "frequency": args.frequency,
-        "f_start": args.f_start, "f_end": args.f_end,
-        "low_hz": args.low_hz, "high_hz": args.high_hz,
-        "phase": args.phase, "encoding": args.encoding,
-    }
-    cfg = _merge(_GEN_DEFAULTS, config, overrides, "gen")
+    defaults, flags = {}, {}
+    for key, flag, kind, default, _help in args.knobs:
+        value = getattr(args, key) if flag else None
+        if kind is list and value is not None:
+            value = [part.strip() for part in value.split(",")]
+        section, _, name = key.rpartition(".")
+        if section:
+            defaults[section][name] = default
+            flags.setdefault(section, {})[name] = value
+        elif isinstance(default, dict):
+            defaults[key] = dict(default)
+        else:
+            defaults[key] = default
+            flags[key] = value
+    if not any(isinstance(value, dict) for value in defaults.values()):
+        return _merge(defaults, config, flags, args.command)
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config sections: {', '.join(unknown)}")
+    return {name: _merge(section, config.get(name, {}), flags.get(name, {}), name)
+            for name, section in defaults.items()}
+
+
+# ---------------------------------------------------------------------------
+# commands: each takes the resolved config, which it may complete with values
+# it works out (the sidecar records them), and the parsed output paths
+# ---------------------------------------------------------------------------
+
+
+def _cmd_gen(cfg: dict, args) -> int:
     kind = cfg["kind"]
-    if kind not in _GEN_PARAM_KEYS:
+    if kind not in _GENERATOR_PARAMS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    params = {key: _as_float(cfg[key]) for key in _GEN_PARAM_KEYS[kind]}
-    wf = generate(kind, params, _as_float(cfg["duration"]),
-                  _as_float(cfg["sample_rate"]), seed=int(cfg["seed"]))
+    params = {key: float(cfg[key]) for key in sorted(_GENERATOR_PARAMS[kind])}
+    wf = generate(kind, params, float(cfg["duration"]),
+                  float(cfg["sample_rate"]), seed=int(cfg["seed"]))
     write_wav(args.out, wf, encoding=cfg["encoding"])
-    _write_sidecar(args.out, "gen", cfg)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# spectrogram
-# ---------------------------------------------------------------------------
-
-_SPEC_DEFAULTS = {
-    "input": None, "mode": "stft", "params_file": None,
-    "n_fft": None, "hop": None, "window": "hann", "eps": DEFAULT_EPS,
-}
 
 
 def _resolve_bank(mode: str, params_file, n_fft_setting):
@@ -163,14 +268,7 @@ def _resolve_bank(mode: str, params_file, n_fft_setting):
     return dft_kernel(n_fft), n_fft
 
 
-def _cmd_spectrogram(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    overrides = {
-        "input": args.input, "mode": args.mode, "params_file": args.params,
-        "n_fft": args.n_fft, "hop": args.hop, "window": args.window,
-        "eps": args.eps,
-    }
-    cfg = _merge(_SPEC_DEFAULTS, config, overrides, "spectrogram")
+def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
     bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
@@ -179,87 +277,37 @@ def _cmd_spectrogram(args) -> int:
     cfg["hop"] = hop
     wf = read_wav(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"],
-                       eps=_as_float(cfg["eps"]))
+                       eps=float(cfg["eps"]))
     grid = spec.grid_for(len(wf))
     coeffs = analyze(wf, bank, grid, WindowSpec(spec.window, n_fft))
     out = log_power(coeffs, spec.eps, grid, bank)
     spectrogram_to_csv(args.out, out)
-    _write_sidecar(args.out, "spectrogram", cfg)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# freq-response
-# ---------------------------------------------------------------------------
-
-_RESP_DEFAULTS = {
-    "mode": "fbsp", "params_file": None, "n_fft": None,
-    "window": "rectangular", "num_probes": None,
-}
-
-
-def _cmd_freq_response(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    overrides = {
-        "mode": args.mode, "params_file": args.params, "n_fft": args.n_fft,
-        "window": args.window, "num_probes": args.num_probes,
-    }
-    cfg = _merge(_RESP_DEFAULTS, config, overrides, "freq-response")
+def _cmd_freq_response(cfg: dict, args) -> int:
     bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
     cfg["n_fft"] = n_fft
     probes = int(cfg["num_probes"]) if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
     response = frequency_response(bank, WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
-    _write_sidecar(args.out, "freq-response", cfg)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# gradcheck
-# ---------------------------------------------------------------------------
-
-_GRAD_DEFAULTS = {
-    "n_fft": 64, "seed": 0, "draws": 5, "m": 1.7, "f_b": 0.9, "step": 1e-6,
-}
-
-
-def _cmd_gradcheck(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    overrides = {
-        "n_fft": args.n_fft, "seed": args.seed, "draws": args.draws,
-        "m": args.m, "f_b": args.f_b, "step": args.step,
-    }
-    cfg = _merge(_GRAD_DEFAULTS, config, overrides, "gradcheck")
+def _cmd_gradcheck(cfg: dict, args) -> int:
     report = gradient_check_report(
         n_fft=int(cfg["n_fft"]), seed=int(cfg["seed"]), draws=int(cfg["draws"]),
-        point=(_as_float(cfg["m"]), _as_float(cfg["f_b"])),
-        step=_as_float(cfg["step"]),
+        point=(float(cfg["m"]), float(cfg["f_b"])),
+        step=float(cfg["step"]),
     )
     write_json(args.out, report)
-    _write_sidecar(args.out, "gradcheck", cfg)
     print(f"gradcheck: {report['status']} "
           f"({len(report['checks'])} checks, {len(report['failed'])} failed)")
     return 0 if report["status"] == "pass" else 3
 
 
-# ---------------------------------------------------------------------------
-# perturb
-# ---------------------------------------------------------------------------
-
-_PERTURB_DEFAULTS = {
-    "input": None, "snr_db": None, "cutoff_hz": None, "order": 5,
-    "seed": 0, "encoding": "pcm16",
-}
-
-
-def _cmd_perturb(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    overrides = {
-        "input": args.input, "snr_db": args.snr_db, "cutoff_hz": args.cutoff_hz,
-        "order": args.order, "seed": args.seed, "encoding": args.encoding,
-    }
-    cfg = _merge(_PERTURB_DEFAULTS, config, overrides, "perturb")
+def _cmd_perturb(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("perturb needs an input wav (--input)")
     has_snr = cfg["snr_db"] is not None
@@ -268,41 +316,14 @@ def _cmd_perturb(args) -> int:
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
     wf = read_wav(cfg["input"])
     if has_snr:
-        out = add_awgn(wf, _as_float(cfg["snr_db"]), seed=int(cfg["seed"]))
+        out = add_awgn(wf, float(cfg["snr_db"]), seed=int(cfg["seed"]))
     else:
         filt = design_butterworth_lowpass(
-            int(cfg["order"]), _as_float(cfg["cutoff_hz"]), wf.sample_rate)
+            int(cfg["order"]), float(cfg["cutoff_hz"]), wf.sample_rate)
         out = apply_filter(filt, wf)
     write_wav(args.out, out, encoding=cfg["encoding"])
-    _write_sidecar(args.out, "perturb", cfg)
     return 0
 
-
-# ---------------------------------------------------------------------------
-# train and sweep
-# ---------------------------------------------------------------------------
-
-_DEFAULT_TASK = {
-    "classes": [
-        {"name": "low_tone", "kind": "tone", "low_hz": 350.0, "high_hz": 650.0},
-        {"name": "mid_chirp", "kind": "chirp", "low_hz": 900.0, "high_hz": 1800.0},
-        {"name": "high_noise", "kind": "band_noise",
-         "low_hz": 2200.0, "high_hz": 3200.0},
-    ],
-    "samples_per_class": 40,
-    "duration": 0.75,
-    "sample_rate": 8000.0,
-    "seed": 0,
-    "snr_range": None,
-    "train_fraction": 0.8,
-}
-
-_DEFAULT_FEATURES = {"n_fft": 256, "hop": 128, "window": "hann", "eps": DEFAULT_EPS}
-
-_DEFAULT_TRAIN = {
-    "epochs": 30, "lr": 0.1, "lr_decay": 0.985, "momentum": 0.9,
-    "weight_decay": 5e-4, "lambda_fbsp": 1.0, "freeze_epochs": 3, "seed": 0,
-}
 
 _CLASS_KEYS = {"name", "kind", "low_hz", "high_hz", "amplitude"}
 
@@ -315,79 +336,36 @@ def _task_from_config(cfg: dict):
             raise ValueError(f"unknown class config keys: {', '.join(unknown)}")
         kwargs = {
             "name": str(entry["name"]), "kind": str(entry["kind"]),
-            "low_hz": _as_float(entry["low_hz"]),
-            "high_hz": _as_float(entry["high_hz"]),
+            "low_hz": float(entry["low_hz"]),
+            "high_hz": float(entry["high_hz"]),
         }
         if "amplitude" in entry:
             lo, hi = entry["amplitude"]
-            kwargs["amplitude"] = (_as_float(lo), _as_float(hi))
+            kwargs["amplitude"] = (float(lo), float(hi))
         classes.append(ClassSpec(**kwargs))
     snr = cfg["snr_range"]
     if isinstance(snr, (list, tuple)):
-        snr = (_as_float(snr[0]), _as_float(snr[1]))
+        snr = (float(snr[0]), float(snr[1]))
     elif snr is not None:
-        snr = _as_float(snr)
+        snr = float(snr)
     return make_task(
-        classes, int(cfg["samples_per_class"]), duration=_as_float(cfg["duration"]),
-        sample_rate=_as_float(cfg["sample_rate"]), seed=int(cfg["seed"]),
-        snr_range=snr, train_fraction=_as_float(cfg["train_fraction"]),
+        classes, int(cfg["samples_per_class"]), duration=float(cfg["duration"]),
+        sample_rate=float(cfg["sample_rate"]), seed=int(cfg["seed"]),
+        snr_range=snr, train_fraction=float(cfg["train_fraction"]),
     )
 
 
-def _features_from_config(cfg: dict) -> FeatureSpec:
-    return FeatureSpec(n_fft=int(cfg["n_fft"]), hop=int(cfg["hop"]),
-                       window=str(cfg["window"]), eps=_as_float(cfg["eps"]))
-
-
-def _train_config_from_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg["epochs"]), lr=_as_float(cfg["lr"]),
-        lr_decay=_as_float(cfg["lr_decay"]), momentum=_as_float(cfg["momentum"]),
-        weight_decay=_as_float(cfg["weight_decay"]),
-        lambda_fbsp=_as_float(cfg["lambda_fbsp"]),
-        freeze_epochs=int(cfg["freeze_epochs"]), seed=int(cfg["seed"]),
-    )
-
-
-def _resolve_run_config(args, config: dict, extra_sections: dict | None = None) -> dict:
-    sections = {"task": _DEFAULT_TASK, "features": _DEFAULT_FEATURES,
-                "train": _DEFAULT_TRAIN}
-    if extra_sections:
-        sections.update(extra_sections)
-    unknown = sorted(set(config) - set(sections))
-    if unknown:
-        raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-    resolved = {}
-    for name, defaults in sections.items():
-        resolved[name] = _merge(defaults, config.get(name, {}), {}, name)
-    # a top-level --seed regenerates the data; per-section seeds stay in files
-    if getattr(args, "seed", None) is not None:
-        resolved["task"]["seed"] = int(args.seed)
-    for flag in ("epochs", "lr", "lambda_fbsp", "freeze_epochs"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            resolved["train"][flag] = value
-    return resolved
-
-
-def _cmd_train(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    resolved = _resolve_run_config(args, config)
-    corpus = _task_from_config(resolved["task"])
-    features = _features_from_config(resolved["features"])
-    train_cfg = _train_config_from_config(resolved["train"])
+def _cmd_train(cfg: dict, args) -> int:
+    corpus = _task_from_config(cfg["task"])
+    features = _from_fields(FeatureSpec, cfg["features"])
+    train_cfg = _from_fields(TrainConfig, cfg["train"])
     result = train(corpus, train_cfg, features)
     save_params(args.out_params, result.params, features.n_fft)
     result.log.to_csv(args.out_log)
-    _write_sidecar(args.out_params, "train", resolved)
-    _write_sidecar(args.out_log, "train", resolved)
     final = result.log.records[-1]
     print(f"train: {train_cfg.epochs} epochs, final accuracy {final.accuracy:.3f}, "
           f"m {result.params.m:.4f}, f_b {result.params.f_b:.4f}")
     return 0
-
-
-_SWEEP_DEFAULTS = {"kind": "awgn", "axis": None, "order": 5, "seed": 0}
 
 
 def _default_axis(kind: str, sample_rate: float) -> list[float]:
@@ -398,22 +376,14 @@ def _default_axis(kind: str, sample_rate: float) -> list[float]:
     return [f * sample_rate for f in fractions]
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    resolved = _resolve_run_config(args, config, {"sweep": _SWEEP_DEFAULTS})
-    sweep_cfg = resolved["sweep"]
-    for flag in ("kind", "order"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            sweep_cfg[flag] = value
-    if args.axis is not None:
-        sweep_cfg["axis"] = [part.strip() for part in args.axis.split(",")]
-    corpus = _task_from_config(resolved["task"])
-    features = _features_from_config(resolved["features"])
-    train_cfg = _train_config_from_config(resolved["train"])
+def _cmd_sweep(cfg: dict, args) -> int:
+    sweep_cfg = cfg["sweep"]
+    corpus = _task_from_config(cfg["task"])
+    features = _from_fields(FeatureSpec, cfg["features"])
+    train_cfg = _from_fields(TrainConfig, cfg["train"])
     axis = sweep_cfg["axis"]
     axis = (_default_axis(sweep_cfg["kind"], corpus.sample_rate) if axis is None
-            else [_as_float(v) for v in axis])
+            else [float(v) for v in axis])
     sweep_cfg["axis"] = axis
 
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
@@ -433,13 +403,12 @@ def _cmd_sweep(args) -> int:
         path = f"{stem}_{model.bank_label}.csv"
         sweep_to_csv(path, result)
         written.append(path)
-    _write_sidecar(args.out, "sweep", resolved)
     print("sweep wrote: " + ", ".join(written))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly and the shared run path
 # ---------------------------------------------------------------------------
 
 
@@ -448,89 +417,36 @@ def build_parser() -> _Parser:
                      description="Learnable spline kernel banks over framed audio.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: _Parser, out_help: str, out_required: bool = True):
+    def add(name: str, help_text: str, run, knobs: list, outputs: list) -> None:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config (a .run.json sidecar also works)")
-        p.add_argument("--out", required=out_required, help=out_help)
+        dests = [p.add_argument(flag, required=True, help=out_help).dest
+                 for flag, out_help in outputs]
+        for key, flag, kind, _default, knob_help in knobs:
+            if flag is None:
+                continue
+            if isinstance(kind, list):
+                p.add_argument(flag, dest=key, choices=kind, help=knob_help)
+            else:
+                p.add_argument(flag, dest=key, type=None if kind is list else kind,
+                               help=knob_help)
+        p.set_defaults(run=run, knobs=knobs, outputs=dests)
 
-    p = sub.add_parser("gen", help="generate a test waveform")
-    add_common(p, "output wav path")
-    p.add_argument("--kind", choices=sorted(_GEN_PARAM_KEYS))
-    p.add_argument("--duration", type=float)
-    p.add_argument("--sample-rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--frequency", type=float)
-    p.add_argument("--f-start", type=float)
-    p.add_argument("--f-end", type=float)
-    p.add_argument("--low-hz", type=float)
-    p.add_argument("--high-hz", type=float)
-    p.add_argument("--phase", type=float)
-    p.add_argument("--encoding", choices=["pcm16", "float32"])
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("spectrogram", help="log-power spectrogram to CSV")
-    add_common(p, "output csv path")
-    p.add_argument("--input", help="input wav")
-    p.add_argument("--mode", choices=["stft", "fbsp"])
-    p.add_argument("--params", help="bank parameter JSON (fbsp mode)")
-    p.add_argument("--n-fft", type=int)
-    p.add_argument("--hop", type=int)
-    p.add_argument("--window", choices=["rectangular", "hann"])
-    p.add_argument("--eps", type=float)
-    p.set_defaults(func=_cmd_spectrogram)
-
-    p = sub.add_parser("freq-response", help="per-filter gain curves to CSV")
-    add_common(p, "output csv path")
-    p.add_argument("--mode", choices=["stft", "fbsp"])
-    p.add_argument("--params", help="bank parameter JSON (fbsp mode)")
-    p.add_argument("--n-fft", type=int)
-    p.add_argument("--window", choices=["rectangular", "hann"])
-    p.add_argument("--num-probes", type=int)
-    p.set_defaults(func=_cmd_freq_response)
-
-    p = sub.add_parser("gradcheck", help="analytic gradients vs central differences")
-    add_common(p, "output JSON report path")
-    p.add_argument("--n-fft", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--f-b", type=float)
-    p.add_argument("--step", type=float)
-    p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("perturb", help="add noise at an SNR or low-pass filter")
-    add_common(p, "output wav path")
-    p.add_argument("--input", help="input wav")
-    p.add_argument("--snr-db", help="SNR in dB ('inf' passes through)")
-    p.add_argument("--cutoff-hz", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--encoding", choices=["pcm16", "float32"])
-    p.set_defaults(func=_cmd_perturb)
-
-    p = sub.add_parser("train", help="train the head and bank on a synthetic task")
-    p.add_argument("--config", help="JSON config with task/features/train sections")
-    p.add_argument("--out-params", required=True, help="output bank parameter JSON")
-    p.add_argument("--out-log", required=True, help="output per-epoch CSV")
-    p.add_argument("--seed", type=int, help="override the task seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda-fbsp", type=float)
-    p.add_argument("--freeze-epochs", type=int)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("sweep", help="robustness sweep for stft and fbsp banks")
-    add_common(p, "output csv stem; writes <stem>_<bank>.csv")
-    p.add_argument("--kind", choices=["awgn", "lowpass"])
-    p.add_argument("--axis", help="comma-separated axis values ('inf' allowed)")
-    p.add_argument("--order", type=int)
-    p.add_argument("--seed", type=int, help="override the task seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda-fbsp", type=float)
-    p.add_argument("--freeze-epochs", type=int)
-    p.set_defaults(func=_cmd_sweep)
-
+    add("gen", "generate a test waveform", _cmd_gen, _GEN_KNOBS,
+        [("--out", "output wav path")])
+    add("spectrogram", "log-power spectrogram to CSV", _cmd_spectrogram, _SPEC_KNOBS,
+        [("--out", "output csv path")])
+    add("freq-response", "per-filter gain curves to CSV", _cmd_freq_response,
+        _RESP_KNOBS, [("--out", "output csv path")])
+    add("gradcheck", "analytic gradients vs central differences", _cmd_gradcheck,
+        _GRAD_KNOBS, [("--out", "output JSON report path")])
+    add("perturb", "add noise at an SNR or low-pass filter", _cmd_perturb,
+        _PERTURB_KNOBS, [("--out", "output wav path")])
+    add("train", "train the head and bank on a synthetic task", _cmd_train,
+        _TRAIN_KNOBS, [("--out-params", "output bank parameter JSON"),
+                       ("--out-log", "output per-epoch CSV")])
+    add("sweep", "robustness sweep for stft and fbsp banks", _cmd_sweep, _SWEEP_KNOBS,
+        [("--out", "output csv stem; writes <stem>_<bank>.csv")])
     return parser
 
 
@@ -542,12 +458,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        code = args.run(cfg, args)
+        for dest in args.outputs:
+            _write_sidecar(getattr(args, dest), args.command, cfg)
+        return code
     except (SingularGradientError, TrainingDiverged) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 2
 
 

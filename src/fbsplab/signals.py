@@ -47,7 +47,7 @@ def _lock(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono sample buffer plus its sample rate in Hz.
+    """Mono sample buffer plus its sample rate, a whole number of Hz.
 
     Samples are double-precision, dimensionless amplitudes (nominally within
     [-1, 1], though processing such as noise injection may exceed that).
@@ -64,6 +64,9 @@ class Waveform:
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
         rate = int(self.sample_rate)
+        if rate != self.sample_rate:
+            raise ValueError(
+                f"sample_rate must be a whole number of Hz, got {self.sample_rate}")
         if rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", _lock(samples))

@@ -1,9 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+
+import fbsplab.cli
+from fbsplab.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "fbsplab.cli"]
 
@@ -57,6 +62,33 @@ class TestExitCodes:
         proc = run("gradcheck", "--m", "1.5", "--f-b", "0.8", "--n-fft", "16",
                    "--draws", "0", "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 3
+
+    def test_gradcheck_without_admissible_draw_ends_in_numeric_error(self, tmp_path):
+        # no draw is admissible at n_fft 4096, so the rejection loop must give up
+        start = time.perf_counter()
+        proc = subprocess.run(CLI + ["gradcheck", "--n-fft", "4096", "--draws", "1",
+                                     "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert "n_fft 4096" in proc.stderr
+        assert time.perf_counter() - start < 30.0
+
+    def test_fractional_sample_rate_is_input_error(self, tmp_path, capsys):
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--sample-rate", "8000.7", "--out", str(wav)]) == 2
+        assert "8000.7" in capsys.readouterr().err
+        assert not wav.exists()
+
+    def test_memory_error_is_input_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB")
+
+        monkeypatch.setattr(fbsplab.cli, "frequency_response", exhausted)
+        code = main(["freq-response", "--num-probes", "1000000000000000",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "7.28 PiB" in err
 
     def test_perturb_modes_are_exclusive(self, tmp_path):
         wav = tmp_path / "x.wav"
@@ -236,3 +268,164 @@ class TestTrainAndSweep:
 def read_csv_matrix_allow_text(path):
     lines = path.read_text().strip().split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+# ---------------------------------------------------------------------------
+# pinned CLI surface and resolved sidecars
+# ---------------------------------------------------------------------------
+
+PCM = ["pcm16", "float32"]
+MODES = ["stft", "fbsp"]
+WINDOWS = ["rectangular", "hann"]
+RUN_FLAGS = {
+    "--config": (None, None, False), "--seed": ("int", None, False),
+    "--epochs": ("int", None, False), "--lr": ("float", None, False),
+    "--lambda-fbsp": ("float", None, False), "--freeze-epochs": ("int", None, False),
+}
+COMMON = {"--config": (None, None, False), "--out": (None, None, True)}
+
+# option string -> (type name, choices, required), per subcommand
+SURFACE = {
+    "gen": {**COMMON,
+            "--kind": (None, ["band_noise", "chirp", "silence", "sine"], False),
+            "--duration": ("float", None, False), "--sample-rate": ("float", None, False),
+            "--seed": ("int", None, False), "--amplitude": ("float", None, False),
+            "--frequency": ("float", None, False), "--f-start": ("float", None, False),
+            "--f-end": ("float", None, False), "--low-hz": ("float", None, False),
+            "--high-hz": ("float", None, False), "--phase": ("float", None, False),
+            "--encoding": (None, PCM, False)},
+    "spectrogram": {**COMMON,
+                    "--input": (None, None, False), "--mode": (None, MODES, False),
+                    "--params": (None, None, False), "--n-fft": ("int", None, False),
+                    "--hop": ("int", None, False), "--window": (None, WINDOWS, False),
+                    "--eps": ("float", None, False)},
+    "freq-response": {**COMMON,
+                      "--mode": (None, MODES, False), "--params": (None, None, False),
+                      "--n-fft": ("int", None, False), "--window": (None, WINDOWS, False),
+                      "--num-probes": ("int", None, False)},
+    "gradcheck": {**COMMON,
+                  "--n-fft": ("int", None, False), "--seed": ("int", None, False),
+                  "--draws": ("int", None, False), "--m": ("float", None, False),
+                  "--f-b": ("float", None, False), "--step": ("float", None, False)},
+    "perturb": {**COMMON,
+                "--input": (None, None, False), "--snr-db": (None, None, False),
+                "--cutoff-hz": ("float", None, False), "--order": ("int", None, False),
+                "--seed": ("int", None, False), "--encoding": (None, PCM, False)},
+    "train": {**RUN_FLAGS,
+              "--out-params": (None, None, True), "--out-log": (None, None, True)},
+    "sweep": {**RUN_FLAGS, "--out": (None, None, True),
+              "--kind": (None, ["awgn", "lowpass"], False), "--axis": (None, None, False),
+              "--order": ("int", None, False)},
+}
+
+
+def parser_surface():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, subparser in sub.choices.items():
+        surface[name] = {}
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                surface[name][option] = (
+                    getattr(action.type, "__name__", action.type),
+                    None if action.choices is None else list(action.choices),
+                    action.required,
+                )
+    return surface
+
+
+def test_cli_surface_is_pinned():
+    surface = parser_surface()
+    assert surface == SURFACE
+    assert sum(len(flags) for flags in surface.values()) == 64
+
+
+SMALL_TRAIN_SECTION = {
+    "epochs": 2, "lr": 0.1, "lr_decay": 0.985, "momentum": 0.9,
+    "weight_decay": 5e-4, "lambda_fbsp": 1.0, "freeze_epochs": 1, "seed": 0,
+}
+SMALL_TASK_SECTION = {
+    **SMALL_RUN_CONFIG["task"], "sample_rate": 8000.0, "seed": 5,
+    "snr_range": None, "train_fraction": 0.8,
+}
+SMALL_FEATURES_SECTION = {"n_fft": 64, "hop": 32, "window": "hann", "eps": 1e-10}
+
+
+def sidecar_cases(tmp_path):
+    """argv without output flags, {output flag: path}, files written, resolved config."""
+    wav = str(tmp_path / "in.wav")
+    assert main(["gen", "--duration", "0.25", "--kind", "band_noise",
+                 "--out", wav]) == 0
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({
+        "m": 0.5, "f_b": 0.9, "f_c": [k / 32 for k in range(17)], "n_fft": 32}))
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps(SMALL_RUN_CONFIG))
+    return {
+        "gen": (
+            ["--kind", "chirp", "--f-start", "200", "--duration", "0.25",
+             "--encoding", "float32"],
+            {"--out": "gen.wav"}, ["gen.wav"],
+            {"kind": "chirp", "duration": 0.25, "sample_rate": 8000.0, "seed": 0,
+             "amplitude": 0.8, "frequency": 440.0, "f_start": 200.0,
+             "f_end": 3000.0, "low_hz": 500.0, "high_hz": 2000.0, "phase": 0.0,
+             "encoding": "float32"}),
+        "spectrogram": (
+            ["--input", wav, "--mode", "fbsp", "--params", str(params),
+             "--window", "rectangular"],
+            {"--out": "spec.csv"}, ["spec.csv", "spec.csv.meta.json"],
+            {"input": wav, "mode": "fbsp", "params_file": str(params), "n_fft": 32,
+             "hop": 16, "window": "rectangular", "eps": 1e-10}),
+        "freq-response": (
+            ["--n-fft", "32"],
+            {"--out": "resp.csv"}, ["resp.csv"],
+            {"mode": "fbsp", "params_file": None, "n_fft": 32,
+             "window": "rectangular", "num_probes": 17}),
+        "gradcheck": (
+            ["--n-fft", "32", "--draws", "1", "--seed", "3"],
+            {"--out": "grad.json"}, ["grad.json"],
+            {"n_fft": 32, "seed": 3, "draws": 1, "m": 1.7, "f_b": 0.9, "step": 1e-6}),
+        "perturb": (
+            ["--input", wav, "--snr-db", "10", "--seed", "4"],
+            {"--out": "noisy.wav"}, ["noisy.wav"],
+            {"input": wav, "snr_db": "10", "cutoff_hz": None, "order": 5,
+             "seed": 4, "encoding": "pcm16"}),
+        "train": (
+            ["--config", str(run_cfg), "--seed", "5", "--lr", "0.05"],
+            {"--out-params": "params.json", "--out-log": "log.csv"},
+            ["params.json", "log.csv"],
+            {"task": SMALL_TASK_SECTION, "features": SMALL_FEATURES_SECTION,
+             "train": {**SMALL_TRAIN_SECTION, "lr": 0.05}}),
+        "sweep": (
+            ["--config", str(run_cfg), "--seed", "5", "--kind", "lowpass",
+             "--axis", "1000, 3000", "--order", "3"],
+            {"--out": "sweep.csv"}, ["sweep_stft.csv", "sweep_fbsp.csv"],
+            {"task": SMALL_TASK_SECTION, "features": SMALL_FEATURES_SECTION,
+             "train": SMALL_TRAIN_SECTION,
+             "sweep": {"kind": "lowpass", "axis": [1000.0, 3000.0], "order": 3,
+                       "seed": 0}}),
+    }
+
+
+@pytest.mark.parametrize("command", list(SURFACE))
+def test_sidecar_is_pinned_and_reruns_byte_identical(tmp_path, command):
+    argv, outs, written, expected = sidecar_cases(tmp_path)[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+
+    def out_args(directory):
+        return [arg for flag, name in outs.items() for arg in (flag, str(directory / name))]
+
+    assert main([command, *argv, *out_args(first)]) == 0
+    sidecars = [name + ".run.json" for name in outs.values()]
+    for name in sidecars:
+        doc = json.loads((first / name).read_text())
+        assert doc == {"command": command, "config": expected}
+
+    assert main([command, "--config", str(first / sidecars[0]), *out_args(second)]) == 0
+    for name in written + sidecars:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name

@@ -51,6 +51,12 @@ class TestWaveform:
     def test_duration(self):
         assert Waveform(np.zeros(4000), 8000).duration == 0.5
 
+    def test_rejects_fractional_rate(self):
+        with pytest.raises(ValueError, match="8000.7"):
+            Waveform(np.zeros(4), 8000.7)
+        wf = Waveform(np.zeros(4), 8000.0)
+        assert wf.sample_rate == 8000 and isinstance(wf.sample_rate, int)
+
 
 class TestFrameGrid:
     def test_frame_count_formula(self):
