@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.signal
 
 from fbsplab.signals import Waveform, derive_seed
 from fbsplab.transform import Spectrogram, bank_energy_ratio
@@ -138,6 +137,8 @@ def magnitude_response_db(
 
 def apply_filter(filt: ButterworthFilter, signal: Waveform) -> Waveform:
     """Run the cascade over the samples with zero initial state."""
+    import scipy.signal  # imported here: it alone costs most of the CLI's start-up
+
     if signal.sample_rate != filt.sample_rate:
         raise ValueError(
             f"filter designed at {filt.sample_rate} Hz applied to "

@@ -9,10 +9,14 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-Bank gradients flow through the analytic cotangent pullback. A proposed
-bank step is validated before it is taken (m >= 0, f_b > 0, ordered in-band
-f_c, clearance from sinc-zero exclusion zones); invalid steps are halved up
-to 20 times and skipped when still invalid, with the bank velocity reset.
+Each split's clips are stacked into one ``transform.FrameStack``, so a pass
+is one call of the shared ``transform.forward`` and, while the bank trains,
+one ``transform.backward``; inference runs the same ``forward`` on one
+clip. Bank gradients flow through the analytic cotangent pullback, which
+frozen epochs skip. A proposed bank step is
+validated before it is taken (m >= 0, f_b > 0, ordered in-band f_c,
+clearance from sinc-zero exclusion zones); invalid steps are halved up to
+20 times and skipped when still invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fbsplab.gradients import (
 from fbsplab.perturb import add_awgn
 from fbsplab.runio import write_csv
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, derive_seed, frame, generate
-from fbsplab.transform import DEFAULT_EPS, Spectrogram, analyze, log_power
+from fbsplab.transform import DEFAULT_EPS, FrameStack, Spectrogram, backward, forward
 
 __all__ = [
     "FeatureSpec",
@@ -73,9 +77,6 @@ class FeatureSpec:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
         WindowSpec(self.window, self.n_fft)  # validates the window kind
-
-    def window_values(self) -> np.ndarray:
-        return WindowSpec(self.window, self.n_fft).values()
 
     def grid_for(self, num_samples: int) -> FrameGrid:
         grid = FrameGrid.for_length(num_samples, self.n_fft, self.hop)
@@ -337,9 +338,10 @@ class TrainedModel:
 
     def spectrogram(self, signal: Waveform) -> Spectrogram:
         grid = self.features.grid_for(len(signal))
-        window = WindowSpec(self.features.window, self.features.n_fft)
-        coeffs = analyze(signal, self.bank, grid, window)
-        return log_power(coeffs, self.features.eps, grid, self.bank)
+        frames = frame(signal, grid, WindowSpec(self.features.window, self.features.n_fft))
+        logp, _ = forward(self.bank, frames, self.features.eps)
+        return Spectrogram(values=logp.T, grid=grid, bank_descriptor=self.params,
+                           eps=self.features.eps)
 
     def feature_vector(self, signal: Waveform) -> np.ndarray:
         return self.spectrogram(signal).values.mean(axis=1)
@@ -378,16 +380,12 @@ def prepare_frames(corpus: TaskCorpus, features: FeatureSpec) -> list[np.ndarray
     return out
 
 
-def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
+def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray] | FrameStack,
                    features: FeatureSpec) -> np.ndarray:
     """Stack per-clip time-averaged log-power vectors into (clips, filters)."""
-    bank = fbsp_kernel(params, features.n_fft)
-    feats = np.empty((len(frames_list), params.num_filters))
-    for i, frames in enumerate(frames_list):
-        coeffs = bank.weights @ frames.T
-        power = coeffs.real ** 2 + coeffs.imag ** 2
-        feats[i] = np.log(power + features.eps).mean(axis=1)
-    return feats
+    stack = FrameStack.of(frames_list)
+    logp, _ = forward(fbsp_kernel(params, features.n_fft), stack.frames, features.eps)
+    return stack.clip_means(logp)
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -403,69 +401,59 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 def pipeline_loss(
     params: FbspParams,
     head: LinearHead,
-    frames_list: Sequence[np.ndarray],
+    frames_list: Sequence[np.ndarray] | FrameStack,
     labels: np.ndarray,
     features: FeatureSpec,
     lambda_fbsp: float = 0.0,
     weight_decay: float = 0.0,
 ) -> float:
     """Total objective: cross-entropy + weight decay + lambda * bank loss."""
-    feats = feature_matrix(params, frames_list, features)
-    ce, _ = _softmax_ce(head.logits(feats), labels)
-    wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
-    reg = lambda_fbsp * fbsp_loss(fbsp_kernel(params, features.n_fft)) if lambda_fbsp else 0.0
-    return ce + wd_term + reg
+    return pipeline_gradients(params, head, frames_list, labels, features,
+                              lambda_fbsp, weight_decay, frozen=True)[0]
 
 
 def pipeline_gradients(
     params: FbspParams,
     head: LinearHead,
-    frames_list: Sequence[np.ndarray],
+    frames_list: Sequence[np.ndarray] | FrameStack,
     labels: np.ndarray,
     features: FeatureSpec,
     lambda_fbsp: float = 0.0,
     weight_decay: float = 0.0,
-) -> tuple[float, float, float, np.ndarray, np.ndarray, ParamGradient]:
+    frozen: bool = False,
+) -> tuple[float, float, float, np.ndarray, np.ndarray, ParamGradient | None]:
     """One full-batch forward/backward pass.
 
     Returns (total, task_ce, bank_loss, grad_weights, grad_bias,
     bank_gradient). The bank gradient backpropagates the cross-entropy
     through log-power features into the kernel entries, then pulls the
     resulting cotangent back to (m, f_b, f_c) and adds the analytic
-    regularizer gradient.
+    regularizer gradient. A frozen bank skips all of that and gets None.
     """
-    n_fft = features.n_fft
-    bank = fbsp_kernel(params, n_fft)
-    batch = len(frames_list)
-    feats = np.empty((batch, params.num_filters))
-    cache = []
-    for i, frames in enumerate(frames_list):
-        coeffs = bank.weights @ frames.T
-        power = coeffs.real ** 2 + coeffs.imag ** 2
-        feats[i] = np.log(power + features.eps).mean(axis=1)
-        cache.append((coeffs, power))
-    z = (feats - head.feat_mean) / head.feat_std
+    stack = FrameStack.of(frames_list)
+    bank = fbsp_kernel(params, features.n_fft)
+    logp, cache = forward(bank, stack.frames, features.eps)
+    z = (stack.clip_means(logp) - head.feat_mean) / head.feat_std
     logits = z @ head.weights.T + head.bias
     ce, probs = _softmax_ce(logits, labels)
     bank_reg = fbsp_loss(bank)
     wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
     total = ce + wd_term + lambda_fbsp * bank_reg
 
+    batch = len(stack.counts)
     dlogits = probs.copy()
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
     grad_w = dlogits.T @ z + weight_decay * head.weights
     grad_b = dlogits.sum(axis=0)
-    dfeat = (dlogits @ head.weights) / head.feat_std
+    if frozen:
+        return total, ce, bank_reg, grad_w, grad_b, None
 
-    adjoint = np.zeros((params.num_filters, n_fft), dtype=np.complex128)
-    for i, frames in enumerate(frames_list):
-        coeffs, power = cache[i]
-        dpower = (dfeat[i][:, None] / coeffs.shape[1]) / (power + features.eps)
-        adjoint += (2.0 * dpower * coeffs) @ frames
-    bank_grad = kernel_jacobian_vector(params, n_fft, np.conj(adjoint) / 2.0)
+    dfeat = (dlogits @ head.weights) / head.feat_std / stack.counts[:, None]
+    cotangent = backward(cache, np.repeat(dfeat, stack.counts, axis=0))
+    bank_grad = kernel_jacobian_vector(params, features.n_fft, cotangent)
     if lambda_fbsp:
-        reg = loss_gradient(params, n_fft)
+        reg = loss_gradient(params, features.n_fft)
         bank_grad = ParamGradient(
             d_m=bank_grad.d_m + lambda_fbsp * reg.d_m,
             d_fb=bank_grad.d_fb + lambda_fbsp * reg.d_fb,
@@ -503,12 +491,11 @@ def train(
     """
     params = init if init is not None else init_params(features.n_fft)
     frames_all = prepare_frames(corpus, features)
-    train_idx = corpus.train_indices
-    val_idx = corpus.val_indices
-    train_frames = [frames_all[i] for i in train_idx]
-    train_labels = corpus.labels[train_idx]
-    val_frames = [frames_all[i] for i in val_idx]
-    val_labels = corpus.labels[val_idx]
+    train_frames = FrameStack.of([frames_all[i] for i in corpus.train_indices])
+    val_frames = FrameStack.of([frames_all[i] for i in corpus.val_indices])
+    del frames_all  # the stacks hold copies
+    train_labels = corpus.labels[corpus.train_indices]
+    val_labels = corpus.labels[corpus.val_indices]
 
     init_feats = feature_matrix(params, train_frames, features)
     feat_mean = init_feats.mean(axis=0)
@@ -531,9 +518,11 @@ def train(
 
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
+        frozen = epoch < config.freeze_epochs
         total, ce, bank_reg, grad_w, grad_b, bank_grad = pipeline_gradients(
             params, head_now(), train_frames, train_labels, features,
             lambda_fbsp=config.lambda_fbsp, weight_decay=config.weight_decay,
+            frozen=frozen,
         )
         records.append(EpochRecord(
             epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=bank_reg,
@@ -552,7 +541,7 @@ def train(
         vel_b = mu * vel_b + grad_b
         bias = bias - lr * (grad_b + mu * vel_b)
 
-        if epoch < config.freeze_epochs:
+        if frozen:
             continue
         grad_vec = np.concatenate(([bank_grad.d_m, bank_grad.d_fb], bank_grad.d_fc))
         vel_bank = mu * vel_bank + grad_vec

@@ -36,6 +36,17 @@ def read_csv_matrix(path):
                                for line in lines[1:]])
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the start-up cost of every command, and only
+    # the low-pass filter needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fbsplab.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert run().returncode == 1

@@ -115,6 +115,22 @@ class TestBankEnergyRatio:
         spec = self.make_spec(p, grid)
         assert bank_energy_ratio(spec, spec) == math.inf
 
+    def test_silent_clean_gives_minus_inf(self):
+        # the limit of 10 log10(signal / residual) as the clean power goes to 0
+        n_fft = 64
+        grid = FrameGrid.for_length(256, n_fft, n_fft // 2)
+        win = WindowSpec("hann", n_fft)
+        bank = dft_kernel(n_fft)
+
+        def spec(samples):
+            coeffs = analyze(Waveform(samples, 8000), bank, grid, win)
+            return log_power(coeffs, DEFAULT_EPS, grid, bank)
+
+        silent = spec(np.zeros(256))
+        noisy = spec(random_waveform(256, 3).samples)
+        assert bank_energy_ratio(silent, noisy) == -math.inf
+        assert bank_energy_ratio(silent, silent) == math.inf
+
     def test_known_residual(self):
         grid = FrameGrid(frame_length=8, hop=8, num_frames=1)
         clean = np.full((4, 1), 2.0)
