@@ -13,10 +13,10 @@ Each split's clips are stacked into one ``transform.FrameStack``, so a pass
 is one call of the shared ``transform.forward`` and, while the bank trains,
 one ``transform.backward``; inference runs the same ``forward`` on one
 clip. Bank gradients flow through the analytic cotangent pullback, which
-frozen epochs skip. A proposed bank step is
-validated before it is taken (m >= 0, f_b > 0, ordered in-band f_c,
-clearance from sinc-zero exclusion zones); invalid steps are halved up to
-20 times and skipped when still invalid, with the bank velocity reset.
+frozen epochs skip. A proposed bank step is validated before it is taken
+(m >= 0, f_b > 0, ordered in-band f_c, clearance from sinc-zero exclusion
+zones); invalid steps are halved up to 20 times and skipped when still
+invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -430,8 +430,9 @@ def pipeline_gradients(
     resulting cotangent back to (m, f_b, f_c) and adds the analytic
     regularizer gradient. A frozen bank skips all of that and gets None.
     """
+    n_fft = features.n_fft
     stack = FrameStack.of(frames_list)
-    bank = fbsp_kernel(params, features.n_fft)
+    bank = fbsp_kernel(params, n_fft)
     logp, cache = forward(bank, stack.frames, features.eps)
     z = (stack.clip_means(logp) - head.feat_mean) / head.feat_std
     logits = z @ head.weights.T + head.bias
@@ -451,9 +452,9 @@ def pipeline_gradients(
 
     dfeat = (dlogits @ head.weights) / head.feat_std / stack.counts[:, None]
     cotangent = backward(cache, np.repeat(dfeat, stack.counts, axis=0))
-    bank_grad = kernel_jacobian_vector(params, features.n_fft, cotangent)
+    bank_grad = kernel_jacobian_vector(params, n_fft, cotangent)
     if lambda_fbsp:
-        reg = loss_gradient(params, features.n_fft)
+        reg = loss_gradient(params, n_fft)
         bank_grad = ParamGradient(
             d_m=bank_grad.d_m + lambda_fbsp * reg.d_m,
             d_fb=bank_grad.d_fb + lambda_fbsp * reg.d_fb,
@@ -491,11 +492,13 @@ def train(
     """
     params = init if init is not None else init_params(features.n_fft)
     frames_all = prepare_frames(corpus, features)
-    train_frames = FrameStack.of([frames_all[i] for i in corpus.train_indices])
-    val_frames = FrameStack.of([frames_all[i] for i in corpus.val_indices])
+    train_idx = corpus.train_indices
+    val_idx = corpus.val_indices
+    train_frames = FrameStack.of([frames_all[i] for i in train_idx])
+    train_labels = corpus.labels[train_idx]
+    val_frames = FrameStack.of([frames_all[i] for i in val_idx])
+    val_labels = corpus.labels[val_idx]
     del frames_all  # the stacks hold copies
-    train_labels = corpus.labels[corpus.train_indices]
-    val_labels = corpus.labels[corpus.val_indices]
 
     init_feats = feature_matrix(params, train_frames, features)
     feat_mean = init_feats.mean(axis=0)
