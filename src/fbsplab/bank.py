@@ -207,18 +207,15 @@ class FrequencyResponse:
     max_gain_curve: np.ndarray
 
     def __post_init__(self) -> None:
-        probes = np.array(self.probe_freqs, dtype=np.float64)
-        gains = np.array(self.gains, dtype=np.float64)
-        curve = np.array(self.max_gain_curve, dtype=np.float64)
+        for name in ("probe_freqs", "gains", "max_gain_curve"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        probes, gains, curve = self.probe_freqs, self.gains, self.max_gain_curve
         if gains.shape != (gains.shape[0], probes.size) or curve.shape != probes.shape:
             raise ValueError("inconsistent response shapes")
         if np.any(gains < 0) or not np.all(np.isfinite(gains)):
             raise ValueError("gains must be finite and non-negative")
-        for arr in (probes, gains, curve):
-            arr.setflags(write=False)
-        object.__setattr__(self, "probe_freqs", probes)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "max_gain_curve", curve)
 
 
 def frequency_response(

@@ -143,10 +143,7 @@ def apply_filter(filt: ButterworthFilter, signal: Waveform) -> Waveform:
         raise ValueError(
             f"filter designed at {filt.sample_rate} Hz applied to "
             f"{signal.sample_rate} Hz audio")
-    sos = np.empty((filt.num_sections, 6))
-    sos[:, :3] = filt.sections[:, :3]
-    sos[:, 3] = 1.0
-    sos[:, 4:] = filt.sections[:, 3:]
+    sos = np.insert(filt.sections, 3, 1.0, axis=1)  # rows [b0, b1, b2, 1, a1, a2]
     return Waveform(scipy.signal.sosfilt(sos, signal.samples), signal.sample_rate)
 
 
@@ -169,16 +166,13 @@ class SweepResult:
     num_clips: int
 
     def __post_init__(self) -> None:
-        axis = np.array(self.axis, dtype=np.float64)
-        accuracy = np.array(self.accuracy, dtype=np.float64)
-        snr = np.array(self.spectro_snr_db, dtype=np.float64)
-        if not (axis.shape == accuracy.shape == snr.shape) or axis.ndim != 1:
-            raise ValueError("axis, accuracy and spectro_snr_db must share one 1-D shape")
-        for arr in (axis, accuracy, snr):
+        for name in ("axis", "accuracy", "spectro_snr_db"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "accuracy", accuracy)
-        object.__setattr__(self, "spectro_snr_db", snr)
+            object.__setattr__(self, name, arr)
+        shape = self.axis.shape
+        if len(shape) != 1 or not shape == self.accuracy.shape == self.spectro_snr_db.shape:
+            raise ValueError("axis, accuracy and spectro_snr_db must share one 1-D shape")
 
 
 def _perturbed(kind: str, value: float, signal: Waveform,

@@ -188,8 +188,7 @@ def chirp(
     _check_band(f_end, sample_rate, "chirp end frequency")
     n = _num_samples(duration, sample_rate)
     t = np.arange(n) / sample_rate
-    span = duration
-    phase = 2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * span))
+    phase = 2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * duration))
     return Waveform(amplitude * np.sin(phase), sample_rate)
 
 

@@ -9,14 +9,12 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-Each split's clips are stacked into one ``transform.FrameStack``, so a pass
-is one call of the shared ``transform.forward`` and, while the bank trains,
-one ``transform.backward``; inference runs the same ``forward`` on one
-clip. Bank gradients flow through the analytic cotangent pullback, which
-frozen epochs skip. A proposed bank step is validated before it is taken
-(m >= 0, f_b > 0, ordered in-band f_c, clearance from sinc-zero exclusion
-zones); invalid steps are halved up to 20 times and skipped when still
-invalid, with the bank velocity reset.
+A pass runs ``transform.forward`` once over every clip's frames stacked
+and, unless the bank is frozen, ``transform.backward`` and the analytic
+cotangent pullback once. A proposed bank step is validated before it is
+taken (m >= 0, f_b > 0, ordered in-band f_c, clearance from sinc-zero
+exclusion zones); invalid steps are halved up to 20 times and skipped when
+still invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -39,8 +37,9 @@ from fbsplab.gradients import (
 )
 from fbsplab.perturb import add_awgn
 from fbsplab.runio import write_csv
-from fbsplab.signals import FrameGrid, Waveform, WindowSpec, derive_seed, frame, generate
-from fbsplab.transform import DEFAULT_EPS, FrameStack, Spectrogram, backward, forward
+from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, band_noise, chirp, derive_seed,
+                             frame, sine)
+from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward
 
 __all__ = [
     "FeatureSpec",
@@ -123,19 +122,15 @@ class TaskCorpus:
     sample_rate: float
 
     def __post_init__(self) -> None:
-        labels = np.array(self.labels, dtype=np.int64)
-        train = np.array(self.train_indices, dtype=np.int64)
-        val = np.array(self.val_indices, dtype=np.int64)
-        if labels.shape != (len(self.waveforms),):
+        for name in ("labels", "train_indices", "val_indices"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.labels.shape != (len(self.waveforms),):
             raise ValueError("labels must align with waveforms")
-        combined = np.sort(np.concatenate([train, val]))
+        combined = np.sort(np.concatenate([self.train_indices, self.val_indices]))
         if not np.array_equal(combined, np.arange(len(self.waveforms))):
             raise ValueError("train and validation indices must partition the corpus")
-        for arr in (labels, train, val):
-            arr.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "train_indices", train)
-        object.__setattr__(self, "val_indices", val)
 
     @property
     def num_classes(self) -> int:
@@ -149,21 +144,14 @@ def _draw_example(spec: ClassSpec, rng: np.random.Generator, duration: float,
                   sample_rate: float, noise_seed: int) -> Waveform:
     amplitude = float(rng.uniform(*spec.amplitude))
     if spec.kind == "tone":
-        params = {
-            "frequency": float(rng.uniform(spec.low_hz, spec.high_hz)),
-            "amplitude": amplitude,
-            "phase": float(rng.uniform(0.0, 2.0 * math.pi)),
-        }
-        return generate("sine", params, duration, sample_rate)
+        frequency = float(rng.uniform(spec.low_hz, spec.high_hz))
+        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        return sine(frequency, duration, sample_rate, amplitude, phase)
     if spec.kind == "chirp":
-        params = {
-            "f_start": float(rng.uniform(spec.low_hz, spec.high_hz)),
-            "f_end": float(rng.uniform(spec.low_hz, spec.high_hz)),
-            "amplitude": amplitude,
-        }
-        return generate("chirp", params, duration, sample_rate)
-    params = {"low_hz": spec.low_hz, "high_hz": spec.high_hz, "amplitude": amplitude}
-    return generate("band_noise", params, duration, sample_rate, seed=noise_seed)
+        f_start = float(rng.uniform(spec.low_hz, spec.high_hz))
+        f_end = float(rng.uniform(spec.low_hz, spec.high_hz))
+        return chirp(f_start, f_end, duration, sample_rate, amplitude)
+    return band_noise(spec.low_hz, spec.high_hz, duration, sample_rate, noise_seed, amplitude)
 
 
 def make_task(
@@ -258,24 +246,19 @@ class LinearHead:
     feat_std: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        b = np.array(self.bias, dtype=np.float64)
-        mean = np.array(self.feat_mean, dtype=np.float64)
-        std = np.array(self.feat_std, dtype=np.float64)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ValueError("weights must be (classes, features) with matching bias")
-        if mean.shape != (w.shape[1],) or std.shape != (w.shape[1],):
-            raise ValueError("standardization stats must match the feature width")
-        if np.any(std <= 0):
-            raise ValueError("feat_std must be strictly positive")
-        for arr in (w, b, mean, std):
+        for name in ("weights", "bias", "feat_mean", "feat_std"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValueError("head contains non-finite values")
             arr.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "feat_mean", mean)
-        object.__setattr__(self, "feat_std", std)
+            object.__setattr__(self, name, arr)
+        w = self.weights
+        if w.ndim != 2 or self.bias.shape != (w.shape[0],):
+            raise ValueError("weights must be (classes, features) with matching bias")
+        if self.feat_mean.shape != (w.shape[1],) or self.feat_std.shape != (w.shape[1],):
+            raise ValueError("standardization stats must match the feature width")
+        if np.any(self.feat_std <= 0):
+            raise ValueError("feat_std must be strictly positive")
 
     def logits(self, feats: np.ndarray) -> np.ndarray:
         z = (feats - self.feat_mean) / self.feat_std
@@ -373,19 +356,24 @@ class TrainResult:
 def prepare_frames(corpus: TaskCorpus, features: FeatureSpec) -> list[np.ndarray]:
     """Window and frame every clip once; training reuses these arrays."""
     window = WindowSpec(features.window, features.n_fft)
-    out = []
-    for wf in corpus.waveforms:
-        grid = features.grid_for(len(wf))
-        out.append(frame(wf, grid, window))
-    return out
+    return [frame(wf, features.grid_for(len(wf)), window) for wf in corpus.waveforms]
 
 
-def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray] | FrameStack,
+def _clip_features(bank: KernelBank, frames_list: Sequence[np.ndarray], eps: float):
+    """(clips, filters) time-averaged log-power rows from one ``forward`` of
+    every clip's frames stacked, with its cache and the clips' frame counts."""
+    counts = np.array([len(frames) for frames in frames_list])
+    if np.any(counts < 1):
+        raise ValueError("every clip needs at least one frame")
+    logp, cache = forward(bank, np.concatenate(frames_list), eps)
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache, counts
+
+
+def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
                    features: FeatureSpec) -> np.ndarray:
     """Stack per-clip time-averaged log-power vectors into (clips, filters)."""
-    stack = FrameStack.of(frames_list)
-    logp, _ = forward(fbsp_kernel(params, features.n_fft), stack.frames, features.eps)
-    return stack.clip_means(logp)
+    return _clip_features(fbsp_kernel(params, features.n_fft), frames_list, features.eps)[0]
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -401,21 +389,24 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 def pipeline_loss(
     params: FbspParams,
     head: LinearHead,
-    frames_list: Sequence[np.ndarray] | FrameStack,
+    frames_list: Sequence[np.ndarray],
     labels: np.ndarray,
     features: FeatureSpec,
     lambda_fbsp: float = 0.0,
     weight_decay: float = 0.0,
 ) -> float:
     """Total objective: cross-entropy + weight decay + lambda * bank loss."""
-    return pipeline_gradients(params, head, frames_list, labels, features,
-                              lambda_fbsp, weight_decay, frozen=True)[0]
+    feats = feature_matrix(params, frames_list, features)
+    ce, _ = _softmax_ce(head.logits(feats), labels)
+    wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
+    reg = lambda_fbsp * fbsp_loss(fbsp_kernel(params, features.n_fft)) if lambda_fbsp else 0.0
+    return ce + wd_term + reg
 
 
 def pipeline_gradients(
     params: FbspParams,
     head: LinearHead,
-    frames_list: Sequence[np.ndarray] | FrameStack,
+    frames_list: Sequence[np.ndarray],
     labels: np.ndarray,
     features: FeatureSpec,
     lambda_fbsp: float = 0.0,
@@ -431,17 +422,16 @@ def pipeline_gradients(
     regularizer gradient. A frozen bank skips all of that and gets None.
     """
     n_fft = features.n_fft
-    stack = FrameStack.of(frames_list)
     bank = fbsp_kernel(params, n_fft)
-    logp, cache = forward(bank, stack.frames, features.eps)
-    z = (stack.clip_means(logp) - head.feat_mean) / head.feat_std
+    batch = len(frames_list)
+    feats, cache, counts = _clip_features(bank, frames_list, features.eps)
+    z = (feats - head.feat_mean) / head.feat_std
     logits = z @ head.weights.T + head.bias
     ce, probs = _softmax_ce(logits, labels)
     bank_reg = fbsp_loss(bank)
     wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
     total = ce + wd_term + lambda_fbsp * bank_reg
 
-    batch = len(stack.counts)
     dlogits = probs.copy()
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
@@ -450,8 +440,8 @@ def pipeline_gradients(
     if frozen:
         return total, ce, bank_reg, grad_w, grad_b, None
 
-    dfeat = (dlogits @ head.weights) / head.feat_std / stack.counts[:, None]
-    cotangent = backward(cache, np.repeat(dfeat, stack.counts, axis=0))
+    dfeat = (dlogits @ head.weights) / head.feat_std / counts[:, None]
+    cotangent = backward(cache, np.repeat(dfeat, counts, axis=0))
     bank_grad = kernel_jacobian_vector(params, n_fft, cotangent)
     if lambda_fbsp:
         reg = loss_gradient(params, n_fft)
@@ -473,9 +463,7 @@ def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
         FbspParams(m=m, f_b=f_b, f_c=f_c)
     except ValueError:
         return False
-    if m > 0 and sinc_zone_clearance(m, f_b, n_fft) < SINC_ZONE_RADIUS:
-        return False
-    return True
+    return m == 0 or sinc_zone_clearance(m, f_b, n_fft) >= SINC_ZONE_RADIUS
 
 
 def train(
@@ -492,13 +480,10 @@ def train(
     """
     params = init if init is not None else init_params(features.n_fft)
     frames_all = prepare_frames(corpus, features)
-    train_idx = corpus.train_indices
-    val_idx = corpus.val_indices
-    train_frames = FrameStack.of([frames_all[i] for i in train_idx])
-    train_labels = corpus.labels[train_idx]
-    val_frames = FrameStack.of([frames_all[i] for i in val_idx])
-    val_labels = corpus.labels[val_idx]
-    del frames_all  # the stacks hold copies
+    train_frames = [frames_all[i] for i in corpus.train_indices]
+    train_labels = corpus.labels[corpus.train_indices]
+    val_frames = [frames_all[i] for i in corpus.val_indices]
+    val_labels = corpus.labels[corpus.val_indices]
 
     init_feats = feature_matrix(params, train_frames, features)
     feat_mean = init_feats.mean(axis=0)
@@ -550,15 +535,13 @@ def train(
         vel_bank = mu * vel_bank + grad_vec
         step = lr * (grad_vec + mu * vel_bank)
         theta = np.concatenate(([params.m, params.f_b], params.f_c))
-        applied = False
         for _ in range(_MAX_STEP_HALVINGS + 1):
             proposed = theta - step
             if _params_valid(proposed[0], proposed[1], proposed[2:], features.n_fft):
                 params = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
-                applied = True
                 break
             step = step / 2.0
-        if not applied:
+        else:
             vel_bank = np.zeros_like(vel_bank)  # drop momentum into the wall
 
     return TrainResult(params=params, head=head_now(), log=TrainLog(tuple(records)),

@@ -7,20 +7,17 @@ The transform correlates every windowed frame with every bank row:
 and the spectrogram is log(|X|^2 + eps) with a small positive eps keeping
 the log finite on silent frames.
 
-Frames are real, so ``filter_outputs`` computes X as one real product of
-stacked (frames, N) frames with the (N, 2F) matrix [Re K; Im K]^T. It
-serves ``analyze`` and the one log-power ``forward``, whose ``backward``
-turns a log-power cotangent into the (F, N) bank cotangent that
+``forward`` computes X for real (frames, N) frames as one real product
+with the (N, 2F) matrix [Re K; Im K]^T and returns log-power rows;
+``backward`` turns their cotangent into the (F, N) bank cotangent that
 ``gradients.kernel_jacobian_vector`` pulls back. Training, inference and
-the sweeps all use this pair; training runs it over every clip at once
-through a ``FrameStack`` and takes per-clip means as segment sums.
+``analyze`` all go through this one pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +26,7 @@ from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 
 __all__ = [
     "Spectrogram",
-    "FrameStack",
     "analyze",
-    "filter_outputs",
     "forward",
     "backward",
     "log_power",
@@ -69,40 +64,11 @@ class Spectrogram:
         object.__setattr__(self, "eps", float(self.eps))
 
 
-@dataclass(frozen=True)
-class FrameStack:
-    """Per-clip (frames, N) frame matrices stacked into one, with each clip's
-    frame count; clip i owns the rows after those of clips 0..i-1."""
-
-    frames: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def of(cls, clips: Sequence[np.ndarray] | FrameStack) -> FrameStack:
-        """Stack per-clip frame matrices; a stack is returned as it is."""
-        if isinstance(clips, FrameStack):
-            return clips
-        counts = np.array([len(c) for c in clips], dtype=np.int64)
-        if counts.size == 0 or np.any(counts < 1):
-            raise ValueError("need at least one clip, each with at least one frame")
-        return cls(np.concatenate(clips), counts)
-
-    def clip_means(self, rows: np.ndarray) -> np.ndarray:
-        """Per-clip means of (frames, F) rows, shape (clips, F)."""
-        starts = np.cumsum(self.counts) - self.counts
-        return np.add.reduceat(rows, starts, axis=0) / self.counts[:, None]
-
-
-def filter_outputs(bank: KernelBank, frames: np.ndarray) -> np.ndarray:
-    """Re X and Im X of real (T, N) frames side by side, shape (T, 2F)."""
-    return frames @ np.concatenate([bank.weights.real, bank.weights.imag]).T
-
-
 def forward(bank: KernelBank, frames: np.ndarray,
             eps: float) -> tuple[np.ndarray, tuple]:
     """log(|X|^2 + eps) of real (T, N) frames, shape (T, F), and the cache
-    ``backward`` needs."""
-    outputs = filter_outputs(bank, frames)
+    ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product."""
+    outputs = frames @ np.concatenate([bank.weights.real, bank.weights.imag]).T
     k = bank.num_filters
     shifted = np.square(outputs[:, :k])
     shifted += np.square(outputs[:, k:])
@@ -111,12 +77,8 @@ def forward(bank: KernelBank, frames: np.ndarray,
 
 
 def backward(cache: tuple, dlogp: np.ndarray) -> np.ndarray:
-    """(F, N) bank cotangent C of a (T, F) cotangent on ``forward``'s output.
-
-    C pairs as sum dlogp * d(logp) = 2 Re sum C * dK for any bank change dK.
-    With g = dlogp / (|X|^2 + eps), C = sum_t g conj(X) frame_t: one real
-    product of [g Re X | g Im X]^T with the frames.
-    """
+    """(F, N) bank cotangent C = sum_t dlogp / (|X|^2 + eps) conj(X) frame_t of
+    a (T, F) cotangent on ``forward``'s output; it pairs as 2 Re sum C dK."""
     frames, outputs, shifted = cache
     t, k = shifted.shape
     g = dlogp / shifted
@@ -135,7 +97,7 @@ def analyze(
         raise ValueError(
             f"bank has {bank.num_taps} taps but grid frames are {grid.frame_length} samples"
         )
-    outputs = filter_outputs(bank, frame(signal, grid, window))
+    _, (_, outputs, _) = forward(bank, frame(signal, grid, window), DEFAULT_EPS)
     k = bank.num_filters
     return (outputs[:, :k] + 1j * outputs[:, k:]).T
 
@@ -163,8 +125,7 @@ def bank_energy_ratio(spec_clean: Spectrogram, spec_noisy: Spectrogram) -> float
         10 * log10( sum(P_clean) / sum(|P_noisy - P_clean|) ).
 
     Identical inputs return +inf; a silent clean rendering against a
-    different one returns -inf, the limit of the formula as the clean power
-    goes to 0.
+    different one returns -inf, the formula's limit.
     """
     if spec_clean.values.shape != spec_noisy.values.shape:
         raise ValueError(

@@ -22,7 +22,6 @@ from fbsplab.training import (
     prepare_frames,
     train,
 )
-from fbsplab.transform import FrameStack
 
 FEATURES = FeatureSpec(n_fft=64, hop=32)
 # (1.7, 0.9) keeps every tap 1/34 away from the nearest sinc zero
@@ -133,8 +132,8 @@ def test_frozen_epochs_log_the_bank_loss():
     assert math.isclose(result.log.records[0].total_loss, expected, rel_tol=1e-12)
 
 
-def test_frame_stack_rejects_empty_input():
+def test_feature_matrix_rejects_empty_input():
     with pytest.raises(ValueError):
-        FrameStack.of([])
+        feature_matrix(PARAMS, [], FEATURES)
     with pytest.raises(ValueError):
-        FrameStack.of([np.zeros((2, 64)), np.zeros((0, 64))])
+        feature_matrix(PARAMS, [np.zeros((2, 64)), np.zeros((0, 64))], FEATURES)
