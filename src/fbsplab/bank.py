@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from fbsplab.signals import WindowSpec
+from fbsplab.signals import WindowSpec, whole_number
 
 __all__ = [
     "FbspParams",
@@ -291,7 +291,7 @@ def load_params(path: str) -> tuple[FbspParams, int]:
         raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}")
     params = FbspParams(m=float(doc["m"]), f_b=float(doc["f_b"]),
                         f_c=np.asarray(doc["f_c"], dtype=np.float64))
-    n_fft = int(doc["n_fft"])
+    n_fft = whole_number(doc["n_fft"], f"{path}: n_fft")
     _check_n(n_fft)
     return params, n_fft
 

@@ -46,7 +46,7 @@ from fbsplab.perturb import (
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import _GENERATOR_PARAMS, WindowSpec, generate
+from fbsplab.signals import _GENERATOR_PARAMS, WindowSpec, generate, whole_number
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -55,7 +55,7 @@ from fbsplab.training import (
     make_task,
     train,
 )
-from fbsplab.transform import DEFAULT_EPS, analyze, log_power, spectrogram_to_csv
+from fbsplab.transform import DEFAULT_EPS, spectrogram_to_csv
 from fbsplab.wavio import read_wav, write_wav
 
 
@@ -98,8 +98,9 @@ def _field_defaults(cls) -> dict:
 
 def _from_fields(cls, section: dict):
     """Build a FeatureSpec or TrainConfig, casting each value to the type of
-    its field's default."""
-    return cls(**{f.name: type(f.default)(section[f.name]) for f in fields(cls)})
+    its field's default; an int field takes only a whole number."""
+    return cls(**{f.name: whole_number(section[f.name], f.name) if type(f.default) is int
+                  else type(f.default)(section[f.name]) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def _cmd_gen(cfg: dict, args) -> int:
         raise ValueError(f"unknown generator kind {kind!r}")
     params = {key: float(cfg[key]) for key in sorted(_GENERATOR_PARAMS[kind])}
     wf = generate(kind, params, float(cfg["duration"]),
-                  float(cfg["sample_rate"]), seed=int(cfg["seed"]))
+                  float(cfg["sample_rate"]), seed=whole_number(cfg["seed"], "seed"))
     write_wav(args.out, wf, encoding=cfg["encoding"])
     return 0
 
@@ -253,7 +254,7 @@ def _resolve_bank(mode: str, params_file, n_fft_setting):
     """Pick the analysis bank; a params file fixes n_fft and must not clash."""
     if mode not in ("stft", "fbsp"):
         raise ValueError(f"mode must be 'stft' or 'fbsp', got {mode!r}")
-    explicit = None if n_fft_setting is None else int(n_fft_setting)
+    explicit = None if n_fft_setting is None else whole_number(n_fft_setting, "n_fft")
     if mode == "fbsp" and params_file:
         params, n_fft = load_params(params_file)
         if explicit is not None and explicit != n_fft:
@@ -273,22 +274,19 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
         raise ValueError("spectrogram needs an input wav (--input)")
     bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
     cfg["n_fft"] = n_fft
-    hop = int(cfg["hop"]) if cfg["hop"] is not None else n_fft // 2
+    hop = whole_number(cfg["hop"], "hop") if cfg["hop"] is not None else n_fft // 2
     cfg["hop"] = hop
     wf = read_wav(cfg["input"])
-    spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"],
-                       eps=float(cfg["eps"]))
-    grid = spec.grid_for(len(wf))
-    coeffs = analyze(wf, bank, grid, WindowSpec(spec.window, n_fft))
-    out = log_power(coeffs, spec.eps, grid, bank)
-    spectrogram_to_csv(args.out, out)
+    spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=float(cfg["eps"]))
+    spectrogram_to_csv(args.out, spec.spectrogram(wf, bank))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
     bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
     cfg["n_fft"] = n_fft
-    probes = int(cfg["num_probes"]) if cfg["num_probes"] is not None else n_fft // 2 + 1
+    probes = (whole_number(cfg["num_probes"], "num_probes") if cfg["num_probes"] is not None
+              else n_fft // 2 + 1)
     cfg["num_probes"] = probes
     response = frequency_response(bank, WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
@@ -297,8 +295,8 @@ def _cmd_freq_response(cfg: dict, args) -> int:
 
 def _cmd_gradcheck(cfg: dict, args) -> int:
     report = gradient_check_report(
-        n_fft=int(cfg["n_fft"]), seed=int(cfg["seed"]), draws=int(cfg["draws"]),
-        point=(float(cfg["m"]), float(cfg["f_b"])),
+        n_fft=whole_number(cfg["n_fft"], "n_fft"), seed=whole_number(cfg["seed"], "seed"),
+        draws=whole_number(cfg["draws"], "draws"), point=(float(cfg["m"]), float(cfg["f_b"])),
         step=float(cfg["step"]),
     )
     write_json(args.out, report)
@@ -316,10 +314,10 @@ def _cmd_perturb(cfg: dict, args) -> int:
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
     wf = read_wav(cfg["input"])
     if has_snr:
-        out = add_awgn(wf, float(cfg["snr_db"]), seed=int(cfg["seed"]))
+        out = add_awgn(wf, float(cfg["snr_db"]), seed=whole_number(cfg["seed"], "seed"))
     else:
         filt = design_butterworth_lowpass(
-            int(cfg["order"]), float(cfg["cutoff_hz"]), wf.sample_rate)
+            whole_number(cfg["order"], "order"), float(cfg["cutoff_hz"]), wf.sample_rate)
         out = apply_filter(filt, wf)
     write_wav(args.out, out, encoding=cfg["encoding"])
     return 0
@@ -349,9 +347,9 @@ def _task_from_config(cfg: dict):
     elif snr is not None:
         snr = float(snr)
     return make_task(
-        classes, int(cfg["samples_per_class"]), duration=float(cfg["duration"]),
-        sample_rate=float(cfg["sample_rate"]), seed=int(cfg["seed"]),
-        snr_range=snr, train_fraction=float(cfg["train_fraction"]),
+        classes, whole_number(cfg["samples_per_class"], "samples_per_class"),
+        duration=float(cfg["duration"]), sample_rate=float(cfg["sample_rate"]), snr_range=snr,
+        seed=whole_number(cfg["seed"], "seed"), train_fraction=float(cfg["train_fraction"]),
     )
 
 
@@ -385,6 +383,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
     axis = (_default_axis(sweep_cfg["kind"], corpus.sample_rate) if axis is None
             else [float(v) for v in axis])
     sweep_cfg["axis"] = axis
+    seed = whole_number(sweep_cfg["seed"], "seed")
+    order = whole_number(sweep_cfg["order"], "order")
 
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
     models = [
@@ -396,10 +396,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     written = []
     for model in models:
-        result = robustness_sweep(
-            sweep_cfg["kind"], axis, model, val_wfs, val_labels,
-            seed=int(sweep_cfg["seed"]), order=int(sweep_cfg["order"]),
-        )
+        result = robustness_sweep(sweep_cfg["kind"], axis, model, val_wfs, val_labels,
+                                  seed=seed, order=order)
         path = f"{stem}_{model.bank_label}.csv"
         sweep_to_csv(path, result)
         written.append(path)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from fbsplab.signals import Waveform, derive_seed
-from fbsplab.transform import Spectrogram, bank_energy_ratio
+from fbsplab.transform import bank_energy_ratio
 from fbsplab.runio import write_csv
 
 __all__ = [
@@ -177,14 +177,13 @@ class SweepResult:
 
 def _perturbed(kind: str, value: float, signal: Waveform,
                seed: int, order: int) -> Waveform:
+    """One sweep cell's clip; ``kind`` is "awgn" or "lowpass", checked by the caller."""
     if kind == "awgn":
         return add_awgn(signal, value, seed)
-    if kind == "lowpass":
-        if value >= signal.sample_rate / 2.0:
-            return signal  # at or above Nyquist, nothing to remove
-        filt = design_butterworth_lowpass(order, value, signal.sample_rate)
-        return apply_filter(filt, signal)
-    raise ValueError(f"unknown sweep kind {kind!r}; expected 'awgn' or 'lowpass'")
+    if value >= signal.sample_rate / 2.0:
+        return signal  # at or above Nyquist, nothing to remove
+    filt = design_butterworth_lowpass(order, value, signal.sample_rate)
+    return apply_filter(filt, signal)
 
 
 def robustness_sweep(
@@ -198,9 +197,10 @@ def robustness_sweep(
 ) -> SweepResult:
     """Measure accuracy and mean bank-energy ratio along a perturbation axis.
 
-    The model just needs predict(waveform) -> label, spectrogram(waveform)
-    -> Spectrogram, and a bank_label string. Noise seeds derive from (seed,
-    kind, axis index, clip index) so every cell is reproducible on its own.
+    The model needs spectrogram(waveform) -> Spectrogram, predict(spectrogram)
+    -> label and a bank_label string; each perturbed clip is rendered once, for
+    the prediction and the ratio. Noise seeds derive from (seed, kind, axis
+    index, clip index) so every cell is reproducible on its own.
     """
     if len(waveforms) != len(labels):
         raise ValueError("waveforms and labels disagree in length")
@@ -216,11 +216,11 @@ def robustness_sweep(
         correct = 0
         ratios = np.zeros(len(waveforms))
         for j, (wf, label) in enumerate(zip(waveforms, labels)):
-            noisy = _perturbed(kind, float(value), wf,
-                               derive_seed(seed, kind_id, i, j), order)
+            noisy = model.spectrogram(_perturbed(kind, float(value), wf,
+                                                 derive_seed(seed, kind_id, i, j), order))
             if model.predict(noisy) == label:
                 correct += 1
-            ratios[j] = bank_energy_ratio(clean_specs[j], model.spectrogram(noisy))
+            ratios[j] = bank_energy_ratio(clean_specs[j], noisy)
         accuracy[i] = correct / len(waveforms)
         snr_out[i] = float(np.mean(ratios))
     return SweepResult(

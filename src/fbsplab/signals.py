@@ -27,6 +27,7 @@ __all__ = [
     "silence",
     "generate",
     "frame",
+    "whole_number",
 ]
 
 
@@ -38,6 +39,17 @@ def derive_seed(*parts: int) -> int:
     The result does not depend on evaluation order.
     """
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
+def whole_number(value, name: str) -> int:
+    """``int(value)``, or a ValueError naming the setting if it is not a whole number."""
+    try:
+        number = int(value)
+        if isinstance(value, str) or number == value:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def _lock(array: np.ndarray) -> np.ndarray:
@@ -63,10 +75,7 @@ class Waveform:
             raise ValueError(f"waveform must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
-        rate = int(self.sample_rate)
-        if rate != self.sample_rate:
-            raise ValueError(
-                f"sample_rate must be a whole number of Hz, got {self.sample_rate}")
+        rate = whole_number(self.sample_rate, "sample_rate")
         if rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", _lock(samples))
@@ -270,19 +279,13 @@ def generate(
 # ---------------------------------------------------------------------------
 
 
-def frame(
-    signal: Waveform,
-    grid: FrameGrid,
-    window: WindowSpec,
-    pad_short: bool = False,
-) -> np.ndarray:
+def frame(signal: Waveform, grid: FrameGrid, window: WindowSpec) -> np.ndarray:
     """Slice a signal into overlapping windowed frames.
 
     Returns a (num_frames, frame_length) array with
     ``frames[t, n] == samples[t * hop + n] * w[n]``. The grid must describe
     the signal exactly (see ``FrameGrid.for_length``). A signal shorter than
-    one frame raises unless ``pad_short`` is set, in which case it is
-    zero-padded to a single frame.
+    one frame raises.
     """
     if window.length != grid.frame_length:
         raise ValueError(
@@ -290,18 +293,12 @@ def frame(
         )
     x = signal.samples
     if len(x) < grid.frame_length:
-        if not pad_short:
-            raise ValueError(
-                f"signal of {len(x)} samples is shorter than one "
-                f"{grid.frame_length}-sample frame (pad_short disabled)"
-            )
-        x = np.concatenate([x, np.zeros(grid.frame_length - len(x))])
+        raise ValueError(
+            f"signal of {len(x)} samples is shorter than one {grid.frame_length}-sample frame")
     expected = FrameGrid.for_length(len(x), grid.frame_length, grid.hop).num_frames
     if grid.num_frames != expected:
         raise ValueError(
             f"grid declares {grid.num_frames} frames but the signal supports {expected}"
         )
-    if grid.num_frames == 0:
-        return np.zeros((0, grid.frame_length))
     view = np.lib.stride_tricks.sliding_window_view(x, grid.frame_length)[:: grid.hop]
     return view[: grid.num_frames] * window.values()

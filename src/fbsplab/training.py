@@ -84,6 +84,15 @@ class FeatureSpec:
                 f"{num_samples} samples are too few for frames of {self.n_fft}")
         return grid
 
+    def spectrogram(self, signal: Waveform, bank: KernelBank) -> Spectrogram:
+        """The log-power spectrogram of a signal through a bank of n_fft taps."""
+        if bank.num_taps != self.n_fft:
+            raise ValueError(f"bank has {bank.num_taps} taps but frames are {self.n_fft} samples")
+        grid = self.grid_for(len(signal))
+        frames = frame(signal, grid, WindowSpec(self.window, self.n_fft))
+        logp, _ = forward(bank, frames, self.eps)
+        return Spectrogram(values=logp.T, grid=grid, bank_descriptor=bank.params, eps=self.eps)
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -320,17 +329,11 @@ class TrainedModel:
         return fbsp_kernel(self.params, self.features.n_fft)
 
     def spectrogram(self, signal: Waveform) -> Spectrogram:
-        grid = self.features.grid_for(len(signal))
-        frames = frame(signal, grid, WindowSpec(self.features.window, self.features.n_fft))
-        logp, _ = forward(self.bank, frames, self.features.eps)
-        return Spectrogram(values=logp.T, grid=grid, bank_descriptor=self.params,
-                           eps=self.features.eps)
+        return self.features.spectrogram(signal, self.bank)
 
-    def feature_vector(self, signal: Waveform) -> np.ndarray:
-        return self.spectrogram(signal).values.mean(axis=1)
-
-    def predict(self, signal: Waveform) -> int:
-        logits = self.head.logits(self.feature_vector(signal)[None, :])
+    def predict(self, spec: Spectrogram) -> int:
+        """Class index of a spectrogram rendered by ``spectrogram``."""
+        logits = self.head.logits(spec.values.mean(axis=1)[None, :])
         return int(np.argmax(logits[0]))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fbsplab.cli
+from fbsplab.bank import init_params, save_params
 from fbsplab.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "fbsplab.cli"]
@@ -100,6 +101,47 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "out of memory" in err and "7.28 PiB" in err
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {"train": {"epochs": 2.6}}, "epochs"),
+        ("train", {"features": {"n_fft": 64.7}}, "n_fft"),
+        ("train", {"task": {"samples_per_class": 4.9}}, "samples_per_class"),
+        ("sweep", {"sweep": {"order": 2.5}}, "order"),
+        ("gen", {"seed": 0.5}, "seed"),
+        ("spectrogram", {"input": "x.wav", "hop": 16.5}, "hop"),
+        ("freq-response", {"num_probes": 10.5}, "num_probes"),
+        ("gradcheck", {"draws": 1.5}, "draws"),
+    ])
+    def test_fractional_integer_setting_is_input_error(self, tmp_path, capsys,
+                                                       command, config, key):
+        if command in ("train", "sweep"):
+            base = json.loads(json.dumps(SMALL_RUN_CONFIG))
+            for section, values in config.items():
+                base.setdefault(section, {}).update(values)
+            config = base
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        outputs = (["--out-params", str(tmp_path / "p.json"), "--out-log", str(tmp_path / "l.csv")]
+                   if command == "train" else ["--out", str(tmp_path / "out")])
+        assert main([command, "--config", str(path)] + outputs) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a whole number" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_fractional_n_fft_in_params_file_is_input_error(self, tmp_path, capsys):
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--out", str(wav)]) == 0
+        params = tmp_path / "p.json"
+        save_params(str(params), init_params(64), 64)
+        doc = json.loads(params.read_text())
+        doc["n_fft"] = 64.9
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert main(["spectrogram", "--input", str(wav), "--mode", "fbsp",
+                     "--params", str(params), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(params) in err and "n_fft must be a whole number, got 64.9" in err
+        assert not out.exists()
 
     def test_perturb_modes_are_exclusive(self, tmp_path):
         wav = tmp_path / "x.wav"

@@ -1,15 +1,18 @@
-"""The batched log-power frontend against a per-clip complex reference, and
-the trainer's use of it in frozen epochs."""
+"""The batched log-power frontend against a per-clip complex reference, the
+one waveform-to-spectrogram path against ``analyze`` and ``log_power``, and
+the trainer's use of the frontend in frozen epochs."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbsplab.training as training
-from fbsplab.bank import FbspParams, dft_grid, fbsp_kernel
+from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel
 from fbsplab.gradients import fbsp_loss
-from fbsplab.signals import Waveform, WindowSpec, frame
+from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -22,6 +25,7 @@ from fbsplab.training import (
     prepare_frames,
     train,
 )
+from fbsplab.transform import analyze, log_power
 
 FEATURES = FeatureSpec(n_fft=64, hop=32)
 # (1.7, 0.9) keeps every tap 1/34 away from the nearest sinc zero
@@ -57,6 +61,46 @@ def test_features_match_per_clip_reference():
                          for x in reference_outputs(clips)])
     assert len({len(c) for c in clips}) == len(clips)
     assert relative_error(feature_matrix(PARAMS, clips, FEATURES), expected) <= 1e-12
+
+
+@st.composite
+def spectrogram_cases(draw):
+    """A signal, its framing settings and a DFT or fractional-order fbsp bank."""
+    n_fft = draw(st.integers(2, 48))
+    features = FeatureSpec(n_fft=n_fft, hop=draw(st.integers(1, n_fft)),
+                           window=draw(st.sampled_from(["rectangular", "hann"])),
+                           eps=draw(st.sampled_from([1e-10, 1e-6, 0.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    signal = Waveform(scale * rng.standard_normal(draw(st.integers(n_fft, 8 * n_fft))), 8000)
+    if draw(st.booleans()):
+        return features, signal, dft_kernel(n_fft)
+    m = draw(st.integers(0, 2)) + draw(st.floats(0.05, 0.95))
+    low = draw(st.floats(0.0, 0.25))
+    f_c = np.linspace(low, draw(st.floats(low + 0.01, 0.5)), draw(st.integers(1, 8)))
+    params = FbspParams(m=m, f_b=draw(st.floats(0.2, 2.0)), f_c=f_c)
+    return features, signal, fbsp_kernel(params, n_fft)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(spectrogram_cases())
+def test_spectrogram_matches_analyze_then_log_power(case):
+    features, signal, bank = case
+    grid = FrameGrid.for_length(len(signal), features.n_fft, features.hop)
+    window = WindowSpec(features.window, features.n_fft)
+    expected = log_power(analyze(signal, bank, grid, window), features.eps, grid, bank)
+    spec = features.spectrogram(signal, bank)
+    assert spec.grid == expected.grid
+    assert spec.eps == expected.eps
+    assert spec.bank_descriptor is expected.bank_descriptor
+    assert spec.values.shape == expected.values.shape
+    assert relative_error(spec.values, expected.values) <= 1e-12
+
+
+def test_spectrogram_rejects_a_bank_of_other_width():
+    signal = Waveform(np.ones(256), 8000)
+    with pytest.raises(ValueError, match="32 taps"):
+        FEATURES.spectrogram(signal, dft_kernel(32))
 
 
 def test_bank_cotangent_matches_per_clip_reference(monkeypatch):

@@ -177,11 +177,22 @@ class StubModel:
         coeffs = analyze(wf, self.bank, grid, self.window)
         return log_power(coeffs, DEFAULT_EPS, grid, self.bank)
 
-    def predict(self, wf):
-        spec = self.spectrogram(wf)
+    def predict(self, spec):
         peak_bin = int(np.argmax(spec.values.mean(axis=1)))
         # class 0 below 1 kHz, class 1 above
         return 0 if peak_bin * self.sr / self.n_fft < 1000.0 else 1
+
+
+class CountingModel(StubModel):
+    """StubModel that counts how many spectrograms a sweep asks it for."""
+
+    def __init__(self):
+        super().__init__()
+        self.renders = 0
+
+    def spectrogram(self, wf):
+        self.renders += 1
+        return super().spectrogram(wf)
 
 
 class TestRobustnessSweep:
@@ -217,6 +228,16 @@ class TestRobustnessSweep:
         assert result.spectro_snr_db[0] == math.inf
         assert result.accuracy[0] == 1.0
         assert result.accuracy[1] == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("kind, axis", [("awgn", [math.inf, 10.0, 0.0]),
+                                            ("lowpass", [8000.0, 1000.0])])
+    def test_each_clip_is_rendered_once_per_cell(self, kind, axis):
+        # one clean rendering per clip, then one per (axis value, clip) cell
+        # that both the prediction and the energy ratio use
+        clips, labels = self.make_clips()
+        model = CountingModel()
+        robustness_sweep(kind, axis, model, clips, labels, seed=5)
+        assert model.renders == len(clips) * (len(axis) + 1)
 
     def test_cells_are_independently_seeded(self):
         clips, labels = self.make_clips()

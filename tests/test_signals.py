@@ -187,14 +187,9 @@ class TestFrame:
         with pytest.raises(ValueError):
             frame(x, wrong, WindowSpec("rectangular", 8))
 
-    def test_short_signal_pads_only_on_request(self):
+    def test_short_signal_raises(self):
         x = Waveform(np.arange(5, dtype=float), 8000)
         empty = FrameGrid.for_length(5, 8, 4)
         assert empty.num_frames == 0
         with pytest.raises(ValueError):
             frame(x, empty, WindowSpec("rectangular", 8))
-        # padding grows the signal to one frame, so the grid declares one
-        grid = FrameGrid(frame_length=8, hop=4, num_frames=1)
-        padded = frame(x, grid, WindowSpec("rectangular", 8), pad_short=True)
-        assert padded.shape == (1, 8)
-        assert np.array_equal(padded[0], [0, 1, 2, 3, 4, 0, 0, 0])

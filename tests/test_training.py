@@ -223,7 +223,7 @@ class TestModelAndLog:
         config = TrainConfig(epochs=12, lr=0.5, freeze_epochs=12, lambda_fbsp=0.0)
         model = train(corpus, config, FAST_FEATURES).model(bank_label="stft")
         assert model.bank_label == "stft"
-        correct = sum(model.predict(corpus.waveforms[i]) == corpus.labels[i]
+        correct = sum(model.predict(model.spectrogram(corpus.waveforms[i])) == corpus.labels[i]
                       for i in corpus.val_indices)
         assert correct / len(corpus.val_indices) >= 0.95
 
