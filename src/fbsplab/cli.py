@@ -251,7 +251,8 @@ def _cmd_gen(cfg: dict, args) -> int:
 
 
 def _resolve_bank(mode: str, params_file, n_fft_setting):
-    """Pick the analysis bank; a params file fixes n_fft and must not clash."""
+    """Pick the analysis bank as (n_fft, build), building nothing until ``build()``;
+    a params file fixes n_fft and must not clash."""
     if mode not in ("stft", "fbsp"):
         raise ValueError(f"mode must be 'stft' or 'fbsp', got {mode!r}")
     explicit = None if n_fft_setting is None else whole_number(n_fft_setting, "n_fft")
@@ -260,35 +261,36 @@ def _resolve_bank(mode: str, params_file, n_fft_setting):
         if explicit is not None and explicit != n_fft:
             raise ValueError(
                 f"n_fft {explicit} conflicts with {params_file} (n_fft {n_fft})")
-        return fbsp_kernel(params, n_fft), n_fft
+        return n_fft, lambda: fbsp_kernel(params, n_fft)
     n_fft = explicit if explicit is not None else 256
     if mode == "fbsp":
-        return fbsp_kernel(init_params(n_fft), n_fft), n_fft
+        return n_fft, lambda: fbsp_kernel(init_params(n_fft), n_fft)
     if params_file:
         raise ValueError("a params file only applies to --mode fbsp")
-    return dft_kernel(n_fft), n_fft
+    return n_fft, lambda: dft_kernel(n_fft)
 
 
 def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
-    bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
+    n_fft, build_bank = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
     cfg["n_fft"] = n_fft
     hop = whole_number(cfg["hop"], "hop") if cfg["hop"] is not None else n_fft // 2
     cfg["hop"] = hop
     wf = read_wav(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=float(cfg["eps"]))
-    spectrogram_to_csv(args.out, spec.spectrogram(wf, bank))
+    spec.grid_for(len(wf))  # a clip shorter than one frame fails before the bank is built
+    spectrogram_to_csv(args.out, spec.spectrogram(wf, build_bank()))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
-    bank, n_fft = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
+    n_fft, build_bank = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
     cfg["n_fft"] = n_fft
     probes = (whole_number(cfg["num_probes"], "num_probes") if cfg["num_probes"] is not None
               else n_fft // 2 + 1)
     cfg["num_probes"] = probes
-    response = frequency_response(bank, WindowSpec(cfg["window"], n_fft), probes)
+    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
     return 0
 

@@ -14,15 +14,19 @@ truth every analytic path is tested against.
 
 Singular points: the spline envelope ``sinc(f_b t / m) ** m`` is not
 differentiable where the sinc argument sits on a nonzero integer (a sinc
-zero) at fractional m, and the per-tap log factor diverges there. Gradient
-evaluation inside an exclusion radius of 1e-6 (in sinc-argument units)
-around those zeros raises ``SingularGradientError``; training code projects
-proposed steps away from the zones instead of stepping into them. The m = 0
-boundary is special: the envelope is the constant 1 there, the kernel is
-smooth in f_b and f_c, and the m-derivative is defined as 0, the loss's
+zero) at fractional m, and the per-tap log factor diverges there. Each rule
+lives in one function. ``bank.fbsp_envelope`` evaluates the envelope, and
+``_envelope_terms`` adds its m and f_b derivatives, which both the loss
+gradient and the pullback use. ``_envelope_terms`` also owns the m = 0
+convention: the envelope is the constant 1, the kernel is smooth in f_b
+and f_c, and both envelope derivatives are 0, so d_m = 0, the loss's
 limiting one-sided derivative at the unit-energy minimum. (Away from that
 minimum no finite one-sided m-derivative exists at m = 0: a finite
 difference with step h grows like log h. See the gradient tests.)
+``require_gradient_point`` is the exclusion rule: at fractional m, a point
+within 1e-6 (in sinc-argument units) of a zero raises
+``SingularGradientError``. The trainer checks proposed steps with it and
+projects them away from the zones instead of stepping into them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from fbsplab.bank import FbspParams, KernelBank, centered_taps, dft_grid, fbsp_kernel
+from fbsplab.bank import (FbspParams, KernelBank, centered_taps, dft_grid, fbsp_envelope,
+                          fbsp_kernel)
 
 __all__ = [
     "ParamGradient",
@@ -46,6 +51,7 @@ __all__ = [
     "energy_pairing",
     "finite_difference_oracle",
     "sinc_zone_clearance",
+    "require_gradient_point",
     "admissible_draw",
     "gradient_check_report",
 ]
@@ -109,9 +115,14 @@ def sinc_zone_clearance(m: float, f_b: float, n_fft: int) -> float:
     return float(np.min(dist))
 
 
-def _require_safe(params: FbspParams, n_fft: int) -> None:
+def require_gradient_point(params: FbspParams, n_fft: int) -> None:
+    """Raise ``SingularGradientError`` where the envelope has no derivative.
+
+    That is fractional m within ``SINC_ZONE_RADIUS`` of a sinc zero; integer
+    m (m = 0 included) has limits everywhere.
+    """
     m = params.m
-    if m == 0.0 or float(m).is_integer():
+    if float(m).is_integer():
         return
     clearance = sinc_zone_clearance(m, params.f_b, n_fft)
     if clearance < SINC_ZONE_RADIUS:
@@ -123,62 +134,48 @@ def _require_safe(params: FbspParams, n_fft: int) -> None:
 
 
 def _envelope_terms(m: float, f_b: float, n_fft: int):
-    """Per-tap quantities shared by the loss and kernel derivatives.
+    """The envelope and its parameter derivatives, (env, denv_dm, denv_dfb).
 
-    Returns (a, m_term, fb_term, env, denv_dm, denv_dfb) where a = |env|^2,
-    m_term = d a / dm and fb_term = d a / df_b, and the env triplet holds the
-    complex envelope and its parameter derivatives. Exact sinc zeros are
-    patched with their limiting values (only reachable at integer m, since
-    fractional m raises beforehand).
+    ``env`` is ``bank.fbsp_envelope``; at m = 0 both derivatives are 0 by
+    convention. Exact sinc zeros (reachable only at integer m once
+    ``require_gradient_point`` has passed) get their limiting values.
     """
     taps = centered_taps(n_fft)
+    env = fbsp_envelope(m, f_b, taps)
+    if m == 0.0:
+        return env, np.zeros_like(env), np.zeros_like(env)
     u = f_b * taps / m
     s = np.sinc(u)
-    zero = s == 0.0
     cos_pi_u = np.cos(np.pi * u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = np.log(np.abs(s))
         # q = u * sinc'(u) / sinc(u), stable form away from zeros
         q = cos_pi_u / s - 1.0
-        a = np.exp(2.0 * m * log_abs)
-        env = np.exp(m * log_abs) * np.exp(1j * np.pi * m * (s < 0))
-        m_term = 2.0 * a * (log_abs - q)
-        fb_term = 2.0 * a * q * (m / f_b)
-        denv_dm = env * ((log_abs + 1j * np.pi * (s < 0)) - q)
+        denv_dm = env * ((np.log(np.abs(s)) + 1j * np.pi * (s < 0)) - q)
         denv_dfb = env * q * (m / f_b)
+    zero = s == 0.0
     if np.any(zero):
-        a[zero] = 0.0
-        env[zero] = 0.0
-        m_term[zero] = 0.0
-        fb_term[zero] = 0.0
-        if m == 1.0:
-            # lim env * q = s^(m-1) (cos(pi u) - s) and lim env * Log s = 0
-            denv_dm[zero] = -cos_pi_u[zero]
-            denv_dfb[zero] = cos_pi_u[zero] * (m / f_b)
-        else:
-            denv_dm[zero] = 0.0
-            denv_dfb[zero] = 0.0
-    return a, m_term, fb_term, env, denv_dm, denv_dfb
+        # env * Log s -> 0 and env * q -> s^(m-1) (cos(pi u) - s), nonzero only at m = 1
+        limit = cos_pi_u[zero] if m == 1.0 else 0.0
+        denv_dm[zero] = -limit
+        denv_dfb[zero] = limit * (m / f_b)
+    return env, denv_dm, denv_dfb
 
 
 def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:
     """Analytic gradient of fbsp_loss(fbsp_kernel(params, n_fft)).
 
-    The row energy is shared across filters (f_c only rotates phases), so
-    d_fc is exactly zero. At m = 0 the loss reduces to (f_b - 1)^2 and the
-    m-component is the boundary convention 0.
+    Every row has the energy g = f_b * mean|env|^2 (f_c only rotates
+    phases), so the loss is (g - 1)^2 and d_fc is exactly zero.
     """
-    count = params.num_filters
-    if params.m == 0.0:
-        return ParamGradient(d_m=0.0, d_fb=2.0 * (params.f_b - 1.0),
-                             d_fc=np.zeros(count))
-    _require_safe(params, n_fft)
-    a, m_term, fb_term, _, _, _ = _envelope_terms(params.m, params.f_b, n_fft)
-    g = params.f_b * float(np.sum(a)) / n_fft
-    dg_dm = params.f_b * float(np.sum(m_term)) / n_fft
-    dg_dfb = g / params.f_b + params.f_b * float(np.sum(fb_term)) / n_fft
+    require_gradient_point(params, n_fft)
+    env, denv_dm, denv_dfb = _envelope_terms(params.m, params.f_b, n_fft)
+    # g and the envelope parts of its derivatives, d|env|^2 = 2 Re(conj(env) denv)
+    g, dg_dm, dg_dfb = params.f_b * np.mean(
+        [np.abs(env) ** 2, 2.0 * np.real(np.conj(env) * denv_dm),
+         2.0 * np.real(np.conj(env) * denv_dfb)], axis=1)
     lead = 2.0 * (g - 1.0)
-    return ParamGradient(d_m=lead * dg_dm, d_fb=lead * dg_dfb, d_fc=np.zeros(count))
+    return ParamGradient(d_m=lead * dg_dm, d_fb=lead * (g / params.f_b + dg_dfb),
+                         d_fc=np.zeros(params.num_filters))
 
 
 def kernel_jacobian_vector(
@@ -204,26 +201,19 @@ def kernel_jacobian_vector(
         raise ValueError(
             f"cotangent shape {cot.shape} does not match bank shape {(count, n_fft)}"
         )
+    require_gradient_point(params, n_fft)
+    env, denv_dm, denv_dfb = _envelope_terms(params.m, params.f_b, n_fft)
     taps = centered_taps(n_fft)
     scale = np.sqrt(params.f_b) / np.sqrt(n_fft)
-    phase = np.exp(2j * np.pi * np.outer(params.f_c, taps))
-    if params.m == 0.0:
-        env = np.ones(n_fft, dtype=np.complex128)
-        denv_dm = np.zeros(n_fft, dtype=np.complex128)
-        denv_dfb = np.zeros(n_fft, dtype=np.complex128)
-    else:
-        _require_safe(params, n_fft)
-        _, _, _, env, denv_dm, denv_dfb = _envelope_terms(params.m, params.f_b, n_fft)
-    weights = scale * env[None, :] * phase
-    d_dm = scale * denv_dm[None, :] * phase
+    # K = scale * env * phase: m and f_b move only the per-tap factor, f_c[k]
+    # only row k of the phase, so the phase meets the cotangent once
+    paired = scale * cot * np.exp(2j * np.pi * np.outer(params.f_c, taps))
+    column = paired.sum(axis=0)
     # d/df_b includes the sqrt(f_b) prefactor alongside the envelope term
-    d_dfb = weights / (2.0 * params.f_b) + scale * denv_dfb[None, :] * phase
-    prod = cot * weights
-    d_fc = 2.0 * np.real(prod @ (2j * np.pi * taps))
     return ParamGradient(
-        d_m=2.0 * float(np.real(np.sum(cot * d_dm))),
-        d_fb=2.0 * float(np.real(np.sum(cot * d_dfb))),
-        d_fc=d_fc,
+        d_m=2.0 * float(np.real(column @ denv_dm)),
+        d_fb=2.0 * float(np.real(column @ (env / (2.0 * params.f_b) + denv_dfb))),
+        d_fc=2.0 * np.real(paired @ (2j * np.pi * taps * env)),
     )
 
 

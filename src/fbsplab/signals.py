@@ -152,10 +152,10 @@ class WindowSpec:
 
 
 def _num_samples(duration: float, sample_rate: int) -> int:
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    if not 0 < sample_rate < np.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
     count = int(round(duration * sample_rate))
     if count < 1:
         raise ValueError(f"duration {duration} s is shorter than one sample at {sample_rate} Hz")

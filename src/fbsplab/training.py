@@ -12,9 +12,9 @@ identical code path.
 A pass runs ``transform.forward`` once over every clip's frames stacked
 and, unless the bank is frozen, ``transform.backward`` and the analytic
 cotangent pullback once. A proposed bank step is validated before it is
-taken (m >= 0, f_b > 0, ordered in-band f_c, clearance from sinc-zero
-exclusion zones); invalid steps are halved up to 20 times and skipped when
-still invalid, with the bank velocity reset.
+taken (m >= 0, f_b > 0, ordered in-band f_c, and the gradients' own
+``require_gradient_point`` exclusion rule); invalid steps are halved up to
+20 times and skipped when still invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import numpy as np
 
 from fbsplab.bank import FbspParams, KernelBank, fbsp_kernel, init_params
 from fbsplab.gradients import (
-    SINC_ZONE_RADIUS,
     ParamGradient,
     fbsp_loss,
     kernel_jacobian_vector,
     loss_gradient,
-    sinc_zone_clearance,
+    require_gradient_point,
 )
 from fbsplab.perturb import add_awgn
 from fbsplab.runio import write_csv
@@ -462,11 +461,12 @@ def pipeline_gradients(
 
 
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
+    """Whether the bank is valid there and its gradients can be evaluated."""
     try:
-        FbspParams(m=m, f_b=f_b, f_c=f_c)
-    except ValueError:
+        require_gradient_point(FbspParams(m=m, f_b=f_b, f_c=f_c), n_fft)
+    except ValueError:  # SingularGradientError included
         return False
-    return m == 0 or sinc_zone_clearance(m, f_b, n_fft) >= SINC_ZONE_RADIUS
+    return True
 
 
 def train(

@@ -152,6 +152,32 @@ class TestExitCodes:
         neither = run("perturb", "--input", str(wav), "--out", str(tmp_path / "y.wav"))
         assert neither.returncode == 2
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_non_finite_duration_is_input_error(self, tmp_path, capsys, duration):
+        wav = tmp_path / "a.wav"
+        assert main(["gen", "--duration", duration, "--out", str(wav)]) == 2
+        assert f"duration must be positive and finite, got {duration}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["stft", "fbsp", "params"])
+    def test_clip_shorter_than_a_frame_fails_before_the_bank(self, tmp_path, capsys, mode):
+        # a 100000-tap bank would need 74.5 GiB; the clip check must come first
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--duration", "3", "--sample-rate", "16000", "--out", str(wav)]) == 0
+        if mode == "params":
+            params = tmp_path / "p.json"
+            save_params(str(params), init_params(100000), 100000)
+            bank_args = ["--mode", "fbsp", "--params", str(params)]
+        else:
+            bank_args = ["--mode", mode, "--n-fft", "100000"]
+        out = tmp_path / "s.csv"
+        start = time.perf_counter()
+        code = main(["spectrogram", "--input", str(wav), *bank_args, "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert code == 2
+        assert "48000 samples are too few for frames of 100000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGen:
     def test_writes_wav_and_sidecar(self, tmp_path):
