@@ -150,6 +150,9 @@ class WindowSpec:
 # synthetic generators
 # ---------------------------------------------------------------------------
 
+# numpy caps an array's size in bytes at the largest np.intp
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 def _num_samples(duration: float, sample_rate: int) -> int:
     if not 0 < duration < np.inf:
@@ -159,6 +162,10 @@ def _num_samples(duration: float, sample_rate: int) -> int:
     count = int(round(duration * sample_rate))
     if count < 1:
         raise ValueError(f"duration {duration} s is shorter than one sample at {sample_rate} Hz")
+    if count > _MAX_SAMPLES:
+        raise ValueError(
+            f"duration {duration} s at sample_rate {sample_rate} Hz is {count:.4g} samples, "
+            f"more than the {_MAX_SAMPLES} float64 samples numpy can allocate")
     return count
 
 

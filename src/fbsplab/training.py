@@ -9,12 +9,16 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-A pass runs ``transform.forward`` once over every clip's frames stacked
-and, unless the bank is frozen, ``transform.backward`` and the analytic
-cotangent pullback once. A proposed bank step is validated before it is
-taken (m >= 0, f_b > 0, ordered in-band f_c, and the gradients' own
-``require_gradient_point`` exclusion rule); invalid steps are halved up to
-20 times and skipped when still invalid, with the bank velocity reset.
+What the trainer derives from the bank (the kernel, one
+``transform.forward`` over each split's frames stacked, the regularizer
+loss) depends on the parameters alone, so it is rendered once per parameter
+value an epoch starts from, and once per run while the bank is frozen. The
+freeze only decides whether an epoch runs the bank gradient:
+``transform.backward`` and the analytic cotangent pullback. A proposed bank
+step is validated before it is taken (m >= 0, f_b > 0, ordered in-band f_c,
+and the gradients' own ``require_gradient_point`` exclusion rule); invalid
+steps are halved up to 20 times and skipped when still invalid, with the
+bank velocity reset.
 """
 
 from __future__ import annotations
@@ -405,6 +409,40 @@ def pipeline_loss(
     return ce + wd_term + reg
 
 
+def _head_pass(feats: np.ndarray, head: LinearHead, labels: np.ndarray,
+               weight_decay: float) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """The head half of a pass over (clips, filters) features: (cross-entropy,
+    cross-entropy + weight decay, grad_weights, grad_bias, feature cotangent)."""
+    batch = len(labels)
+    z = (feats - head.feat_mean) / head.feat_std
+    ce, probs = _softmax_ce(z @ head.weights.T + head.bias, labels)
+    wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
+    dlogits = probs
+    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits /= batch
+    grad_w = dlogits.T @ z + weight_decay * head.weights
+    grad_b = dlogits.sum(axis=0)
+    dfeat = (dlogits @ head.weights) / head.feat_std
+    return ce, ce + wd_term, grad_w, grad_b, dfeat
+
+
+def _bank_gradient(params: FbspParams, n_fft: int, cache: tuple, counts: np.ndarray,
+                   dfeat: np.ndarray, lambda_fbsp: float) -> ParamGradient:
+    """The bank half: the feature cotangent backpropagated through the per-clip
+    time means and log-power into the kernel entries, pulled back to
+    (m, f_b, f_c), plus lambda times the analytic regularizer gradient."""
+    cotangent = backward(cache, np.repeat(dfeat / counts[:, None], counts, axis=0))
+    bank_grad = kernel_jacobian_vector(params, n_fft, cotangent)
+    if not lambda_fbsp:
+        return bank_grad
+    reg = loss_gradient(params, n_fft)
+    return ParamGradient(
+        d_m=bank_grad.d_m + lambda_fbsp * reg.d_m,
+        d_fb=bank_grad.d_fb + lambda_fbsp * reg.d_fb,
+        d_fc=bank_grad.d_fc + lambda_fbsp * reg.d_fc,
+    )
+
+
 def pipeline_gradients(
     params: FbspParams,
     head: LinearHead,
@@ -413,51 +451,46 @@ def pipeline_gradients(
     features: FeatureSpec,
     lambda_fbsp: float = 0.0,
     weight_decay: float = 0.0,
-    frozen: bool = False,
-) -> tuple[float, float, float, np.ndarray, np.ndarray, ParamGradient | None]:
-    """One full-batch forward/backward pass.
+) -> tuple[float, float, float, np.ndarray, np.ndarray, ParamGradient]:
+    """One full-batch forward/backward pass: ``_head_pass`` then
+    ``_bank_gradient``, the two halves ``train`` runs.
 
     Returns (total, task_ce, bank_loss, grad_weights, grad_bias,
-    bank_gradient). The bank gradient backpropagates the cross-entropy
-    through log-power features into the kernel entries, then pulls the
-    resulting cotangent back to (m, f_b, f_c) and adds the analytic
-    regularizer gradient. A frozen bank skips all of that and gets None.
+    bank_gradient).
     """
-    n_fft = features.n_fft
-    bank = fbsp_kernel(params, n_fft)
-    batch = len(frames_list)
+    bank = fbsp_kernel(params, features.n_fft)
     feats, cache, counts = _clip_features(bank, frames_list, features.eps)
-    z = (feats - head.feat_mean) / head.feat_std
-    logits = z @ head.weights.T + head.bias
-    ce, probs = _softmax_ce(logits, labels)
     bank_reg = fbsp_loss(bank)
-    wd_term = 0.5 * weight_decay * float(np.sum(head.weights ** 2))
-    total = ce + wd_term + lambda_fbsp * bank_reg
-
-    dlogits = probs.copy()
-    dlogits[np.arange(batch), labels] -= 1.0
-    dlogits /= batch
-    grad_w = dlogits.T @ z + weight_decay * head.weights
-    grad_b = dlogits.sum(axis=0)
-    if frozen:
-        return total, ce, bank_reg, grad_w, grad_b, None
-
-    dfeat = (dlogits @ head.weights) / head.feat_std / counts[:, None]
-    cotangent = backward(cache, np.repeat(dfeat, counts, axis=0))
-    bank_grad = kernel_jacobian_vector(params, n_fft, cotangent)
-    if lambda_fbsp:
-        reg = loss_gradient(params, n_fft)
-        bank_grad = ParamGradient(
-            d_m=bank_grad.d_m + lambda_fbsp * reg.d_m,
-            d_fb=bank_grad.d_fb + lambda_fbsp * reg.d_fb,
-            d_fc=bank_grad.d_fc + lambda_fbsp * reg.d_fc,
-        )
-    return total, ce, bank_reg, grad_w, grad_b, bank_grad
+    ce, objective, grad_w, grad_b, dfeat = _head_pass(feats, head, labels, weight_decay)
+    bank_grad = _bank_gradient(params, features.n_fft, cache, counts, dfeat, lambda_fbsp)
+    return objective + lambda_fbsp * bank_reg, ce, bank_reg, grad_w, grad_b, bank_grad
 
 
 # ---------------------------------------------------------------------------
 # the trainer
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _BankPoint:
+    """What ``train`` derives from one parameter value: the bank's regularizer
+    loss, the validation features, and the train features with the cache and
+    frame counts the bank gradient needs."""
+
+    params: FbspParams
+    bank_loss: float
+    val_feats: np.ndarray
+    train_feats: np.ndarray
+    cache: tuple
+    counts: np.ndarray
+
+    @classmethod
+    def render(cls, params: FbspParams, train_frames: Sequence[np.ndarray],
+               val_frames: Sequence[np.ndarray], features: FeatureSpec) -> "_BankPoint":
+        bank = fbsp_kernel(params, features.n_fft)
+        val_feats = _clip_features(bank, val_frames, features.eps)[0]
+        return cls(params, fbsp_loss(bank), val_feats,
+                   *_clip_features(bank, train_frames, features.eps))
 
 
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
@@ -488,9 +521,9 @@ def train(
     val_frames = [frames_all[i] for i in corpus.val_indices]
     val_labels = corpus.labels[corpus.val_indices]
 
-    init_feats = feature_matrix(params, train_frames, features)
-    feat_mean = init_feats.mean(axis=0)
-    feat_std = np.maximum(init_feats.std(axis=0), 1e-8)
+    point = _BankPoint.render(params, train_frames, val_frames, features)
+    feat_mean = point.train_feats.mean(axis=0)
+    feat_std = np.maximum(point.train_feats.std(axis=0), 1e-8)
 
     num_classes = corpus.num_classes
     weights = np.zeros((num_classes, params.num_filters))
@@ -499,25 +532,19 @@ def train(
     vel_b = np.zeros_like(bias)
     vel_bank = np.zeros(2 + params.num_filters)
 
-    def head_now() -> LinearHead:
-        return LinearHead(weights, bias, feat_mean, feat_std)
-
-    def val_accuracy() -> float:
-        feats = feature_matrix(params, val_frames, features)
-        pred = np.argmax(head_now().logits(feats), axis=1)
-        return float(np.mean(pred == val_labels))
-
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
-        frozen = epoch < config.freeze_epochs
-        total, ce, bank_reg, grad_w, grad_b, bank_grad = pipeline_gradients(
-            params, head_now(), train_frames, train_labels, features,
-            lambda_fbsp=config.lambda_fbsp, weight_decay=config.weight_decay,
-            frozen=frozen,
-        )
+        if point.params is not params:
+            point = None  # release the old cache before rendering the new point
+            point = _BankPoint.render(params, train_frames, val_frames, features)
+        head = LinearHead(weights, bias, feat_mean, feat_std)
+        ce, objective, grad_w, grad_b, dfeat = _head_pass(
+            point.train_feats, head, train_labels, config.weight_decay)
+        total = objective + config.lambda_fbsp * point.bank_loss
+        accuracy = float(np.mean(np.argmax(head.logits(point.val_feats), axis=1) == val_labels))
         records.append(EpochRecord(
-            epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=bank_reg,
-            accuracy=val_accuracy(), m=params.m, f_b=params.f_b,
+            epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=point.bank_loss,
+            accuracy=accuracy, m=params.m, f_b=params.f_b,
         ))
         if not math.isfinite(total):
             raise TrainingDiverged(
@@ -532,8 +559,10 @@ def train(
         vel_b = mu * vel_b + grad_b
         bias = bias - lr * (grad_b + mu * vel_b)
 
-        if frozen:
+        if epoch < config.freeze_epochs:
             continue
+        bank_grad = _bank_gradient(params, features.n_fft, point.cache, point.counts, dfeat,
+                                   config.lambda_fbsp)
         grad_vec = np.concatenate(([bank_grad.d_m, bank_grad.d_fb], bank_grad.d_fc))
         vel_bank = mu * vel_bank + grad_vec
         step = lr * (grad_vec + mu * vel_bank)
@@ -547,5 +576,6 @@ def train(
         else:
             vel_bank = np.zeros_like(vel_bank)  # drop momentum into the wall
 
-    return TrainResult(params=params, head=head_now(), log=TrainLog(tuple(records)),
-                       features=features, class_names=corpus.class_names)
+    return TrainResult(params=params, head=LinearHead(weights, bias, feat_mean, feat_std),
+                       log=TrainLog(tuple(records)), features=features,
+                       class_names=corpus.class_names)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fbsplab.bank import (
     FbspParams,
@@ -196,3 +198,65 @@ class TestParamsFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_params(path)
+
+
+# ---------------------------------------------------------------------------
+# properties of the parameter domain and the parameter file
+# ---------------------------------------------------------------------------
+
+ORDERS = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+BANDWIDTHS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+CENTERS = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=40, unique=True).map(sorted)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=ORDERS, f_b=BANDWIDTHS, f_c=CENTERS, n_fft=st.integers(2, 2 ** 62))
+def test_params_file_round_trips_bit_for_bit(tmp_path, m, f_b, f_c, n_fft):
+    path = tmp_path / "p.json"
+    save_params(path, FbspParams(m=m, f_b=f_b, f_c=np.array(f_c)), n_fft)
+    back, back_n_fft = load_params(path)
+    assert bits(back.m) == bits(m) and bits(back.f_b) == bits(f_b)
+    assert bits(back.f_c) == bits(f_c)
+    assert type(back_n_fft) is int and back_n_fft == n_fft
+
+
+@st.composite
+def bad_centers(draw):
+    """A center list with one non-finite or out-of-band entry, a repeat, a
+    descent, or no entries at all."""
+    f_c = draw(CENTERS)
+    kind = draw(st.sampled_from(["non-finite", "below", "above", "repeat", "descent", "empty"]))
+    if kind == "empty":
+        return []
+    if kind in ("repeat", "descent"):
+        if len(f_c) < 2:
+            f_c = [0.0, 0.5]
+        i = draw(st.integers(0, len(f_c) - 2))
+        f_c[i + 1] = f_c[i] if kind == "repeat" else f_c[i] - draw(st.floats(0.0, f_c[i]))
+        return f_c
+    bad = {"non-finite": NON_FINITE,
+           "below": st.floats(max_value=-5e-324, allow_infinity=False),
+           "above": st.floats(min_value=0.5, exclude_min=True, allow_infinity=False)}[kind]
+    f_c[draw(st.integers(0, len(f_c) - 1))] = draw(bad)
+    return f_c
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_params_reject_values_outside_the_domain(data):
+    m, f_b, f_c = data.draw(ORDERS), data.draw(BANDWIDTHS), data.draw(CENTERS)
+    field = data.draw(st.sampled_from(["m", "f_b", "f_c"]))
+    if field == "m":
+        m = data.draw(NON_FINITE | st.floats(max_value=-5e-324))
+    elif field == "f_b":
+        f_b = data.draw(NON_FINITE | st.floats(max_value=0.0))
+    else:
+        f_c = data.draw(bad_centers())
+    with pytest.raises(ValueError, match=f"^{field} "):
+        FbspParams(m=m, f_b=f_b, f_c=np.array(f_c))

@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fbsplab.cli
-from fbsplab.bank import init_params, save_params
+from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params, save_params
 from fbsplab.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "fbsplab.cli"]
@@ -158,6 +159,58 @@ class TestExitCodes:
         assert main(["gen", "--duration", duration, "--out", str(wav)]) == 2
         assert f"duration must be positive and finite, got {duration}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_duration_is_input_error(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        assert main(["gen", "--duration", "1e300", "--out", str(wav)]) == 2
+        err = capsys.readouterr().err
+        assert "duration 1e+300 s at sample_rate 8000.0 Hz is 8e+303 samples" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bank_larger_than_memory_is_refused_before_building(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        code = main(["freq-response", "--n-fft", "1000000", "--num-probes", "3",
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert code == 2
+        err = capsys.readouterr().err
+        needed = int(fbsplab.cli._BUILD_PEAK_FACTOR * 16 * 500001 * 1000000)
+        assert f"n_fft 1000000 needs about {needed} bytes" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["stft", "fbsp", "params"])
+    def test_bank_bound_follows_physical_memory(self, tmp_path, monkeypatch, capsys, mode):
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--duration", "0.2", "--out", str(wav)]) == 0
+        params = tmp_path / "p.json"
+        save_params(str(params), init_params(256), 256)
+        bank_args = (["--mode", "fbsp", "--params", str(params)] if mode == "params"
+                     else ["--mode", mode, "--n-fft", "256"])
+        # building the 129 x 256 bank peaks near 1.6 MiB, a 33 x 64 one near 0.1 MiB
+        monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 2 ** 20)
+        for command in (["spectrogram", "--input", str(wav)], ["freq-response"]):
+            out = tmp_path / "out.csv"
+            assert main([*command, *bank_args, "--out", str(out)]) == 2
+            assert "n_fft 256 needs about" in capsys.readouterr().err
+            assert not out.exists()
+        if mode != "params":
+            assert main(["freq-response", "--mode", mode, "--n-fft", "64",
+                         "--out", str(tmp_path / "small.csv")]) == 0
+
+    @pytest.mark.parametrize("n_fft", [64, 255, 256])
+    def test_bank_bound_covers_the_measured_build_peak(self, n_fft):
+        weight_bytes = 16 * (n_fft // 2 + 1) * n_fft
+        for build in (lambda: dft_kernel(n_fft),
+                      lambda: fbsp_kernel(init_params(n_fft), n_fft),
+                      lambda: fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= fbsplab.cli._BUILD_PEAK_FACTOR * weight_bytes
 
     @pytest.mark.parametrize("mode", ["stft", "fbsp", "params"])
     def test_clip_shorter_than_a_frame_fails_before_the_bank(self, tmp_path, capsys, mode):

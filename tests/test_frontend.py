@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbsplab.training as training
-from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel
-from fbsplab.gradients import fbsp_loss
+from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params
+from fbsplab.gradients import fbsp_loss, require_gradient_point
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 from fbsplab.training import (
     ClassSpec,
+    EpochRecord,
     FeatureSpec,
     LinearHead,
     TrainConfig,
@@ -181,3 +182,101 @@ def test_feature_matrix_rejects_empty_input():
         feature_matrix(PARAMS, [], FEATURES)
     with pytest.raises(ValueError):
         feature_matrix(PARAMS, [np.zeros((2, 64)), np.zeros((0, 64))], FEATURES)
+
+
+def reference_train(corpus, config, features):
+    """The trainer written as a loop over the public pass functions: every
+    epoch calls ``pipeline_gradients`` on the train split and ``feature_matrix``
+    on the validation split. Returns the final params and head, the log
+    records and the params each epoch started from."""
+    params = init_params(features.n_fft)
+    frames_all = prepare_frames(corpus, features)
+    train_frames = [frames_all[i] for i in corpus.train_indices]
+    train_labels = corpus.labels[corpus.train_indices]
+    val_frames = [frames_all[i] for i in corpus.val_indices]
+    val_labels = corpus.labels[corpus.val_indices]
+    init_feats = feature_matrix(params, train_frames, features)
+    mean, std = init_feats.mean(axis=0), np.maximum(init_feats.std(axis=0), 1e-8)
+    weights = np.zeros((corpus.num_classes, params.num_filters))
+    bias = np.zeros(corpus.num_classes)
+    vel_w, vel_b = np.zeros_like(weights), np.zeros_like(bias)
+    vel_bank = np.zeros(2 + params.num_filters)
+    records, starts = [], []
+    for epoch in range(config.epochs):
+        head = LinearHead(weights, bias, mean, std)
+        total, ce, reg, grad_w, grad_b, grad = pipeline_gradients(
+            params, head, train_frames, train_labels, features,
+            lambda_fbsp=config.lambda_fbsp, weight_decay=config.weight_decay)
+        pred = np.argmax(head.logits(feature_matrix(params, val_frames, features)), axis=1)
+        records.append(EpochRecord(epoch, total, ce, reg, float(np.mean(pred == val_labels)),
+                                   params.m, params.f_b))
+        starts.append(params)
+        lr, mu = config.lr * config.lr_decay ** epoch, config.momentum
+        vel_w = mu * vel_w + grad_w
+        weights = weights - lr * (grad_w + mu * vel_w)
+        vel_b = mu * vel_b + grad_b
+        bias = bias - lr * (grad_b + mu * vel_b)
+        if epoch < config.freeze_epochs:
+            continue
+        grad_vec = np.concatenate(([grad.d_m, grad.d_fb], grad.d_fc))
+        vel_bank = mu * vel_bank + grad_vec
+        step = lr * (grad_vec + mu * vel_bank)
+        theta = np.concatenate(([params.m, params.f_b], params.f_c))
+        for _ in range(training._MAX_STEP_HALVINGS + 1):
+            proposed = theta - step
+            try:
+                moved = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
+                require_gradient_point(moved, features.n_fft)
+            except ValueError:
+                step = step / 2.0
+                continue
+            params = moved
+            break
+        else:
+            vel_bank = np.zeros_like(vel_bank)
+    return params, LinearHead(weights, bias, mean, std), records, starts
+
+
+TRAINER_EPOCHS = 6
+
+
+def trainer_case(freeze_epochs):
+    corpus = make_task(TWO_TONES, 6, duration=0.2, seed=3, snr_range=(0.0, 12.0))
+    config = TrainConfig(epochs=TRAINER_EPOCHS, lr=0.2, lambda_fbsp=5.0,
+                         freeze_epochs=freeze_epochs)
+    return corpus, config
+
+
+@pytest.mark.parametrize("freeze_epochs", [0, 2, TRAINER_EPOCHS])
+def test_train_equals_the_reference_loop(freeze_epochs):
+    corpus, config = trainer_case(freeze_epochs)
+    params, head, records, starts = reference_train(corpus, config, FEATURES)
+    result = train(corpus, config, FEATURES)
+    assert list(result.log.records) == records
+    assert (result.params.m, result.params.f_b) == (params.m, params.f_b)
+    assert np.array_equal(result.params.f_c, params.f_c)
+    for name in ("weights", "bias", "feat_mean", "feat_std"):
+        assert np.array_equal(getattr(result.head, name), getattr(head, name))
+    # the bank moved, so the comparison covers re-rendered points
+    assert (params is starts[0]) == (freeze_epochs == TRAINER_EPOCHS)
+
+
+@pytest.mark.parametrize("freeze_epochs", [0, 2, TRAINER_EPOCHS])
+def test_train_builds_the_bank_once_per_point(monkeypatch, freeze_epochs):
+    corpus, config = trainer_case(freeze_epochs)
+    *_, starts = reference_train(corpus, config, FEATURES)
+    builds = []
+    build = training.fbsp_kernel
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(training, "fbsp_kernel", spy)
+    train(corpus, config, FEATURES)
+    # the start plus every accepted step that a later epoch starts from; the
+    # last epoch's step is returned, not rendered
+    moves = sum(a is not b for a, b in zip(starts, starts[1:]))
+    assert len(builds) == 1 + moves
+    # every step of this case is accepted
+    assert moves == max(TRAINER_EPOCHS - 1 - freeze_epochs, 0)
