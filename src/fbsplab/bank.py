@@ -218,10 +218,18 @@ class FrequencyResponse:
             raise ValueError("gains must be finite and non-negative")
 
 
+# Peak bytes of frequency_response, the bank included, per
+# (F*N + N*P + F*P) * 16 bytes for F filters, N taps and P probes, measured
+# with tracemalloc: 2.92 at n_fft 64 with 2 probes, 1.86 to 2.01 from n_fft
+# 1024 on.
+RESPONSE_PEAK_FACTOR = 3.0
+
+
 def frequency_response(
     bank: KernelBank,
     window: WindowSpec,
     num_probes: int,
+    memory_limit: int | None = None,
 ) -> FrequencyResponse:
     """Gain of every filter against unit probe tones across [0, 0.5].
 
@@ -236,6 +244,9 @@ def frequency_response(
     physical (real-signal) frequency regardless of the bank's exponent sign
     convention, and it is invariant under a global phase rotation of a row.
     ``max_gain_curve[j]`` is the maximum over filters at each probe.
+
+    A response whose peak would need more than ``memory_limit`` bytes is
+    refused with a MemoryError before anything is allocated.
     """
     if num_probes < 2:
         raise ValueError(f"need at least 2 probe frequencies, got {num_probes}")
@@ -243,6 +254,12 @@ def frequency_response(
         raise ValueError(
             f"window length {window.length} does not match bank tap count {bank.num_taps}"
         )
+    filters, taps = bank.weights.shape
+    needed = int(RESPONSE_PEAK_FACTOR * 16 * (filters * taps + (taps + filters) * num_probes))
+    if memory_limit is not None and needed > memory_limit:
+        raise MemoryError(
+            f"the response of n_fft {taps} at num_probes {num_probes} needs about {needed} "
+            f"bytes, more than the {memory_limit} bytes available")
     probes = np.linspace(0.0, 0.5, num_probes)
     n = np.arange(bank.num_taps)
     tones = np.exp(2j * np.pi * np.outer(n, probes))  # (N, M)

@@ -10,9 +10,11 @@ and the fully resolved config, and a sidecar is itself accepted by
 Each knob is declared once, as a row of its subcommand's knob table
 (``_GEN_KNOBS`` through ``_SWEEP_KNOBS``) giving its config key, flag, type
 or choices, default and help. ``build_parser`` makes the flags from those
-rows and ``_resolve`` the config. train and sweep configs have task,
-features and train sections, and sweep adds a sweep section; the features
-and train defaults are the field defaults of ``FeatureSpec`` and
+rows, and ``_resolve`` merges the config and types every value, flag and
+config alike, by its row: a value of another type, or null where the
+default is not null, fails naming its key. train and sweep configs have
+task, features and train sections, and sweep adds a sweep section; the
+features and train defaults are the field defaults of ``FeatureSpec`` and
 ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (running
@@ -25,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from fbsplab.bank import (
@@ -70,38 +72,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     doc = read_json(path)
     if isinstance(doc, dict) and set(doc) == {"command", "config"}:
         doc = doc["config"]  # a run sidecar round-trips as a config
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
     return doc
-
-
-def _merge(defaults: dict, config: dict, overrides: dict, where: str) -> dict:
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown {where} config keys: {', '.join(unknown)}")
-    merged = dict(defaults)
-    merged.update(config)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
-
-
-def _write_sidecar(out_path: str, command: str, resolved: dict) -> None:
-    write_json(out_path + ".run.json", {"command": command, "config": resolved})
-
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
-
-
-def _from_fields(cls, section: dict):
-    """Build a FeatureSpec or TrainConfig, casting each value to the type of
-    its field's default; an int field takes only a whole number."""
-    return cls(**{f.name: whole_number(section[f.name], f.name) if type(f.default) is int
-                  else type(f.default)(section[f.name]) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +84,12 @@ def _from_fields(cls, section: dict):
 # ---------------------------------------------------------------------------
 #
 # A row is (config key, flag, type or choices, default, help). A list of
-# strings is the flag's choices; a type of None keeps the flag's text as
-# typed, and ``list`` also splits it on commas. A key "section.name" is a
-# knob inside that section of a train/sweep config, and a row whose default
-# is a dict declares a whole section. A row without a flag is set only by
-# a config file. Flags stay None when not given, so the config or the
-# default shows through.
+# strings is the choices; a type of None is text, and ``list`` is numbers
+# from a JSON list or comma-separated text. A key "section.name" is a knob
+# inside that section of a train/sweep config, and a row whose default is a
+# dict declares a whole section, whose keys without a row take the type of
+# their default. A row without a flag is set only by a config file. Flags
+# stay None when not given, so the config or the default shows through.
 
 _INPUT = ("input", "--input", None, None, "input wav")
 _PARAMS_FILE = ("params_file", "--params", None, None, "bank parameter JSON (fbsp mode)")
@@ -189,8 +164,8 @@ _DEFAULT_TASK = {
 
 _TRAIN_KNOBS = [
     ("task", None, None, _DEFAULT_TASK, None),
-    ("features", None, None, _field_defaults(FeatureSpec), None),
-    ("train", None, None, _field_defaults(TrainConfig), None),
+    ("features", None, None, asdict(FeatureSpec()), None),
+    ("train", None, None, asdict(TrainConfig()), None),
     # a top-level --seed regenerates the data; per-section seeds stay in files
     ("task.seed", "--seed", int, _DEFAULT_TASK["seed"], "override the task seed"),
     ("train.epochs", "--epochs", int, TrainConfig.epochs, None),
@@ -208,30 +183,99 @@ _SWEEP_KNOBS = _TRAIN_KNOBS + [
 ]
 
 
+def _number(value, key: str) -> float:
+    """A JSON number, or text as a float flag reads it; JSON true and false are not."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _numbers(value, key: str, count=None) -> list[float]:
+    """A JSON list or comma-separated text of numbers, of ``count`` items if given."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list) or count not in (None, len(items)):
+        shape = "a list" if count is None else "a [lo, hi] pair"
+        raise ValueError(f"{key} must be {shape} of numbers, got {value!r}")
+    return [_number(item, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _text(value, key: str) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = str(value)  # the text its flag would have been given
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be text, got {value!r}")
+    return value
+
+
+_CASTS = {int: whole_number, float: _number, list: _numbers, str: _text, None: _text,
+          tuple: lambda value, key: tuple(_numbers(value, key, 2))}
+_CLASS_KINDS = {"name": str, "kind": str, "low_hz": float, "high_hz": float, "amplitude": tuple}
+
+
+def _class_entries(value, key: str) -> list[dict]:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of class objects, got {value!r}")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be a JSON object, got {entry!r}")
+        unknown = ", ".join(sorted(set(entry) - set(_CLASS_KINDS)))
+        if unknown:
+            raise ValueError(f"unknown {key}[{i}] config keys: {unknown}")
+        missing = [name for name in _CLASS_KINDS if name != "amplitude" and name not in entry]
+        if missing:
+            raise ValueError(f"{key}[{i}] is missing {', '.join(missing)}")
+    return [{name: _CASTS[_CLASS_KINDS[name]](item, f"{key}[{i}].{name}")
+             for name, item in entry.items()} for i, entry in enumerate(value)]
+
+
+# A section key without a row takes the type of its default, except these two.
+_SECTION_CASTS = {"task.classes": _class_entries, "task.snr_range": lambda value, key: (
+    _CASTS[tuple](value, key) if isinstance(value, list) else _number(value, key))}
+
+
+def _typed(key: str, kind, default, value):
+    """``value`` cast by its kind (a row's type or choices, or a cast of its own);
+    null only where the default is null."""
+    if value is None and default is None:
+        return None
+    if not isinstance(kind, list):
+        return _CASTS.get(kind, kind)(value, key)
+    if not (isinstance(value, str) and value in kind):
+        raise ValueError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+    return value
+
+
 def _resolve(args) -> dict:
-    """Merge a command's defaults, its --config file and its explicit flags."""
-    config = _load_config(args.config) if args.config else {}
-    defaults, flags = {}, {}
+    """Merge a command's defaults, its --config file and its explicit flags, and
+    type every merged value by its knob row; a section is typed key by key."""
+    defaults, flags, kinds = {"": {}}, {}, {}
+
+    def typed_section(given, section: str) -> dict:
+        if not isinstance(given, dict):
+            raise ValueError(f"{section or args.config} must be a JSON object, got {given!r}")
+        base = defaults[section]
+        unknown = ", ".join(sorted(set(given) - set(base)))
+        if unknown:
+            raise ValueError(f"unknown {section or args.command} config keys: {unknown}")
+        given = {**given, **{k: v for k, v in flags.get(section, {}).items() if v is not None}}
+        prefix = f"{section}." if section else ""
+        return {name: _typed(prefix + name, kinds[prefix + name], default,
+                             given.get(name, default)) for name, default in base.items()}
+
     for key, flag, kind, default, _help in args.knobs:
-        value = getattr(args, key) if flag else None
-        if kind is list and value is not None:
-            value = [part.strip() for part in value.split(",")]
         section, _, name = key.rpartition(".")
-        if section:
-            defaults[section][name] = default
-            flags.setdefault(section, {})[name] = value
-        elif isinstance(default, dict):
-            defaults[key] = dict(default)
-        else:
-            defaults[key] = default
-            flags[key] = value
-    if not any(isinstance(value, dict) for value in defaults.values()):
-        return _merge(defaults, config, flags, args.command)
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-    return {name: _merge(section, config.get(name, {}), flags.get(name, {}), name)
-            for name, section in defaults.items()}
+        if isinstance(default, dict):
+            default = defaults[key] = dict(default)
+            kind = typed_section
+            kinds.update({f"{key}.{n}": _SECTION_CASTS.get(f"{key}.{n}", type(v))
+                          for n, v in default.items()})
+        defaults[section][name] = default
+        flags.setdefault(section, {})[name] = getattr(args, key) if flag else None
+        kinds[key] = kind
+    return typed_section(_load_config(args.config) if args.config else {}, "")
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +286,8 @@ def _resolve(args) -> dict:
 
 def _cmd_gen(cfg: dict, args) -> int:
     kind = cfg["kind"]
-    if kind not in _GENERATOR_PARAMS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    params = {key: float(cfg[key]) for key in sorted(_GENERATOR_PARAMS[kind])}
-    wf = generate(kind, params, float(cfg["duration"]),
-                  float(cfg["sample_rate"]), seed=whole_number(cfg["seed"], "seed"))
+    params = {key: cfg[key] for key in sorted(_GENERATOR_PARAMS[kind])}
+    wf = generate(kind, params, cfg["duration"], cfg["sample_rate"], seed=cfg["seed"])
     write_wav(args.out, wf, encoding=cfg["encoding"])
     return 0
 
@@ -261,13 +302,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _resolve_bank(mode: str, params_file, n_fft_setting):
-    """Pick the analysis bank as (n_fft, build), building nothing until ``build()``;
-    a params file fixes n_fft and must not clash. ``build()`` refuses, before
-    allocating, a bank whose build would need more than the physical memory."""
-    if mode not in ("stft", "fbsp"):
-        raise ValueError(f"mode must be 'stft' or 'fbsp', got {mode!r}")
-    explicit = None if n_fft_setting is None else whole_number(n_fft_setting, "n_fft")
+def _require_bank_memory(n_fft: int, filters: int) -> None:
+    """Refuse, before allocating, a bank whose build would exceed physical memory."""
+    needed = int(_BUILD_PEAK_FACTOR * 16 * filters * n_fft)
+    available = _physical_memory()
+    if needed > available:
+        raise MemoryError(
+            f"a bank of n_fft {n_fft} needs about {needed} bytes to build, "
+            f"more than the {available} bytes of physical memory")
+
+
+def _resolve_bank(cfg: dict):
+    """Pick the analysis bank as (n_fft, build) and record n_fft in ``cfg``,
+    building nothing until ``build()``; a params file fixes n_fft and must not
+    clash. ``build()`` first refuses a bank too large to build."""
+    mode, params_file, explicit = cfg["mode"], cfg["params_file"], cfg["n_fft"]
     if mode == "fbsp" and params_file:
         params, n_fft = load_params(params_file)
         if explicit is not None and explicit != n_fft:
@@ -281,14 +330,10 @@ def _resolve_bank(mode: str, params_file, n_fft_setting):
         filters = n_fft // 2 + 1
         make = ((lambda: fbsp_kernel(init_params(n_fft), n_fft)) if mode == "fbsp"
                 else (lambda: dft_kernel(n_fft)))
+    cfg["n_fft"] = n_fft
 
     def build():
-        needed = int(_BUILD_PEAK_FACTOR * 16 * filters * n_fft)
-        available = _physical_memory()
-        if needed > available:
-            raise MemoryError(
-                f"a bank of n_fft {n_fft} needs about {needed} bytes to build, "
-                f"more than the {available} bytes of physical memory")
+        _require_bank_memory(n_fft, filters)
         return make()
 
     return n_fft, build
@@ -297,34 +342,29 @@ def _resolve_bank(mode: str, params_file, n_fft_setting):
 def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
-    n_fft, build_bank = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
-    cfg["n_fft"] = n_fft
-    hop = whole_number(cfg["hop"], "hop") if cfg["hop"] is not None else n_fft // 2
+    n_fft, build_bank = _resolve_bank(cfg)
+    hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
     cfg["hop"] = hop
     wf = read_wav(cfg["input"])
-    spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=float(cfg["eps"]))
+    spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
     spec.grid_for(len(wf))  # a clip shorter than one frame fails before the bank is built
     spectrogram_to_csv(args.out, spec.spectrogram(wf, build_bank()))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
-    n_fft, build_bank = _resolve_bank(cfg["mode"], cfg["params_file"], cfg["n_fft"])
-    cfg["n_fft"] = n_fft
-    probes = (whole_number(cfg["num_probes"], "num_probes") if cfg["num_probes"] is not None
-              else n_fft // 2 + 1)
+    n_fft, build_bank = _resolve_bank(cfg)
+    probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
-    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes)
+    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes,
+                                  memory_limit=_physical_memory())
     response_to_csv(args.out, response)
     return 0
 
 
 def _cmd_gradcheck(cfg: dict, args) -> int:
-    report = gradient_check_report(
-        n_fft=whole_number(cfg["n_fft"], "n_fft"), seed=whole_number(cfg["seed"], "seed"),
-        draws=whole_number(cfg["draws"], "draws"), point=(float(cfg["m"]), float(cfg["f_b"])),
-        step=float(cfg["step"]),
-    )
+    report = gradient_check_report(n_fft=cfg["n_fft"], seed=cfg["seed"], draws=cfg["draws"],
+                                   point=(cfg["m"], cfg["f_b"]), step=cfg["step"])
     write_json(args.out, report)
     print(f"gradcheck: {report['status']} "
           f"({len(report['checks'])} checks, {len(report['failed'])} failed)")
@@ -340,49 +380,27 @@ def _cmd_perturb(cfg: dict, args) -> int:
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
     wf = read_wav(cfg["input"])
     if has_snr:
-        out = add_awgn(wf, float(cfg["snr_db"]), seed=whole_number(cfg["seed"], "seed"))
+        out = add_awgn(wf, _number(cfg["snr_db"], "snr_db"), seed=cfg["seed"])
     else:
-        filt = design_butterworth_lowpass(
-            whole_number(cfg["order"], "order"), float(cfg["cutoff_hz"]), wf.sample_rate)
-        out = apply_filter(filt, wf)
+        out = apply_filter(
+            design_butterworth_lowpass(cfg["order"], cfg["cutoff_hz"], wf.sample_rate), wf)
     write_wav(args.out, out, encoding=cfg["encoding"])
     return 0
 
 
-_CLASS_KEYS = {"name", "kind", "low_hz", "high_hz", "amplitude"}
-
-
-def _task_from_config(cfg: dict):
-    classes = []
-    for entry in cfg["classes"]:
-        unknown = sorted(set(entry) - _CLASS_KEYS)
-        if unknown:
-            raise ValueError(f"unknown class config keys: {', '.join(unknown)}")
-        kwargs = {
-            "name": str(entry["name"]), "kind": str(entry["kind"]),
-            "low_hz": float(entry["low_hz"]),
-            "high_hz": float(entry["high_hz"]),
-        }
-        if "amplitude" in entry:
-            lo, hi = entry["amplitude"]
-            kwargs["amplitude"] = (float(lo), float(hi))
-        classes.append(ClassSpec(**kwargs))
-    snr = cfg["snr_range"]
-    if isinstance(snr, (list, tuple)):
-        snr = (float(snr[0]), float(snr[1]))
-    elif snr is not None:
-        snr = float(snr)
-    return make_task(
-        classes, whole_number(cfg["samples_per_class"], "samples_per_class"),
-        duration=float(cfg["duration"]), sample_rate=float(cfg["sample_rate"]), snr_range=snr,
-        seed=whole_number(cfg["seed"], "seed"), train_fraction=float(cfg["train_fraction"]),
-    )
+def _run_inputs(cfg: dict):
+    """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
+    large to build is refused before the corpus is generated."""
+    features = FeatureSpec(**cfg["features"])
+    _require_bank_memory(features.n_fft, features.n_fft // 2 + 1)
+    train_cfg = TrainConfig(**cfg["train"])
+    task = dict(cfg["task"])
+    classes = [ClassSpec(**entry) for entry in task.pop("classes")]
+    return make_task(classes, **task), features, train_cfg
 
 
 def _cmd_train(cfg: dict, args) -> int:
-    corpus = _task_from_config(cfg["task"])
-    features = _from_fields(FeatureSpec, cfg["features"])
-    train_cfg = _from_fields(TrainConfig, cfg["train"])
+    corpus, features, train_cfg = _run_inputs(cfg)
     result = train(corpus, train_cfg, features)
     save_params(args.out_params, result.params, features.n_fft)
     result.log.to_csv(args.out_log)
@@ -402,15 +420,9 @@ def _default_axis(kind: str, sample_rate: float) -> list[float]:
 
 def _cmd_sweep(cfg: dict, args) -> int:
     sweep_cfg = cfg["sweep"]
-    corpus = _task_from_config(cfg["task"])
-    features = _from_fields(FeatureSpec, cfg["features"])
-    train_cfg = _from_fields(TrainConfig, cfg["train"])
-    axis = sweep_cfg["axis"]
-    axis = (_default_axis(sweep_cfg["kind"], corpus.sample_rate) if axis is None
-            else [float(v) for v in axis])
-    sweep_cfg["axis"] = axis
-    seed = whole_number(sweep_cfg["seed"], "seed")
-    order = whole_number(sweep_cfg["order"], "order")
+    corpus, features, train_cfg = _run_inputs(cfg)
+    if sweep_cfg["axis"] is None:
+        sweep_cfg["axis"] = _default_axis(sweep_cfg["kind"], corpus.sample_rate)
 
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
     models = [
@@ -422,8 +434,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     written = []
     for model in models:
-        result = robustness_sweep(sweep_cfg["kind"], axis, model, val_wfs, val_labels,
-                                  seed=seed, order=order)
+        result = robustness_sweep(sweep_cfg["kind"], sweep_cfg["axis"], model, val_wfs,
+                                  val_labels, seed=sweep_cfg["seed"], order=sweep_cfg["order"])
         path = f"{stem}_{model.bank_label}.csv"
         sweep_to_csv(path, result)
         written.append(path)
@@ -447,13 +459,9 @@ def build_parser() -> _Parser:
         dests = [p.add_argument(flag, required=True, help=out_help).dest
                  for flag, out_help in outputs]
         for key, flag, kind, _default, knob_help in knobs:
-            if flag is None:
-                continue
-            if isinstance(kind, list):
-                p.add_argument(flag, dest=key, choices=kind, help=knob_help)
-            else:
-                p.add_argument(flag, dest=key, type=None if kind is list else kind,
-                               help=knob_help)
+            if flag:
+                p.add_argument(flag, dest=key, type=kind if kind in (int, float) else None,
+                               choices=kind if isinstance(kind, list) else None, help=knob_help)
         p.set_defaults(run=run, knobs=knobs, outputs=dests)
 
     add("gen", "generate a test waveform", _cmd_gen, _GEN_KNOBS,
@@ -485,7 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve(args)
         code = args.run(cfg, args)
         for dest in args.outputs:
-            _write_sidecar(getattr(args, dest), args.command, cfg)
+            write_json(getattr(args, dest) + ".run.json", {"command": args.command, "config": cfg})
         return code
     except (SingularGradientError, TrainingDiverged) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

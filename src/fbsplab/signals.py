@@ -42,10 +42,11 @@ def derive_seed(*parts: int) -> int:
 
 
 def whole_number(value, name: str) -> int:
-    """``int(value)``, or a ValueError naming the setting if it is not a whole number."""
+    """``int(value)``, or a ValueError naming the setting if it is not a whole
+    number; true and false are not."""
     try:
         number = int(value)
-        if isinstance(value, str) or number == value:
+        if isinstance(value, str) or (number == value and not isinstance(value, bool)):
             return number
     except (TypeError, ValueError, OverflowError):
         pass

@@ -7,10 +7,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbsplab.cli
-from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params, save_params
+from fbsplab.bank import (
+    RESPONSE_PEAK_FACTOR,
+    FbspParams,
+    dft_grid,
+    dft_kernel,
+    fbsp_kernel,
+    frequency_response,
+    init_params,
+    save_params,
+)
 from fbsplab.cli import build_parser, main
+from fbsplab.runio import _jsonable, write_json
+from fbsplab.signals import WindowSpec
 
 CLI = [sys.executable, "-m", "fbsplab.cli"]
 
@@ -561,3 +574,287 @@ def test_sidecar_is_pinned_and_reruns_byte_identical(tmp_path, command):
     assert main([command, "--config", str(first / sidecars[0]), *out_args(second)]) == 0
     for name in written + sidecars:
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# every config value is typed by its knob row
+# ---------------------------------------------------------------------------
+
+LOW, HIGH = SMALL_RUN_CONFIG["task"]["classes"]
+NO_KIND = {key: value for key, value in LOW.items() if key != "kind"}
+
+MISTYPED = [
+    # each of these ended in a traceback with exit 1 while commands cast by hand
+    ("gen", {"duration": None}, "duration must be a number, got None"),
+    ("gen", {"duration": [1]}, "duration must be a number, got [1]"),
+    ("spectrogram", {"eps": None}, "eps must be a number, got None"),
+    ("gradcheck", {"m": None}, "m must be a number, got None"),
+    ("gradcheck", {"m": [1]}, "m must be a number, got [1]"),
+    ("perturb", {"snr_db": [3]}, "snr_db must be text, got [3]"),
+    ("perturb", {"cutoff_hz": [3]}, "cutoff_hz must be a number, got [3]"),
+    ("train", {"train": {"lr": None}}, "train.lr must be a number, got None"),
+    ("train", {"task": {"classes": 5}}, "task.classes must be a list of class objects, got 5"),
+    ("train", {"task": {"duration": None}}, "task.duration must be a number, got None"),
+    ("train", {"task": {"snr_range": [1]}}, "task.snr_range must be a [lo, hi] pair"),
+    ("train", {"features": {"eps": None}}, "features.eps must be a number, got None"),
+    ("train", {"task": {"classes": [{**LOW, "amplitude": 5}, HIGH]}},
+     "task.classes[0].amplitude must be a [lo, hi] pair of numbers, got 5"),
+    ("train", {"features": 5}, "features must be a JSON object, got 5"),
+    ("train", {"features": [1]}, "features must be a JSON object, got [1]"),
+    ("sweep", {"sweep": {"axis": 5}}, "sweep.axis must be a list of numbers, got 5"),
+    ("sweep", {"sweep": {"axis": [None]}}, "sweep.axis[0] must be a number, got None"),
+    # these were read as 1 Hz, as the unknown keys "l, r" and as "error: 'kind'"
+    ("gen", {"sample_rate": True}, "sample_rate must be a number, got True"),
+    ("train", {"train": "lr"}, "train must be a JSON object, got 'lr'"),
+    ("train", {"task": {"classes": [NO_KIND, HIGH]}}, "task.classes[0] is missing kind"),
+    # null only where the default is null
+    ("gen", {"seed": None}, "seed must be a whole number, got None"),
+    ("spectrogram", {"mode": None}, "mode must be one of stft, fbsp, got None"),
+]
+
+
+def run_with_config(tmp_path, command, config):
+    """main() on ``config``, merged section by section into SMALL_RUN_CONFIG for
+    train and sweep, with its outputs in tmp_path."""
+    if command in ("train", "sweep"):
+        base = json.loads(json.dumps(SMALL_RUN_CONFIG))
+        for section, values in config.items():
+            if isinstance(values, dict) and isinstance(base.get(section), dict):
+                base[section].update(values)
+            else:
+                base[section] = values
+        config = base
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    outputs = (["--out-params", str(tmp_path / "p.json"), "--out-log", str(tmp_path / "l.csv")]
+               if command == "train" else ["--out", str(tmp_path / "out")])
+    return main([command, "--config", str(path)] + outputs)
+
+
+@pytest.mark.parametrize("command, config, message", MISTYPED)
+def test_mistyped_config_value_is_input_error(tmp_path, capsys, command, config, message):
+    if command in ("spectrogram", "perturb"):
+        config = {"input": str(tmp_path / "in.wav"), **config}
+    assert run_with_config(tmp_path, command, config) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_bad_sweep_kind_fails_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the sweep kind was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "train", no_training)
+    assert run_with_config(tmp_path, "sweep", {"sweep": {"kind": "x"}}) == 2
+    assert "sweep.kind must be one of awgn, lowpass, got 'x'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+# ---------------------------------------------------------------------------
+# memory bounds of freq-response, train and sweep
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_fft", [64, 255, 256])
+@pytest.mark.parametrize("default_probes", [False, True])
+def test_response_bound_covers_the_measured_peak(n_fft, default_probes):
+    filters = n_fft // 2 + 1
+    probes = filters if default_probes else 3
+    bound = RESPONSE_PEAK_FACTOR * 16 * (filters * n_fft + (n_fft + filters) * probes)
+    for build in (lambda: dft_kernel(n_fft),
+                  lambda: fbsp_kernel(init_params(n_fft), n_fft),
+                  lambda: fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
+        for window in ("rectangular", "hann"):
+            tracemalloc.start()
+            try:
+                bank = build()
+                tracemalloc.reset_peak()  # the bank stays counted
+                frequency_response(bank, WindowSpec(window, n_fft), probes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+
+def test_response_larger_than_memory_is_refused_after_the_build_check(
+        tmp_path, monkeypatch, capsys):
+    # at n_fft 64 the bound is about 0.11 MB for the build, 0.26 MB for the
+    # response at the default 33 probes and 0.12 MB at 3 probes
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 200_000)
+    out = tmp_path / "r.csv"
+    assert main(["freq-response", "--n-fft", "64", "--out", str(out)]) == 2
+    assert "the response of n_fft 64 at num_probes 33 needs about" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["freq-response", "--n-fft", "64", "--num-probes", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_run_bank_larger_than_memory_is_refused_before_the_corpus(
+        tmp_path, monkeypatch, capsys, command):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generated the corpus before the bank bound")
+
+    # a 513 x 1024 bank needs about 27 MB to build, a 33 x 64 one about 0.11 MB
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(fbsplab.cli, "make_task", no_corpus)
+        code = run_with_config(tmp_path, command, {"features": {"n_fft": 1024, "hop": 512}})
+    assert code == 2
+    assert "a bank of n_fft 1024 needs about" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    if command == "train":
+        assert run_with_config(tmp_path, "train", {}) == 0
+
+
+# ---------------------------------------------------------------------------
+# config merging property
+# ---------------------------------------------------------------------------
+#
+# A knob is a path of config keys: ("duration",), ("train", "lr"), or a whole
+# section ("task",). Section keys without a row of their own are knobs too.
+
+NUMBER = st.floats(allow_nan=False) | st.integers(-1000, 1000)
+PAIR = st.lists(NUMBER, min_size=2, max_size=2)
+CLASS_ENTRY = st.fixed_dictionaries(
+    {"name": st.text(max_size=6), "kind": st.text(max_size=6),
+     "low_hz": NUMBER, "high_hz": NUMBER}, optional={"amplitude": PAIR})
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def outputs_of(command):
+    if command == "train":
+        return ["--out-params", "p.json", "--out-log", "l.csv"]
+    return ["--out", "o"]
+
+
+def knob_table(command):
+    """{path: (flag, kind, default)}; a section's kind is dict, and the class list
+    and snr_range, whose defaults do not show their type, have kinds of their own."""
+    table = {}
+    for key, flag, kind, default, _help in build_parser().parse_args(
+            [command, *outputs_of(command)]).knobs:
+        path = tuple(key.split("."))
+        if isinstance(default, dict):
+            table[path] = (None, dict, default)
+            for name, value in default.items():
+                special = {"classes": "classes", "snr_range": "snr_range"}
+                table[path + (name,)] = (None, special.get(name, type(value)), value)
+        else:
+            table[path] = (flag, kind, default)
+    return table
+
+
+def values_of(kind, default, flag=False):
+    """Values a config file (or, with ``flag``, a flag) may give a knob of this kind."""
+    if isinstance(kind, list):
+        values = st.sampled_from(kind)
+    elif kind is int:
+        values = st.integers(-10 ** 6, 10 ** 6)
+    elif kind is float:
+        values = NUMBER
+    elif kind in (None, str):
+        values = st.text(max_size=8)
+    elif kind is list:
+        values = st.lists(NUMBER, min_size=1 if flag else 0, max_size=4)
+    elif kind == "classes":
+        values = st.lists(CLASS_ENTRY, max_size=3)
+    else:
+        values = NUMBER | PAIR  # snr_range
+    return values if flag or default is not None else st.none() | values
+
+
+def has_kind(value, kind, default) -> bool:
+    if value is None:
+        return default is None
+    if isinstance(kind, list):
+        return value in kind
+    if kind is list:
+        return type(value) is list and all(type(v) is float for v in value)
+    if kind == "classes":
+        return type(value) is list and all(
+            type(e) is dict and {type(e[k]) for k in ("name", "kind")} == {str}
+            and {type(e[k]) for k in ("low_hz", "high_hz")} == {float}
+            and is_pair(e.get("amplitude", (0.0, 0.0))) for e in value)
+    if kind == "snr_range":
+        return type(value) is float or is_pair(value)
+    return type(value) is {None: str}.get(kind, kind)
+
+
+def is_pair(value) -> bool:
+    return type(value) is tuple and len(value) == 2 and all(type(v) is float for v in value)
+
+
+def flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def at(tree: dict, path: tuple):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def put(tree: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        tree = tree.setdefault(key, {})
+    tree[path[-1]] = value
+
+
+def resolve(directory, command, config, flags=()):
+    path = directory / "c.json"
+    path.write_text(json.dumps(config))
+    return fbsplab.cli._resolve(build_parser().parse_args(
+        [command, *outputs_of(command), "--config", str(path), *flags]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_resolve_merges_flags_over_config_over_defaults(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("merge")
+    command = data.draw(st.sampled_from(list(SURFACE)))
+    table = knob_table(command)
+    config, flags, expected = {}, [], {}
+    for path, (flag, kind, default) in table.items():
+        if kind is dict:
+            continue
+        expected[path] = default
+        if data.draw(st.booleans()):
+            expected[path] = data.draw(values_of(kind, default))
+            put(config, path, expected[path])
+        if flag and data.draw(st.booleans()):
+            expected[path] = data.draw(values_of(kind, default, flag=True))
+            flags.append(f"{flag}={flag_text(expected[path])}")
+
+    resolved = resolve(directory, command, config, flags)
+    for path, value in expected.items():
+        flag, kind, default = table[path]
+        assert has_kind(at(resolved, path), kind, default), path
+        assert _jsonable(at(resolved, path)) == _jsonable(value), path
+
+    sidecar = directory / "s.json"
+    write_json(str(sidecar), {"command": command, "config": resolved})
+    assert resolve(directory, command, json.loads(sidecar.read_text())) == resolved
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_any_json_value_at_a_knob_is_typed_or_named(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("any")
+    command = data.draw(st.sampled_from(list(SURFACE)))
+    table = knob_table(command)
+    path = data.draw(st.sampled_from(sorted(table)))
+    config = {}
+    put(config, path, data.draw(JSON))
+    try:
+        resolved = resolve(directory, command, config)
+    except ValueError as err:
+        assert path[-1] in str(err)
+    else:
+        flag, kind, default = table[path]
+        assert kind is dict or has_kind(at(resolved, path), kind, default)

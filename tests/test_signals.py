@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbsplab.signals import (
     FrameGrid,
@@ -193,3 +195,45 @@ class TestFrame:
         assert empty.num_frames == 0
         with pytest.raises(ValueError):
             frame(x, empty, WindowSpec("rectangular", 8))
+
+
+# ---------------------------------------------------------------------------
+# framing property
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def framings(draw):
+    """(signal, frame length, hop, window) with at least one full frame."""
+    frame_length = draw(st.integers(2, 64))
+    hop = draw(st.integers(1, frame_length))
+    num_samples = draw(st.integers(frame_length, 6 * frame_length))
+    samples = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(num_samples)
+    window = WindowSpec(draw(st.sampled_from(["rectangular", "hann"])), frame_length)
+    return Waveform(samples, 8000), frame_length, hop, window
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(framings())
+def test_frames_are_the_windowed_slices_of_every_full_frame(case):
+    signal, frame_length, hop, window = case
+    grid = FrameGrid.for_length(len(signal), frame_length, hop)
+    # every full frame is covered and one more would run past the end
+    count = grid.num_frames
+    assert (count - 1) * hop + frame_length <= len(signal) < count * hop + frame_length
+    frames = frame(signal, grid, window)
+    assert frames.shape == (count, frame_length)
+    w = window.values()
+    for t in range(count):
+        for n in range(frame_length):
+            assert frames[t, n] == signal.samples[t * hop + n] * w[n]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(framings(), st.integers(-3, 3).filter(lambda offset: offset != 0))
+def test_a_grid_that_disagrees_with_the_signal_is_rejected(case, offset):
+    signal, frame_length, hop, window = case
+    count = FrameGrid.for_length(len(signal), frame_length, hop).num_frames + offset
+    assume(count >= 0)
+    with pytest.raises(ValueError, match=f"grid declares {count} frames"):
+        frame(signal, FrameGrid(frame_length, hop, count), window)
