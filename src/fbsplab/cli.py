@@ -25,12 +25,14 @@ divergence, failed check).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, replace
 from typing import Sequence
 
-from fbsplab.bank import (
+from fbsplab.bank import (  # the build bound comes with its peak factor
+    _BUILD_PEAK_FACTOR,
+    _physical_memory,
+    _require_bank_memory,
     dft_kernel,
     fbsp_kernel,
     frequency_response,
@@ -292,26 +294,6 @@ def _cmd_gen(cfg: dict, args) -> int:
     return 0
 
 
-# Peak bytes of building an (F, N) bank per F * N * 16 bytes of its weights,
-# measured with tracemalloc: 3.22 for fbsp_kernel and 3.09 for dft_kernel at
-# n_fft 64, about 3.07 and 2.07 from n_fft 256 on.
-_BUILD_PEAK_FACTOR = 3.25
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _require_bank_memory(n_fft: int, filters: int) -> None:
-    """Refuse, before allocating, a bank whose build would exceed physical memory."""
-    needed = int(_BUILD_PEAK_FACTOR * 16 * filters * n_fft)
-    available = _physical_memory()
-    if needed > available:
-        raise MemoryError(
-            f"a bank of n_fft {n_fft} needs about {needed} bytes to build, "
-            f"more than the {available} bytes of physical memory")
-
-
 def _resolve_bank(cfg: dict):
     """Pick the analysis bank as (n_fft, build) and record n_fft in ``cfg``,
     building nothing until ``build()``; a params file fixes n_fft and must not
@@ -333,7 +315,7 @@ def _resolve_bank(cfg: dict):
     cfg["n_fft"] = n_fft
 
     def build():
-        _require_bank_memory(n_fft, filters)
+        _require_bank_memory(n_fft, filters, _physical_memory())
         return make()
 
     return n_fft, build
@@ -356,8 +338,7 @@ def _cmd_freq_response(cfg: dict, args) -> int:
     n_fft, build_bank = _resolve_bank(cfg)
     probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
-    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes,
-                                  memory_limit=_physical_memory())
+    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
     return 0
 
@@ -392,7 +373,7 @@ def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
     large to build is refused before the corpus is generated."""
     features = FeatureSpec(**cfg["features"])
-    _require_bank_memory(features.n_fft, features.n_fft // 2 + 1)
+    _require_bank_memory(features.n_fft, features.n_fft // 2 + 1, _physical_memory())
     train_cfg = TrainConfig(**cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbsplab.bank
 import fbsplab.cli
 from fbsplab.bank import (
     RESPONSE_PEAK_FACTOR,
@@ -679,8 +680,10 @@ def test_response_bound_covers_the_measured_peak(n_fft, default_probes):
 def test_response_larger_than_memory_is_refused_after_the_build_check(
         tmp_path, monkeypatch, capsys):
     # at n_fft 64 the bound is about 0.11 MB for the build, 0.26 MB for the
-    # response at the default 33 probes and 0.12 MB at 3 probes
-    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 200_000)
+    # response at the default 33 probes and 0.12 MB at 3 probes; the build
+    # bound reads memory through cli, the response bound inside bank
+    for module in (fbsplab.cli, fbsplab.bank):
+        monkeypatch.setattr(module, "_physical_memory", lambda: 200_000)
     out = tmp_path / "r.csv"
     assert main(["freq-response", "--n-fft", "64", "--out", str(out)]) == 2
     assert "the response of n_fft 64 at num_probes 33 needs about" in capsys.readouterr().err
