@@ -12,10 +12,10 @@ Each knob is declared once, as a row of its subcommand's knob table
 or choices, default and help. ``build_parser`` makes the flags from those
 rows, and ``_resolve`` merges the config and types every value, flag and
 config alike, by its row: a value of another type, or null where the
-default is not null, fails naming its key. train and sweep configs have
-task, features and train sections, and sweep adds a sweep section; the
-features and train defaults are the field defaults of ``FeatureSpec`` and
-``TrainConfig``.
+default is not null, fails naming its key. A dotted key names a knob in a
+section of the config: train and sweep configs have task, features and
+train sections, and sweep adds a sweep section. The features and train
+rows are made from the fields of ``FeatureSpec`` and ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (running
 out of memory included), 3 numerical failure (singular gradient,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from fbsplab.bank import (  # the build bound comes with its peak factor
@@ -43,9 +43,9 @@ from fbsplab.bank import (  # the build bound comes with its peak factor
 )
 from fbsplab.gradients import SingularGradientError, gradient_check_report
 from fbsplab.perturb import (
-    DEFAULT_SNR_AXIS,
     add_awgn,
     apply_filter,
+    default_axis,
     design_butterworth_lowpass,
     robustness_sweep,
     sweep_to_csv,
@@ -86,12 +86,13 @@ def _load_config(path: str):
 # ---------------------------------------------------------------------------
 #
 # A row is (config key, flag, type or choices, default, help). A list of
-# strings is the choices; a type of None is text, and ``list`` is numbers
-# from a JSON list or comma-separated text. A key "section.name" is a knob
-# inside that section of a train/sweep config, and a row whose default is a
-# dict declares a whole section, whose keys without a row take the type of
-# their default. A row without a flag is set only by a config file. Flags
-# stay None when not given, so the config or the default shows through.
+# strings is the choices; a type of None is text, ``list`` is numbers from a
+# JSON list or comma-separated text, and "classes" and "snr_range" are the
+# task's class list and its SNR (a number or a [lo, hi] pair). A key
+# "section.name" is a knob inside that section of a train/sweep config; a
+# section is nothing but that prefix. A row without a flag is set only by a
+# config file. Flags stay None when not given, so the config or the default
+# shows through.
 
 _INPUT = ("input", "--input", None, None, "input wav")
 _PARAMS_FILE = ("params_file", "--params", None, None, "bank parameter JSON (fbsp mode)")
@@ -149,35 +150,31 @@ _PERTURB_KNOBS = [
     _ENCODING,
 ]
 
-_DEFAULT_TASK = {
-    "classes": [
-        {"name": "low_tone", "kind": "tone", "low_hz": 350.0, "high_hz": 650.0},
-        {"name": "mid_chirp", "kind": "chirp", "low_hz": 900.0, "high_hz": 1800.0},
-        {"name": "high_noise", "kind": "band_noise",
-         "low_hz": 2200.0, "high_hz": 3200.0},
-    ],
-    "samples_per_class": 40,
-    "duration": 0.75,
-    "sample_rate": 8000.0,
-    "seed": 0,
-    "snr_range": None,
-    "train_fraction": 0.8,
-}
+def _field_rows(section: str, spec, flagged=()) -> list:
+    """A row per field of the dataclass ``spec``, typed by its default; the
+    fields in ``flagged`` get a flag of their name."""
+    return [(f"{section}.{f.name}", "--" + f.name.replace("_", "-") if f.name in flagged
+             else None, type(f.default), f.default, None) for f in fields(spec)]
+
 
 _TRAIN_KNOBS = [
-    ("task", None, None, _DEFAULT_TASK, None),
-    ("features", None, None, asdict(FeatureSpec()), None),
-    ("train", None, None, asdict(TrainConfig()), None),
+    ("task.classes", None, "classes", [
+        {"name": "low_tone", "kind": "tone", "low_hz": 350.0, "high_hz": 650.0},
+        {"name": "mid_chirp", "kind": "chirp", "low_hz": 900.0, "high_hz": 1800.0},
+        {"name": "high_noise", "kind": "band_noise", "low_hz": 2200.0, "high_hz": 3200.0},
+    ], None),
+    ("task.samples_per_class", None, int, 40, None),
+    ("task.duration", None, float, 0.75, None),
+    ("task.sample_rate", None, float, 8000.0, None),
     # a top-level --seed regenerates the data; per-section seeds stay in files
-    ("task.seed", "--seed", int, _DEFAULT_TASK["seed"], "override the task seed"),
-    ("train.epochs", "--epochs", int, TrainConfig.epochs, None),
-    ("train.lr", "--lr", float, TrainConfig.lr, None),
-    ("train.lambda_fbsp", "--lambda-fbsp", float, TrainConfig.lambda_fbsp, None),
-    ("train.freeze_epochs", "--freeze-epochs", int, TrainConfig.freeze_epochs, None),
+    ("task.seed", "--seed", int, 0, "override the task seed"),
+    ("task.snr_range", None, "snr_range", None, None),
+    ("task.train_fraction", None, float, 0.8, None),
+    *_field_rows("features", FeatureSpec),
+    *_field_rows("train", TrainConfig, ("epochs", "lr", "lambda_fbsp", "freeze_epochs")),
 ]
 
 _SWEEP_KNOBS = _TRAIN_KNOBS + [
-    ("sweep", None, None, {}, None),
     ("sweep.kind", "--kind", ["awgn", "lowpass"], "awgn", None),
     ("sweep.axis", "--axis", list, None, "comma-separated axis values ('inf' allowed)"),
     ("sweep.order", "--order", int, 5, "Butterworth order (lowpass)"),
@@ -212,8 +209,17 @@ def _text(value, key: str) -> str:
     return value
 
 
-_CASTS = {int: whole_number, float: _number, list: _numbers, str: _text, None: _text,
-          tuple: lambda value, key: tuple(_numbers(value, key, 2))}
+def _checked_object(value, key: str, known, label=None) -> dict:
+    """``value``, a JSON object whose keys are all ``known``; ``key`` names it
+    and ``label`` (``key`` if not given) its unknown keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    unknown = ", ".join(sorted(set(value) - set(known)))
+    if unknown:
+        raise ValueError(f"unknown {label or key} config keys: {unknown}")
+    return value
+
+
 _CLASS_KINDS = {"name": str, "kind": str, "low_hz": float, "high_hz": float, "amplitude": tuple}
 
 
@@ -221,11 +227,7 @@ def _class_entries(value, key: str) -> list[dict]:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list of class objects, got {value!r}")
     for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{key}[{i}] must be a JSON object, got {entry!r}")
-        unknown = ", ".join(sorted(set(entry) - set(_CLASS_KINDS)))
-        if unknown:
-            raise ValueError(f"unknown {key}[{i}] config keys: {unknown}")
+        _checked_object(entry, f"{key}[{i}]", _CLASS_KINDS)
         missing = [name for name in _CLASS_KINDS if name != "amplitude" and name not in entry]
         if missing:
             raise ValueError(f"{key}[{i}] is missing {', '.join(missing)}")
@@ -233,18 +235,18 @@ def _class_entries(value, key: str) -> list[dict]:
              for name, item in entry.items()} for i, entry in enumerate(value)]
 
 
-# A section key without a row takes the type of its default, except these two.
-_SECTION_CASTS = {"task.classes": _class_entries, "task.snr_range": lambda value, key: (
-    _CASTS[tuple](value, key) if isinstance(value, list) else _number(value, key))}
+_CASTS = {int: whole_number, float: _number, list: _numbers, str: _text, None: _text,
+          tuple: lambda value, key: tuple(_numbers(value, key, 2)), "classes": _class_entries,
+          "snr_range": lambda value, key: (
+              _CASTS[tuple](value, key) if isinstance(value, list) else _number(value, key))}
 
 
 def _typed(key: str, kind, default, value):
-    """``value`` cast by its kind (a row's type or choices, or a cast of its own);
-    null only where the default is null."""
+    """``value`` cast by its row's type or choices; null only where the default is null."""
     if value is None and default is None:
         return None
     if not isinstance(kind, list):
-        return _CASTS.get(kind, kind)(value, key)
+        return _CASTS[kind](value, key)
     if not (isinstance(value, str) and value in kind):
         raise ValueError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
     return value
@@ -252,32 +254,26 @@ def _typed(key: str, kind, default, value):
 
 def _resolve(args) -> dict:
     """Merge a command's defaults, its --config file and its explicit flags, and
-    type every merged value by its knob row; a section is typed key by key."""
-    defaults, flags, kinds = {"": {}}, {}, {}
-
-    def typed_section(given, section: str) -> dict:
-        if not isinstance(given, dict):
-            raise ValueError(f"{section or args.config} must be a JSON object, got {given!r}")
-        base = defaults[section]
-        unknown = ", ".join(sorted(set(given) - set(base)))
-        if unknown:
-            raise ValueError(f"unknown {section or args.command} config keys: {unknown}")
-        given = {**given, **{k: v for k, v in flags.get(section, {}).items() if v is not None}}
-        prefix = f"{section}." if section else ""
-        return {name: _typed(prefix + name, kinds[prefix + name], default,
-                             given.get(name, default)) for name, default in base.items()}
-
+    type every merged value by its knob row. The config and each of its sections
+    must be a JSON object with no unknown key."""
+    names = {}  # section ("" for the top level) -> its keys
+    for key, *_ in args.knobs:
+        section, _, name = key.rpartition(".")
+        names.setdefault(section, []).append(name)
+    top = names.pop("", [])
+    given = _checked_object(_load_config(args.config) if args.config else {}, args.config,
+                            top + list(names), args.command)
+    sections = {section: _checked_object(given.get(section, {}), section, keys)
+                for section, keys in names.items()}
+    sections[""] = given
+    cfg = {}
     for key, flag, kind, default, _help in args.knobs:
         section, _, name = key.rpartition(".")
-        if isinstance(default, dict):
-            default = defaults[key] = dict(default)
-            kind = typed_section
-            kinds.update({f"{key}.{n}": _SECTION_CASTS.get(f"{key}.{n}", type(v))
-                          for n, v in default.items()})
-        defaults[section][name] = default
-        flags.setdefault(section, {})[name] = getattr(args, key) if flag else None
-        kinds[key] = kind
-    return typed_section(_load_config(args.config) if args.config else {}, "")
+        value = getattr(args, key) if flag else None
+        if value is None:
+            value = sections[section].get(name, default)
+        (cfg.setdefault(section, {}) if section else cfg)[name] = _typed(key, kind, default, value)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +387,13 @@ def _cmd_train(cfg: dict, args) -> int:
     return 0
 
 
-def _default_axis(kind: str, sample_rate: float) -> list[float]:
-    if kind == "awgn":
-        return list(DEFAULT_SNR_AXIS)
-    fractions = (0.5, 16000.0 / 44100.0, 8000.0 / 44100.0, 4000.0 / 44100.0,
-                 2000.0 / 44100.0, 1000.0 / 44100.0)
-    return [f * sample_rate for f in fractions]
-
-
 def _cmd_sweep(cfg: dict, args) -> int:
     sweep_cfg = cfg["sweep"]
+    if sweep_cfg["axis"] == []:
+        raise ValueError("sweep.axis must hold at least one value, got []")
     corpus, features, train_cfg = _run_inputs(cfg)
     if sweep_cfg["axis"] is None:
-        sweep_cfg["axis"] = _default_axis(sweep_cfg["kind"], corpus.sample_rate)
+        sweep_cfg["axis"] = default_axis(sweep_cfg["kind"], corpus.sample_rate)
 
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
     models = [

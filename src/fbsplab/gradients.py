@@ -337,6 +337,8 @@ def gradient_check_report(
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
     """
+    if draws < 0:
+        raise ValueError(f"draws must be non-negative, got {draws}")
 
     def loss_of(p: FbspParams) -> float:
         return fbsp_loss(fbsp_kernel(p, n_fft))

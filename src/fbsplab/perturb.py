@@ -27,6 +27,7 @@ __all__ = [
     "magnitude_response_db",
     "apply_filter",
     "SweepResult",
+    "default_axis",
     "robustness_sweep",
     "sweep_to_csv",
 ]
@@ -152,6 +153,17 @@ def apply_filter(filt: ButterworthFilter, signal: Waveform) -> Waveform:
 # ---------------------------------------------------------------------------
 
 DEFAULT_SNR_AXIS = (math.inf, 30.0, 25.0, 20.0, 15.0, 10.0, 5.0, 0.0)
+
+
+def default_axis(kind: str, sample_rate: float) -> list[float]:
+    """A sweep's axis when none is given: ``DEFAULT_SNR_AXIS`` for awgn, and for
+    lowpass the cutoffs of 22.05, 16, 8, 4, 2 and 1 kHz at 44.1 kHz, scaled to
+    ``sample_rate``."""
+    if kind == "awgn":
+        return list(DEFAULT_SNR_AXIS)
+    fractions = (0.5, 16000.0 / 44100.0, 8000.0 / 44100.0, 4000.0 / 44100.0,
+                 2000.0 / 44100.0, 1000.0 / 44100.0)
+    return [f * sample_rate for f in fractions]
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,12 @@ class TestExitCodes:
         assert "n_fft 4096" in proc.stderr
         assert time.perf_counter() - start < 30.0
 
+    def test_negative_draw_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["gradcheck", "--draws", "-1", "--out", str(out)]) == 2
+        assert "draws must be non-negative, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fractional_sample_rate_is_input_error(self, tmp_path, capsys):
         wav = tmp_path / "x.wav"
         assert main(["gen", "--sample-rate", "8000.7", "--out", str(wav)]) == 2
@@ -611,6 +617,16 @@ MISTYPED = [
     # null only where the default is null
     ("gen", {"seed": None}, "seed must be a whole number, got None"),
     ("spectrogram", {"mode": None}, "mode must be one of stft, fbsp, got None"),
+    # the config, each section and each class entry is an object without unknown keys
+    ("sweep", {"task": 5}, "task must be a JSON object, got 5"),
+    ("sweep", {"sweep": [1]}, "sweep must be a JSON object, got [1]"),
+    ("train", {"task": {"x": 1}}, "unknown task config keys: x"),
+    ("sweep", {"sweep": {"x": 1}}, "unknown sweep config keys: x"),
+    ("sweep", {"x": 1}, "unknown sweep config keys: x"),
+    ("gen", [1], "c.json must be a JSON object"),
+    ("train", {"task": {"classes": [5]}}, "task.classes[0] must be a JSON object, got 5"),
+    ("train", {"task": {"classes": [{**LOW, "x": 1}, HIGH]}},
+     "unknown task.classes[0] config keys: x"),
 ]
 
 
@@ -638,6 +654,17 @@ def test_mistyped_config_value_is_input_error(tmp_path, capsys, command, config,
         config = {"input": str(tmp_path / "in.wav"), **config}
     assert run_with_config(tmp_path, command, config) == 2
     assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_empty_sweep_axis_fails_before_the_corpus(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus or trained before the axis was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    monkeypatch.setattr(fbsplab.cli, "train", no_work)
+    assert run_with_config(tmp_path, "sweep", {"sweep": {"axis": []}}) == 2
+    assert "sweep.axis must hold at least one value, got []" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -713,8 +740,8 @@ def test_run_bank_larger_than_memory_is_refused_before_the_corpus(
 # config merging property
 # ---------------------------------------------------------------------------
 #
-# A knob is a path of config keys: ("duration",), ("train", "lr"), or a whole
-# section ("task",). Section keys without a row of their own are knobs too.
+# A knob is a path of config keys, ("duration",) or ("train", "lr"), one per
+# knob row.
 
 NUMBER = st.floats(allow_nan=False) | st.integers(-1000, 1000)
 PAIR = st.lists(NUMBER, min_size=2, max_size=2)
@@ -735,20 +762,10 @@ def outputs_of(command):
 
 
 def knob_table(command):
-    """{path: (flag, kind, default)}; a section's kind is dict, and the class list
-    and snr_range, whose defaults do not show their type, have kinds of their own."""
-    table = {}
-    for key, flag, kind, default, _help in build_parser().parse_args(
-            [command, *outputs_of(command)]).knobs:
-        path = tuple(key.split("."))
-        if isinstance(default, dict):
-            table[path] = (None, dict, default)
-            for name, value in default.items():
-                special = {"classes": "classes", "snr_range": "snr_range"}
-                table[path + (name,)] = (None, special.get(name, type(value)), value)
-        else:
-            table[path] = (flag, kind, default)
-    return table
+    """{path: (flag, kind, default)}, a path per knob row of the command."""
+    return {tuple(key.split(".")): (flag, kind, default)
+            for key, flag, kind, default, _help in build_parser().parse_args(
+                [command, *outputs_of(command)]).knobs}
 
 
 def values_of(kind, default, flag=False):
