@@ -1,83 +1,11 @@
 """Trainable complex frequency B-spline (fbsp) time-frequency analysis.
 
-The package covers the full desk-scale experiment loop: synthetic signal
-generation, DFT and fbsp kernel banks, framed spectrograms, an energy
-regularization loss with analytic parameter gradients, a small trainer,
-signal perturbations (additive white Gaussian noise, Butterworth low-pass)
-with robustness sweeps, and waveform augmentation.
+Import each name from the module that defines it (``from fbsplab.bank import
+fbsp_kernel``): signals (waveforms, generators, framing), wavio (WAV files),
+bank (DFT and fbsp kernel banks), transform (log-power spectrograms),
+gradients (energy loss and analytic gradients), training (synthetic tasks
+and the trainer), perturb (noise, low-pass, robustness sweeps), augment
+(waveform augmentation), runio (CSV/JSON output) and cli (the command line).
 """
-
-from fbsplab.signals import (
-    FrameGrid,
-    Waveform,
-    WindowSpec,
-    band_noise,
-    chirp,
-    derive_seed,
-    frame,
-    generate,
-    silence,
-    sine,
-)
-from fbsplab.wavio import read_wav, write_wav
-from fbsplab.bank import (
-    FbspParams,
-    FrequencyResponse,
-    KernelBank,
-    dft_grid,
-    dft_kernel,
-    fbsp_kernel,
-    frequency_response,
-    init_params,
-    load_params,
-    save_params,
-)
-from fbsplab.transform import (
-    Spectrogram,
-    analyze,
-    bank_energy_ratio,
-    log_power,
-    spectrogram_to_csv,
-)
-from fbsplab.gradients import (
-    ParamGradient,
-    SingularGradientError,
-    energy_pairing,
-    fbsp_loss,
-    finite_difference_oracle,
-    gradient_check_report,
-    kernel_jacobian_vector,
-    loss_gradient,
-)
-from fbsplab.augment import (
-    AugmentConfig,
-    augment_pipeline,
-    fit_duration,
-    time_invert,
-    time_scale,
-)
-from fbsplab.perturb import (
-    ButterworthFilter,
-    SweepResult,
-    add_awgn,
-    apply_filter,
-    design_butterworth_lowpass,
-    magnitude_response_db,
-    robustness_sweep,
-    sweep_to_csv,
-)
-from fbsplab.training import (
-    ClassSpec,
-    FeatureSpec,
-    LinearHead,
-    TaskCorpus,
-    TrainConfig,
-    TrainLog,
-    TrainResult,
-    TrainingDiverged,
-    TrainedModel,
-    make_task,
-    train,
-)
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from fbsplab.signals import WindowSpec, whole_number
+from fbsplab.signals import WindowSpec, real_number, whole_number
 
 __all__ = [
     "FbspParams",
@@ -329,8 +329,12 @@ def load_params(path: str) -> tuple[FbspParams, int]:
     unknown = set(doc) - required
     if unknown:
         raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}")
-    params = FbspParams(m=float(doc["m"]), f_b=float(doc["f_b"]),
-                        f_c=np.asarray(doc["f_c"], dtype=np.float64))
+    if not isinstance(doc["f_c"], list):
+        raise ValueError(f"{path}: f_c must be a list of numbers, got {doc['f_c']!r}")
+    params = FbspParams(m=real_number(doc["m"], f"{path}: m"),
+                        f_b=real_number(doc["f_b"], f"{path}: f_b"),
+                        f_c=[real_number(f, f"{path}: f_c[{i}]")
+                             for i, f in enumerate(doc["f_c"])])
     n_fft = whole_number(doc["n_fft"], f"{path}: n_fft")
     _check_n(n_fft)
     return params, n_fft

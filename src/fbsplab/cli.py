@@ -33,6 +33,7 @@ from fbsplab.bank import (  # the build bound comes with its peak factor
     _BUILD_PEAK_FACTOR,
     _physical_memory,
     _require_bank_memory,
+    _require_memory,
     dft_kernel,
     fbsp_kernel,
     frequency_response,
@@ -45,13 +46,15 @@ from fbsplab.gradients import SingularGradientError, gradient_check_report
 from fbsplab.perturb import (
     add_awgn,
     apply_filter,
+    check_axis,
     default_axis,
     design_butterworth_lowpass,
     robustness_sweep,
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import _GENERATOR_PARAMS, WindowSpec, generate, whole_number
+from fbsplab.signals import (_GENERATOR_PARAMS, WindowSpec, _num_samples, generate,
+                              real_number, whole_number)
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -182,23 +185,13 @@ _SWEEP_KNOBS = _TRAIN_KNOBS + [
 ]
 
 
-def _number(value, key: str) -> float:
-    """A JSON number, or text as a float flag reads it; JSON true and false are not."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{key} must be a number, got {value!r}")
-
-
 def _numbers(value, key: str, count=None) -> list[float]:
     """A JSON list or comma-separated text of numbers, of ``count`` items if given."""
     items = value.split(",") if isinstance(value, str) else value
     if not isinstance(items, list) or count not in (None, len(items)):
         shape = "a list" if count is None else "a [lo, hi] pair"
         raise ValueError(f"{key} must be {shape} of numbers, got {value!r}")
-    return [_number(item, f"{key}[{i}]") for i, item in enumerate(items)]
+    return [real_number(item, f"{key}[{i}]") for i, item in enumerate(items)]
 
 
 def _text(value, key: str) -> str:
@@ -235,10 +228,10 @@ def _class_entries(value, key: str) -> list[dict]:
              for name, item in entry.items()} for i, entry in enumerate(value)]
 
 
-_CASTS = {int: whole_number, float: _number, list: _numbers, str: _text, None: _text,
+_CASTS = {int: whole_number, float: real_number, list: _numbers, str: _text, None: _text,
           tuple: lambda value, key: tuple(_numbers(value, key, 2)), "classes": _class_entries,
           "snr_range": lambda value, key: (
-              _CASTS[tuple](value, key) if isinstance(value, list) else _number(value, key))}
+              _CASTS[tuple](value, key) if isinstance(value, list) else real_number(value, key))}
 
 
 def _typed(key: str, kind, default, value):
@@ -357,7 +350,7 @@ def _cmd_perturb(cfg: dict, args) -> int:
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
     wf = read_wav(cfg["input"])
     if has_snr:
-        out = add_awgn(wf, _number(cfg["snr_db"], "snr_db"), seed=cfg["seed"])
+        out = add_awgn(wf, real_number(cfg["snr_db"], "snr_db"), seed=cfg["seed"])
     else:
         out = apply_filter(
             design_butterworth_lowpass(cfg["order"], cfg["cutoff_hz"], wf.sample_rate), wf)
@@ -367,12 +360,17 @@ def _cmd_perturb(cfg: dict, args) -> int:
 
 def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
-    large to build is refused before the corpus is generated."""
+    large to build, or a corpus whose waveforms alone exceed physical memory, is
+    refused before the corpus is generated."""
     features = FeatureSpec(**cfg["features"])
     _require_bank_memory(features.n_fft, features.n_fft // 2 + 1, _physical_memory())
     train_cfg = TrainConfig(**cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]
+    samples = (task["samples_per_class"] * len(classes)
+               * _num_samples(task["duration"], task["sample_rate"]))
+    _require_memory(f"a corpus of {samples} samples", "generate", 8 * samples,
+                    _physical_memory())
     return make_task(classes, **task), features, train_cfg
 
 
@@ -391,9 +389,11 @@ def _cmd_sweep(cfg: dict, args) -> int:
     sweep_cfg = cfg["sweep"]
     if sweep_cfg["axis"] == []:
         raise ValueError("sweep.axis must hold at least one value, got []")
-    corpus, features, train_cfg = _run_inputs(cfg)
+    sample_rate = cfg["task"]["sample_rate"]
     if sweep_cfg["axis"] is None:
-        sweep_cfg["axis"] = default_axis(sweep_cfg["kind"], corpus.sample_rate)
+        sweep_cfg["axis"] = default_axis(sweep_cfg["kind"], sample_rate)
+    check_axis(sweep_cfg["kind"], sweep_cfg["axis"], sample_rate, sweep_cfg["order"])
+    corpus, features, train_cfg = _run_inputs(cfg)
 
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
     models = [

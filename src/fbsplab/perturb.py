@@ -21,6 +21,7 @@ from fbsplab.transform import bank_energy_ratio
 from fbsplab.runio import write_csv
 
 __all__ = [
+    "snr_power_ratio",
     "add_awgn",
     "ButterworthFilter",
     "design_butterworth_lowpass",
@@ -28,25 +29,45 @@ __all__ = [
     "apply_filter",
     "SweepResult",
     "default_axis",
+    "check_axis",
     "robustness_sweep",
     "sweep_to_csv",
 ]
+
+
+def snr_power_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10 ** (snr_db / 10) of an SNR level, inf
+    at +inf; a ValueError names a NaN level or one whose ratio is 0 or overflows."""
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
+    if snr_db == math.inf:
+        return math.inf
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"snr_db {snr_db} dB puts the noise level outside float range")
+    return ratio
 
 
 def add_awgn(signal: Waveform, snr_db: float, seed: int) -> Waveform:
     """Add white Gaussian noise so that mean(x^2) / var(noise) hits snr_db.
 
     snr_db = +inf returns the input unchanged (control arm of a sweep).
-    The signal must carry nonzero power for the ratio to be defined.
+    The signal must carry nonzero power for the ratio to be defined, and the
+    noise sigma must be a finite float.
     """
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
-    if snr_db == math.inf:
+    ratio = snr_power_ratio(snr_db)
+    if ratio == math.inf:
         return signal
     power = float(np.mean(signal.samples ** 2))
     if power == 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")
-    sigma = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
+    sigma = math.sqrt(power / ratio)
+    if sigma == math.inf:
+        raise ValueError(f"snr_db {snr_db} dB puts the noise level outside float range "
+                         f"for a signal of power {power}")
     rng = np.random.default_rng(seed)
     noisy = signal.samples + sigma * rng.standard_normal(len(signal))
     return Waveform(noisy, signal.sample_rate)
@@ -164,6 +185,17 @@ def default_axis(kind: str, sample_rate: float) -> list[float]:
     fractions = (0.5, 16000.0 / 44100.0, 8000.0 / 44100.0, 4000.0 / 44100.0,
                  2000.0 / 44100.0, 1000.0 / 44100.0)
     return [f * sample_rate for f in fractions]
+
+
+def check_axis(kind: str, axis: Sequence[float], sample_rate: float, order: int) -> None:
+    """Refuse, before any work, an axis value on which a sweep cell would fail:
+    an awgn level ``snr_power_ratio`` refuses, or a lowpass cutoff below Nyquist
+    whose filter (of ``order``) ``design_butterworth_lowpass`` refuses."""
+    for value in axis:
+        if kind == "awgn":
+            snr_power_ratio(value)
+        elif not value >= sample_rate / 2.0:  # as in _perturbed, NaN included
+            design_butterworth_lowpass(order, value, sample_rate)
 
 
 @dataclass(frozen=True)

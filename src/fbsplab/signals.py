@@ -28,6 +28,7 @@ __all__ = [
     "generate",
     "frame",
     "whole_number",
+    "real_number",
 ]
 
 
@@ -51,6 +52,17 @@ def whole_number(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def real_number(value, name: str) -> float:
+    """``float(value)`` of a number or numeric text, or a ValueError naming the
+    setting; true and false are not numbers."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _lock(array: np.ndarray) -> np.ndarray:

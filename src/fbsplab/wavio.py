@@ -38,13 +38,18 @@ def write_wav(path: str, signal: Waveform, encoding: str = "pcm16") -> None:
     """Write a mono WAV file.
 
     ``encoding`` selects PCM 16-bit ("pcm16", samples clipped to [-1, 1])
-    or IEEE float 32-bit ("float32").
+    or IEEE float 32-bit ("float32", which refuses, before opening the file,
+    a sample outside float32's finite range).
     """
     if encoding == "pcm16":
         clipped = np.clip(signal.samples, -1.0, 1.0)
         data = np.round(clipped * (_PCM16_SCALE - 1)).astype(np.int16)
     elif encoding == "float32":
-        data = signal.samples.astype(np.float32)
+        with np.errstate(over="ignore"):
+            data = signal.samples.astype(np.float32)
+        if not np.isfinite(data).all():
+            peak = float(np.abs(signal.samples).max())
+            raise ValueError(f"float32 encoding cannot hold a sample of magnitude {peak}")
     else:
         raise ValueError(f"unknown WAV encoding {encoding!r}, expected pcm16 or float32")
     wavfile.write(path, signal.sample_rate, data)

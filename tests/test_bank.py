@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ class TestParamsFile:
         del doc["extra"], doc["m"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("m", None, "m"), ("m", True, "m"), ("f_b", [1.0], "f_b"), ("f_c", 3, "f_c"),
+        ("f_c", [0.0, {"x": 1}], "f_c[1]"), ("f_c", [0.0, False], "f_c[1]"),
+    ])
+    def test_values_are_typed_and_named(self, tmp_path, key, value, named):
+        import json
+        path = tmp_path / "p.json"
+        save_params(path, init_params(8), 8)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(named)} must be"):
             load_params(path)
 
 

@@ -63,6 +63,21 @@ def test_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["fbsplab.signals", "fbsplab.bank"])
+def test_import_loads_only_the_module_dependencies(module):
+    # the package re-exports nothing: a name is imported from its module, and
+    # importing signals or bank loads neither scipy nor the trainer
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(sorted(name for name in sys.modules "
+         "if name.split('.')[0] == 'scipy' or name == 'fbsplab.training'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    with pytest.raises(ImportError):
+        from fbsplab import fbsp_kernel  # noqa: F401
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert run().returncode == 1
@@ -678,6 +693,62 @@ def test_bad_sweep_kind_fails_before_training(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"kind": "lowpass", "axis": [0]}, "cutoff 0.0 Hz must lie inside (0, 4000.0) Hz"),
+    ({"kind": "lowpass", "order": 0, "axis": [1000]}, "order must be a positive integer, got 0"),
+    ({"kind": "lowpass", "order": 0}, "order must be a positive integer, got 0"),
+    ({"kind": "awgn", "axis": [10, "-inf"]}, "snr_db -inf dB puts the noise level outside"),
+    ({"kind": "awgn", "axis": ["nan"]}, "snr_db must not be NaN"),
+])
+def test_bad_sweep_axis_fails_before_the_corpus(tmp_path, capsys, monkeypatch, sweep, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus or trained before the axis was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    monkeypatch.setattr(fbsplab.cli, "train", no_work)
+    assert run_with_config(tmp_path, "sweep", {"sweep": sweep}) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("level", ["-inf", "-4000", "4000", "1e308", "-3100"])
+def test_snr_level_outside_float_range_is_input_error(tmp_path, capsys, level):
+    wav = tmp_path / "in.wav"
+    assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+    out = tmp_path / "p.wav"
+    assert main(["perturb", "--input", str(wav), f"--snr-db={level}", "--out", str(out)]) == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+
+
+@pytest.mark.parametrize("argv", [["gen", "--amplitude", "1e39"], ["perturb", "--snr-db=-800"]])
+def test_float32_output_beyond_its_range_is_input_error(tmp_path, capsys, argv):
+    wav = tmp_path / "in.wav"
+    assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+    out = tmp_path / "o.wav"
+    argv = argv + ["--input", str(wav)] if argv[0] == "perturb" else argv
+    assert main(argv + ["--encoding", "float32", "--out", str(out)]) == 2
+    assert "float32 encoding cannot hold a sample of magnitude" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("m", None, "m must be a number, got None"),
+    ("m", True, "m must be a number, got True"),
+    ("f_b", [1.0], "f_b must be a number, got [1.0]"),
+    ("f_c", [0.0, {"x": 1}], "f_c[1] must be a number, got {'x': 1}"),
+])
+def test_mistyped_params_file_is_input_error(tmp_path, capsys, key, value, message):
+    path = tmp_path / "p.json"
+    save_params(path, init_params(16), 16)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["freq-response", "--params", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
 # ---------------------------------------------------------------------------
 # memory bounds of freq-response, train and sweep
 # ---------------------------------------------------------------------------
@@ -734,6 +805,26 @@ def test_run_bank_larger_than_memory_is_refused_before_the_corpus(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     if command == "train":
         assert run_with_config(tmp_path, "train", {}) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
+        tmp_path, monkeypatch, capsys, command):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generated the corpus before the corpus bound")
+
+    # the default task is 3 classes x 40 clips x 0.75 s at 8 kHz, 720,000 float64
+    # samples; a 17 x 32 bank needs about 28 KB to build
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_corpus)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"features": {"n_fft": 32, "hop": 16}}))
+    outputs = (["--out-params", str(tmp_path / "p.json"), "--out-log", str(tmp_path / "l.csv")]
+               if command == "train" else ["--out", str(tmp_path / "out")])
+    assert main([command, "--config", str(path)] + outputs) == 2
+    assert ("a corpus of 720000 samples needs about 5760000 bytes to generate, "
+            "more than the 1000000 bytes of physical memory") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 # ---------------------------------------------------------------------------

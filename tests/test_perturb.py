@@ -10,6 +10,8 @@ from fbsplab.perturb import (
     SweepResult,
     add_awgn,
     apply_filter,
+    check_axis,
+    default_axis,
     design_butterworth_lowpass,
     magnitude_response_db,
     robustness_sweep,
@@ -49,6 +51,21 @@ class TestAwgn:
             add_awgn(x, math.nan, seed=0)
         with pytest.raises(ValueError):
             add_awgn(Waveform(np.zeros(100), 8000), 10.0, seed=0)
+
+    @pytest.mark.parametrize("level", [-math.inf, -4000.0, 4000.0, 1e308, -3100.0])
+    def test_level_outside_float_range_is_named(self, level):
+        # these ended in ZeroDivisionError, OverflowError or, at -3100 dB, in
+        # non-finite samples
+        with pytest.raises(ValueError, match="^snr_db .* dB puts the noise level outside"):
+            add_awgn(sine(100.0, 0.1, 8000), level, seed=0)
+
+    def test_noise_keeps_the_power_ratio_expression(self):
+        x = sine(100.0, 0.1, 8000)
+        power = float(np.mean(x.samples ** 2))
+        for level in (-300.0, -7.3, 0.0, 12.5, 300.0):
+            sigma = math.sqrt(power / (10.0 ** (level / 10.0)))
+            noise = sigma * np.random.default_rng(5).standard_normal(len(x))
+            assert np.array_equal(add_awgn(x, level, seed=5).samples, x.samples + noise)
 
 
 class TestButterworthDesign:
@@ -116,6 +133,24 @@ class TestButterworthDesign:
         filt = design_butterworth_lowpass(2, 1000.0, 8000.0)
         with pytest.raises(ValueError):
             magnitude_response_db(filt, [4001.0])
+
+
+class TestCheckAxis:
+    @pytest.mark.parametrize("kind, axis, order, message", [
+        ("awgn", [10.0, -math.inf], 5, "snr_db -inf dB"),
+        ("awgn", [math.nan], 5, "snr_db must not be NaN"),
+        ("lowpass", [0.0], 5, "cutoff 0.0 Hz"),
+        ("lowpass", [1000.0], 0, "order must be a positive integer, got 0"),
+        ("lowpass", [math.nan], 5, "cutoff nan Hz"),
+    ])
+    def test_refuses_a_cell_that_would_fail(self, kind, axis, order, message):
+        with pytest.raises(ValueError, match=message):
+            check_axis(kind, axis, 8000.0, order)
+
+    def test_passes_valid_axes_and_cutoffs_at_or_above_nyquist(self):
+        check_axis("awgn", list(DEFAULT_SNR_AXIS), 8000.0, 5)
+        check_axis("lowpass", default_axis("lowpass", 8000.0), 8000.0, 5)
+        check_axis("lowpass", [4000.0, 9000.0, math.inf], 8000.0, 0)  # the order goes unused
 
 
 class TestApplyFilter:

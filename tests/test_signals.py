@@ -14,6 +14,7 @@ from fbsplab.signals import (
     derive_seed,
     frame,
     generate,
+    real_number,
     silence,
     sine,
 )
@@ -237,3 +238,10 @@ def test_a_grid_that_disagrees_with_the_signal_is_rejected(case, offset):
     assume(count >= 0)
     with pytest.raises(ValueError, match=f"grid declares {count} frames"):
         frame(signal, FrameGrid(frame_length, hop, count), window)
+
+
+def test_real_number_reads_numbers_and_numeric_text_only():
+    assert real_number(3, "x") == 3.0 and real_number("2.5", "x") == 2.5
+    for value in (True, False, None, [1.0], "a", {"x": 1}, 10 ** 400):
+        with pytest.raises(ValueError, match=r"^x must be a number, got "):
+            real_number(value, "x")

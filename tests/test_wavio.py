@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -49,3 +51,18 @@ def test_unknown_encoding(tmp_path):
     wf = Waveform(np.zeros(10), 8000)
     with pytest.raises(ValueError):
         write_wav(tmp_path / "e.wav", wf, encoding="pcm24")
+
+
+def test_float32_refuses_samples_beyond_its_range(tmp_path):
+    path = tmp_path / "c.wav"
+    wf = Waveform(np.array([0.5, -1e39, 0.25]), 8000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        with pytest.raises(ValueError, match=r"^float32 encoding .* magnitude 1e\+39$"):
+            write_wav(path, wf, encoding="float32")
+    assert not path.exists()
+    write_wav(path, wf, encoding="pcm16")  # pcm16 clips
+    assert read_wav(path).samples[1] == -32767 / 32768
+    top = float(np.finfo(np.float32).max)
+    write_wav(path, Waveform(np.array([top, -top]), 8000), encoding="float32")
+    assert np.array_equal(read_wav(path).samples, [top, -top])
