@@ -26,13 +26,13 @@ origin), and magnitudes of any transform built on it match the STFT exactly.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from fbsplab.runio import read_json, write_csv, write_json
 from fbsplab.signals import WindowSpec, real_number, whole_number
 
 __all__ = [
@@ -305,21 +305,13 @@ def frequency_response(
 def save_params(path: str, params: FbspParams, n_fft: int) -> None:
     """Write bank parameters as JSON: {m, f_b, f_c, n_fft}."""
     _check_n(n_fft)
-    doc = {
-        "m": params.m,
-        "f_b": params.f_b,
-        "f_c": [float(f) for f in params.f_c],
-        "n_fft": int(n_fft),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"m": params.m, "f_b": params.f_b, "f_c": params.f_c.tolist(),
+                      "n_fft": int(n_fft)})
 
 
 def load_params(path: str) -> tuple[FbspParams, int]:
     """Read a parameter JSON file back as (FbspParams, n_fft)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     required = {"m", "f_b", "f_c", "n_fft"}
@@ -342,11 +334,7 @@ def load_params(path: str) -> tuple[FbspParams, int]:
 
 def response_to_csv(path: str, response: FrequencyResponse) -> None:
     """Write a response as CSV: probe_freq, filter_0..filter_{F-1}, max_gain."""
-    from fbsplab.runio import write_csv
-
     num_filters = response.gains.shape[0]
     header = ["probe_freq"] + [f"filter_{k}" for k in range(num_filters)] + ["max_gain"]
-    rows = []
-    for j, f in enumerate(response.probe_freqs):
-        rows.append([f, *response.gains[:, j], response.max_gain_curve[j]])
-    write_csv(path, header, rows)
+    write_csv(path, header, ([f, *gains, top] for f, gains, top in zip(
+        response.probe_freqs, response.gains.T, response.max_gain_curve)))

@@ -276,9 +276,5 @@ def robustness_sweep(
 
 def sweep_to_csv(path: str, result: SweepResult) -> None:
     header = ["axis_value", "accuracy", "spectro_snr_db", "bank_label"]
-    rows = [
-        [result.axis[i], result.accuracy[i], result.spectro_snr_db[i],
-         result.bank_label]
-        for i in range(len(result.axis))
-    ]
-    write_csv(path, header, rows)
+    cells = zip(result.axis, result.accuracy, result.spectro_snr_db)
+    write_csv(path, header, ([*cell, result.bank_label] for cell in cells))

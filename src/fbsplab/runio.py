@@ -1,7 +1,8 @@
-"""Shared text output helpers: deterministic CSV/JSON formatting.
+"""The one text writer: deterministic CSV rows and JSON files.
 
 Floats are printed with 17 significant digits so equal values produce equal
-bytes and round-trip exactly through text.
+bytes and round-trip exactly through text. CSV rows are written to the open
+file as they are formatted, so no copy of the whole file's text is held.
 """
 
 from __future__ import annotations
@@ -14,21 +15,15 @@ __all__ = ["format_value", "write_csv", "write_json", "read_json"]
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+    """A float (numpy's float64 included) as ``%.17g``, anything else ``str()``."""
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def _jsonable(obj):

@@ -17,11 +17,13 @@ with the (N, 2F) matrix [Re K; Im K]^T and returns log-power rows;
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from fbsplab.bank import BankDescriptor, FbspParams, KernelBank
+from fbsplab.runio import write_csv, write_json
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 
 __all__ = [
@@ -160,10 +162,6 @@ def spectrogram_to_csv(path: str, spec: Spectrogram) -> None:
     The sidecar at ``path + '.meta.json'`` records the frame grid, eps and
     bank provenance needed to interpret the matrix.
     """
-    import os
-
-    from fbsplab.runio import write_csv, write_json
-
     header = [f"frame_{t}" for t in range(spec.values.shape[1])]
     write_csv(path, header, spec.values.tolist())
     write_json(os.fspath(path) + ".meta.json", {
