@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
-from typing import Sequence
+from dataclasses import MISSING, fields, replace
+from typing import Sequence, get_origin, get_type_hints
 
 from fbsplab.bank import (  # the build bound comes with its peak factor
     _BUILD_PEAK_FACTOR,
@@ -213,7 +213,10 @@ def _checked_object(value, key: str, known, label=None) -> dict:
     return value
 
 
-_CLASS_KINDS = {"name": str, "kind": str, "low_hz": float, "high_hz": float, "amplitude": tuple}
+# ClassSpec's field types (the amplitude pair as ``tuple``) and required fields
+_CLASS_KINDS = {name: get_origin(hint) or hint
+                for name, hint in get_type_hints(ClassSpec).items()}
+_CLASS_REQUIRED = [f.name for f in fields(ClassSpec) if f.default is MISSING]
 
 
 def _class_entries(value, key: str) -> list[dict]:
@@ -221,7 +224,7 @@ def _class_entries(value, key: str) -> list[dict]:
         raise ValueError(f"{key} must be a list of class objects, got {value!r}")
     for i, entry in enumerate(value):
         _checked_object(entry, f"{key}[{i}]", _CLASS_KINDS)
-        missing = [name for name in _CLASS_KINDS if name != "amplitude" and name not in entry]
+        missing = [name for name in _CLASS_REQUIRED if name not in entry]
         if missing:
             raise ValueError(f"{key}[{i}] is missing {', '.join(missing)}")
     return [{name: _CASTS[_CLASS_KINDS[name]](item, f"{key}[{i}].{name}")

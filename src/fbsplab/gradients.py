@@ -45,6 +45,7 @@ __all__ = [
     "SingularGradientError",
     "SINC_ZONE_RADIUS",
     "MAX_DRAW_ATTEMPTS",
+    "DRAW_MARGIN",
     "fbsp_loss",
     "loss_gradient",
     "kernel_jacobian_vector",
@@ -63,6 +64,9 @@ SINC_ZONE_RADIUS = 1e-6
 # seen at 4096); this cap sits far above what any n_fft up to 1024 needs
 # while ending a hopeless search in seconds.
 MAX_DRAW_ATTEMPTS = 100_000
+# Least clearance from envelope zeros, in sinc-argument units, of a draw
+# ``admissible_draw`` admits.
+DRAW_MARGIN = 1e-2
 
 
 class SingularGradientError(ValueError):
@@ -278,31 +282,28 @@ def admissible_draw(
     rng: np.random.Generator,
     n_fft: int,
     step: float = 1e-6,
-    margin: float = 1e-2,
-    m_range: tuple[float, float] = (0.0, 4.0),
-    fb_range: tuple[float, float] = (0.25, 4.0),
 ) -> FbspParams:
-    """Draw (m, f_b) uniformly, rejecting draws a difference quotient cannot
-    resolve.
+    """Draw m uniformly from [0, 4) and f_b from [0.25, 4), rejecting draws a
+    difference quotient cannot resolve.
 
     Two conditions gate admission. The clearance from envelope zeros must be
-    at least ``margin`` in sinc-argument units, since the objective's higher
-    derivatives blow up against the zeros. And the probe points m +- 2 step,
-    f_b +- 2 step may sweep each tap's sinc argument by at most a thousandth
-    of that clearance, which caps the quadratic truncation error near 1e-6
-    relative; this rejects small m outright, where perturbing m slides taps
-    across whole zero spacings. f_c is the DFT grid. After
+    at least ``DRAW_MARGIN`` in sinc-argument units, since the objective's
+    higher derivatives blow up against the zeros. And the probe points
+    m +- 2 step, f_b +- 2 step may sweep each tap's sinc argument by at most a
+    thousandth of that clearance, which caps the quadratic truncation error
+    near 1e-6 relative; this rejects small m outright, where perturbing m
+    slides taps across whole zero spacings. f_c is the DFT grid. After
     ``MAX_DRAW_ATTEMPTS`` rejections it raises ``SingularGradientError``.
     """
     grid = dft_grid(n_fft)
     t_max = (n_fft - 1) / 2.0
     for _ in range(MAX_DRAW_ATTEMPTS):
-        m = rng.uniform(*m_range)
-        f_b = rng.uniform(*fb_range)
+        m = rng.uniform(0.0, 4.0)
+        f_b = rng.uniform(0.25, 4.0)
         if m <= 2.0 * step:
             continue
         clearance = sinc_zone_clearance(m, f_b, n_fft)
-        if clearance < margin:
+        if clearance < DRAW_MARGIN:
             continue
         u_max = f_b * t_max / m
         probe_sweep = 2.0 * step * u_max * max(1.0 / m, 1.0 / f_b)

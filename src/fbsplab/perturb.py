@@ -11,6 +11,7 @@ impulse oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from fbsplab.transform import bank_energy_ratio
 from fbsplab.runio import write_csv
 
 __all__ = [
+    "MAX_ORDER",
     "snr_power_ratio",
     "add_awgn",
     "ButterworthFilter",
@@ -35,9 +37,18 @@ __all__ = [
 ]
 
 
+# Largest Butterworth order accepted. Design and filtering both grow with the
+# order (one section, and one pass over the clip, per pole pair): order 1000
+# filters a 30 s, 16 kHz clip in about half a second with finite output, while
+# order 3,000,000 runs for many seconds and ends in non-finite samples.
+MAX_ORDER = 1000
+
+
 def snr_power_ratio(snr_db: float) -> float:
     """The signal-to-noise power ratio 10 ** (snr_db / 10) of an SNR level, inf
-    at +inf; a ValueError names a NaN level or one whose ratio is 0 or overflows."""
+    at +inf; a ValueError names a NaN level or one whose ratio overflows or falls
+    below the smallest normal float (levels under about -3076.5 dB). A normal
+    ratio keeps the noise sigma finite for any clip of power below 4."""
     if math.isnan(snr_db):
         raise ValueError("snr_db must not be NaN")
     if snr_db == math.inf:
@@ -46,7 +57,7 @@ def snr_power_ratio(snr_db: float) -> float:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         ratio = math.inf
-    if not 0.0 < ratio < math.inf:
+    if not sys.float_info.min <= ratio < math.inf:
         raise ValueError(f"snr_db {snr_db} dB puts the noise level outside float range")
     return ratio
 
@@ -117,6 +128,8 @@ def design_butterworth_lowpass(
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
     if not 0.0 < cutoff_hz < sample_rate / 2.0:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie inside (0, {sample_rate / 2}) Hz")

@@ -24,7 +24,7 @@ bank velocity reset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -289,11 +289,6 @@ class EpochRecord:
     m: float
     f_b: float
 
-    FIELDS = ("epoch", "total_loss", "task_loss", "fbsp_loss", "accuracy", "m", "f_b")
-
-    def row(self) -> list:
-        return [getattr(self, name) for name in self.FIELDS]
-
 
 @dataclass(frozen=True)
 class TrainLog:
@@ -306,7 +301,7 @@ class TrainLog:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, list(EpochRecord.FIELDS), [r.row() for r in self.records])
+        write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, self.records))
 
 
 class TrainingDiverged(RuntimeError):

@@ -969,3 +969,30 @@ def test_any_json_value_at_a_knob_is_typed_or_named(tmp_path_factory, data):
     else:
         flag, kind, default = table[path]
         assert kind is dict or has_kind(at(resolved, path), kind, default)
+
+
+def test_huge_butterworth_order_is_refused_quickly(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+    start = time.perf_counter()
+    assert main(["perturb", "--input", str(wav), "--cutoff-hz", "1000", "--order", "3000000",
+                 "--out", str(tmp_path / "o.wav")]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "order must be at most 1000, got 3000000" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "lowpass", "--order", "3000000"], "order must be at most 1000, got 3000000"),
+    (["--kind", "awgn", "--axis=-3100"], "snr_db -3100.0 dB puts the noise level outside"),
+])
+def test_order_cap_and_subnormal_level_fail_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                              argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus or trained before the axis was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    monkeypatch.setattr(fbsplab.cli, "train", no_work)
+    assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

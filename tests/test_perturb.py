@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fbsplab.bank import dft_kernel
 from fbsplab.perturb import (
     DEFAULT_SNR_AXIS,
+    MAX_ORDER,
     ButterworthFilter,
     SweepResult,
     add_awgn,
@@ -15,6 +17,7 @@ from fbsplab.perturb import (
     design_butterworth_lowpass,
     magnitude_response_db,
     robustness_sweep,
+    snr_power_ratio,
     sweep_to_csv,
 )
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, sine
@@ -313,3 +316,29 @@ class TestRobustnessSweep:
         first = lines[1].split(",")
         assert first[0] == "inf"
         assert first[3] == "stub"
+
+
+class TestBounds:
+    def test_order_above_the_cap_is_refused_naming_order_and_cap(self):
+        with pytest.raises(ValueError, match=f"order must be at most {MAX_ORDER}, got 3000000"):
+            design_butterworth_lowpass(3_000_000, 1000.0, 8000.0)
+        with pytest.raises(ValueError, match=f"order must be at most {MAX_ORDER}"):
+            check_axis("lowpass", [1000.0], 8000.0, 3_000_000)
+
+    def test_order_at_the_cap_filters_to_finite_output(self):
+        filt = design_butterworth_lowpass(MAX_ORDER, 1000.0, 8000.0)
+        assert filt.num_sections == MAX_ORDER // 2
+        out = apply_filter(filt, sine(440.0, 0.5, 8000))
+        assert np.all(np.isfinite(out.samples))
+
+    def test_subnormal_power_ratio_is_refused(self):
+        assert 10.0 * math.log10(sys.float_info.min) > -3077.0
+        with pytest.raises(ValueError, match="snr_db -3100.0 dB puts the noise level outside"):
+            snr_power_ratio(-3100.0)
+        with pytest.raises(ValueError, match="snr_db -3100.0 dB"):
+            check_axis("awgn", [10.0, -3100.0], 8000.0, 5)
+
+    def test_lowest_normal_ratio_keeps_sigma_finite_below_power_4(self):
+        assert snr_power_ratio(-3076.5) >= sys.float_info.min
+        loud = Waveform(np.full(64, 1.999), 8000.0)  # power 3.996
+        assert np.all(np.isfinite(add_awgn(loud, -3076.5, seed=0).samples))
