@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from fbsplab.runio import read_json, write_csv, write_json
-from fbsplab.signals import WindowSpec, real_number, whole_number
+from fbsplab.signals import WindowSpec, frozen_field, real_number, whole_number
 
 __all__ = [
     "FbspParams",
@@ -67,7 +67,7 @@ class FbspParams:
             raise ValueError(f"m must be finite and >= 0, got {self.m}")
         if not np.isfinite(self.f_b) or self.f_b <= 0:
             raise ValueError(f"f_b must be finite and > 0, got {self.f_b}")
-        f_c = np.array(self.f_c, dtype=np.float64)
+        f_c = frozen_field(self, "f_c")
         if f_c.ndim != 1 or f_c.size == 0:
             raise ValueError("f_c must be a non-empty 1-D array")
         if not np.all(np.isfinite(f_c)):
@@ -76,10 +76,8 @@ class FbspParams:
             raise ValueError("f_c entries must lie within [0, 0.5] cycles/sample")
         if f_c.size > 1 and np.any(np.diff(f_c) <= 0):
             raise ValueError("f_c entries must be strictly increasing")
-        f_c.setflags(write=False)
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "f_b", float(self.f_b))
-        object.__setattr__(self, "f_c", f_c)
 
     @property
     def num_filters(self) -> int:
@@ -98,13 +96,11 @@ class KernelBank:
     norm_scale: float
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=np.complex128)
+        weights = frozen_field(self, "weights", np.complex128)
         if weights.ndim != 2:
             raise ValueError(f"bank weights must be 2-D, got shape {weights.shape}")
         if not np.all(np.isfinite(weights)):
             raise ValueError("bank weights contain non-finite entries")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "norm_scale", float(self.norm_scale))
 
     @property
@@ -132,11 +128,10 @@ def _check_n(n_fft: int) -> None:
         raise ValueError(f"n_fft must be >= 2, got {n_fft}")
 
 
-def dft_kernel(n_fft: int, two_sided: bool = False) -> KernelBank:
-    """Unit-norm DFT bank; one-sided (N//2 + 1 rows) unless ``two_sided``."""
+def dft_kernel(n_fft: int) -> KernelBank:
+    """Unit-norm one-sided DFT bank, N//2 + 1 rows."""
     _check_n(n_fft)
-    count = n_fft if two_sided else n_fft // 2 + 1
-    k = np.arange(count)[:, None]
+    k = np.arange(n_fft // 2 + 1)[:, None]
     n = np.arange(n_fft)[None, :]
     scale = 1.0 / np.sqrt(n_fft)
     weights = scale * np.exp(-2j * np.pi * (k / n_fft) * n)
@@ -208,11 +203,8 @@ class FrequencyResponse:
     max_gain_curve: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("probe_freqs", "gains", "max_gain_curve"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        probes, gains, curve = self.probe_freqs, self.gains, self.max_gain_curve
+        probes, gains, curve = (frozen_field(self, name)
+                                for name in ("probe_freqs", "gains", "max_gain_curve"))
         if gains.shape != (gains.shape[0], probes.size) or curve.shape != probes.shape:
             raise ValueError("inconsistent response shapes")
         if np.any(gains < 0) or not np.all(np.isfinite(gains)):

@@ -39,6 +39,7 @@ import numpy as np
 
 from fbsplab.bank import (FbspParams, KernelBank, centered_taps, dft_grid, fbsp_envelope,
                           fbsp_kernel)
+from fbsplab.signals import frozen_field
 
 __all__ = [
     "ParamGradient",
@@ -46,6 +47,7 @@ __all__ = [
     "SINC_ZONE_RADIUS",
     "MAX_DRAW_ATTEMPTS",
     "DRAW_MARGIN",
+    "MAX_CHECK_N_FFT",
     "fbsp_loss",
     "loss_gradient",
     "kernel_jacobian_vector",
@@ -67,6 +69,11 @@ MAX_DRAW_ATTEMPTS = 100_000
 # Least clearance from envelope zeros, in sinc-argument units, of a draw
 # ``admissible_draw`` admits.
 DRAW_MARGIN = 1e-2
+# Largest n_fft ``gradient_check_report`` differences. The oracle rebuilds the
+# whole (F, N) bank for every f_c probe, so a pass costs O(F^2 N): about 1.5 s
+# at n_fft 256, 11.5 s at 512 and 78 s at 1024 on a 2-core VM, some 7x per
+# doubling, which would put 2048 near ten minutes.
+MAX_CHECK_N_FFT = 1024
 
 
 class SingularGradientError(ValueError):
@@ -82,16 +89,14 @@ class ParamGradient:
     d_fc: np.ndarray
 
     def __post_init__(self) -> None:
-        d_fc = np.array(self.d_fc, dtype=np.float64)
+        d_fc = frozen_field(self, "d_fc")
         if d_fc.ndim != 1:
             raise ValueError("d_fc must be 1-D")
         if not (math.isfinite(self.d_m) and math.isfinite(self.d_fb)
                 and np.all(np.isfinite(d_fc))):
             raise ValueError("gradient contains non-finite components")
-        d_fc.setflags(write=False)
         object.__setattr__(self, "d_m", float(self.d_m))
         object.__setattr__(self, "d_fb", float(self.d_fb))
-        object.__setattr__(self, "d_fc", d_fc)
 
 
 def fbsp_loss(bank: KernelBank) -> float:
@@ -360,6 +365,9 @@ def gradient_check_report(
     rng = np.random.default_rng(seed)
     points = [FbspParams(m=point[0], f_b=point[1], f_c=dft_grid(n_fft))]
     points += [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
+    if n_fft > MAX_CHECK_N_FFT:
+        raise ValueError(f"a gradient check needs n_fft at most {MAX_CHECK_N_FFT}, "
+                         f"got n_fft {n_fft}")
 
     for i, params in enumerate(points):
         tag = "point" if i == 0 else f"draw{i - 1}"

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fbsplab.signals import Waveform, derive_seed
+from fbsplab.signals import Waveform, derive_seed, frozen_field
 from fbsplab.transform import bank_energy_ratio
 from fbsplab.runio import write_csv
 
@@ -98,7 +98,7 @@ class ButterworthFilter:
     sample_rate: float
 
     def __post_init__(self) -> None:
-        sections = np.array(self.sections, dtype=np.float64)
+        sections = frozen_field(self, "sections")
         if sections.ndim != 2 or sections.shape[1] != 5:
             raise ValueError(f"sections must be (S, 5), got {sections.shape}")
         if not np.all(np.isfinite(sections)):
@@ -107,8 +107,6 @@ class ButterworthFilter:
             # poles of z^2 + a1 z + a2 must sit inside the unit circle
             if a2 >= 1.0 or abs(a1) >= 1.0 + a2:
                 raise ValueError(f"unstable section: a1={a1}, a2={a2}")
-        sections.setflags(write=False)
-        object.__setattr__(self, "sections", sections)
 
     @property
     def num_sections(self) -> int:
@@ -224,12 +222,9 @@ class SweepResult:
     num_clips: int
 
     def __post_init__(self) -> None:
-        for name in ("axis", "accuracy", "spectro_snr_db"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        shape = self.axis.shape
-        if len(shape) != 1 or not shape == self.accuracy.shape == self.spectro_snr_db.shape:
+        axis, accuracy, snr = (frozen_field(self, name)
+                               for name in ("axis", "accuracy", "spectro_snr_db"))
+        if axis.ndim != 1 or not axis.shape == accuracy.shape == snr.shape:
             raise ValueError("axis, accuracy and spectro_snr_db must share one 1-D shape")
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "frame",
     "whole_number",
     "real_number",
+    "frozen_field",
 ]
 
 
@@ -65,8 +66,12 @@ def real_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _lock(array: np.ndarray) -> np.ndarray:
+def frozen_field(owner, name: str, dtype=np.float64) -> np.ndarray:
+    """Set frozen dataclass field ``name`` of ``owner`` to a read-only copy of
+    its value as an array of ``dtype``, and return that copy."""
+    array = np.array(getattr(owner, name), dtype=dtype)
     array.setflags(write=False)
+    object.__setattr__(owner, name, array)
     return array
 
 
@@ -83,7 +88,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
+        samples = frozen_field(self, "samples")
         if samples.ndim != 1:
             raise ValueError(f"waveform must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
@@ -91,7 +96,6 @@ class Waveform:
         rate = whole_number(self.sample_rate, "sample_rate")
         if rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", _lock(samples))
         object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:

@@ -41,7 +41,7 @@ from fbsplab.gradients import (
 from fbsplab.perturb import add_awgn
 from fbsplab.runio import write_csv
 from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, band_noise, chirp, derive_seed,
-                             frame, sine)
+                             frame, frozen_field, sine)
 from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward
 
 __all__ = [
@@ -135,9 +135,7 @@ class TaskCorpus:
 
     def __post_init__(self) -> None:
         for name in ("labels", "train_indices", "val_indices"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            frozen_field(self, name, np.int64)
         if self.labels.shape != (len(self.waveforms),):
             raise ValueError("labels must align with waveforms")
         combined = np.sort(np.concatenate([self.train_indices, self.val_indices]))
@@ -259,11 +257,8 @@ class LinearHead:
 
     def __post_init__(self) -> None:
         for name in ("weights", "bias", "feat_mean", "feat_std"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(frozen_field(self, name))):
                 raise ValueError("head contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         w = self.weights
         if w.ndim != 2 or self.bias.shape != (w.shape[0],):
             raise ValueError("weights must be (classes, features) with matching bias")

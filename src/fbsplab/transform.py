@@ -24,7 +24,7 @@ import numpy as np
 
 from fbsplab.bank import BankDescriptor, FbspParams, KernelBank
 from fbsplab.runio import write_csv, write_json
-from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
+from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame, frozen_field
 
 __all__ = [
     "Spectrogram",
@@ -49,7 +49,7 @@ class Spectrogram:
     eps: float
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = frozen_field(self, "values")
         if values.ndim != 2:
             raise ValueError(f"spectrogram values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -61,8 +61,6 @@ class Spectrogram:
             )
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "eps", float(self.eps))
 
 

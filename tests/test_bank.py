@@ -110,15 +110,14 @@ class TestKernelConstruction:
         b = fbsp_kernel(FbspParams(m=0.0, f_b=2.25, f_c=f_c), 32)
         assert np.max(np.abs(b.weights - a.weights * 1.5)) < 1e-15
 
-    def test_dft_kernel_two_sided(self):
+    def test_dft_kernel_is_one_sided_half_of_unitary_dft(self):
         one = dft_kernel(8)
-        two = dft_kernel(8, two_sided=True)
+        two = np.fft.fft(np.eye(8)) / np.sqrt(8)
         assert one.weights.shape == (5, 8)
-        assert two.weights.shape == (8, 8)
-        assert np.array_equal(two.weights[:5], one.weights)
-        # double transform of anything recovers Parseval scaling: W W^H = I
-        gram = two.weights @ two.weights.conj().T
-        assert np.max(np.abs(gram - np.eye(8))) < 1e-12
+        assert np.max(np.abs(one.weights - two[:5])) < 1e-15
+        # the rows are orthonormal: W W^H = I
+        gram = one.weights @ one.weights.conj().T
+        assert np.max(np.abs(gram - np.eye(5))) < 1e-12
 
     def test_bank_validation(self):
         with pytest.raises(ValueError):

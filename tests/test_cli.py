@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fbsplab.bank
 import fbsplab.cli
+import fbsplab.gradients
 from fbsplab.bank import (
     RESPONSE_PEAK_FACTOR,
     FbspParams,
@@ -119,6 +120,21 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert main(["gradcheck", "--draws", "-1", "--out", str(out)]) == 2
         assert "draws must be non-negative, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gradcheck_above_n_fft_cap_is_refused_before_differencing(
+            self, tmp_path, monkeypatch, capsys):
+        def no_difference(*args, **kwargs):
+            raise AssertionError("a difference quotient was taken")
+
+        monkeypatch.setattr(fbsplab.gradients, "finite_difference_oracle", no_difference)
+        start = time.perf_counter()
+        code = main(["gradcheck", "--n-fft", "2048", "--draws", "0",
+                     "--out", str(tmp_path / "r.json")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_fft 2048" in err and "1024" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_fractional_sample_rate_is_input_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fbsplab.training as training
 from fbsplab.bank import FbspParams, dft_grid, init_params
 from fbsplab.gradients import finite_difference_oracle
 from fbsplab.training import (
@@ -203,6 +204,47 @@ class TestTrain:
         config = TrainConfig(epochs=2, lr=0.01, freeze_epochs=2)
         result = train(corpus, config, FAST_FEATURES, init=start)
         assert result.params.m == 1.7 and result.params.f_b == 0.9
+
+    def test_refused_steps_are_skipped_with_momentum_reset(self, monkeypatch):
+        # with every proposal refused, each unfrozen epoch halves its step 20
+        # times, skips it and drops the bank velocity; the bank never moves
+        proposals, gradients, builds = [], [], []
+        real_gradient, real_kernel = training._bank_gradient, training.fbsp_kernel
+
+        def refuse(m, f_b, f_c, n_fft):
+            proposals.append(np.concatenate(([m, f_b], f_c)))
+            return False
+
+        def recorded_gradient(*args):
+            grad = real_gradient(*args)
+            gradients.append(np.concatenate(([grad.d_m, grad.d_fb], grad.d_fc)))
+            return grad
+
+        def counted_kernel(*args):
+            builds.append(args)
+            return real_kernel(*args)
+
+        monkeypatch.setattr(training, "_params_valid", refuse)
+        monkeypatch.setattr(training, "_bank_gradient", recorded_gradient)
+        monkeypatch.setattr(training, "fbsp_kernel", counted_kernel)
+        config = TrainConfig(epochs=6, lr=0.1, freeze_epochs=2)
+        result = train(small_task(), config, FAST_FEATURES)
+
+        start = init_params(64)
+        assert (result.params.m, result.params.f_b) == (0.0, 1.0)
+        assert np.array_equal(result.params.f_c, start.f_c)
+        assert len(builds) == 1
+        assert len(gradients) == 4 and len(proposals) == 21 * 4
+        assert list(result.log.column("epoch")) == list(range(6))
+        assert all((r.m, r.f_b) == (0.0, 1.0) for r in result.log.records)
+        theta = np.concatenate(([start.m, start.f_b], start.f_c))
+        for i, grad in enumerate(gradients):
+            steps = theta - np.array(proposals[21 * i:21 * (i + 1)])
+            # a velocity restarted at zero makes each first step lr (1 + mu) g
+            lr = config.lr * config.lr_decay ** (config.freeze_epochs + i)
+            np.testing.assert_allclose(steps[0], lr * (1 + config.momentum) * grad,
+                                       rtol=1e-9, atol=1e-15)
+            np.testing.assert_allclose(steps[-1], steps[0] / 2 ** 20, rtol=1e-3, atol=1e-15)
 
     def test_standardization_uses_init_train_stats(self):
         corpus = small_task()

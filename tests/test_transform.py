@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsplab.bank import dft_kernel, fbsp_kernel, init_params
+from fbsplab.bank import KernelBank, dft_kernel, fbsp_kernel, init_params
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame, sine
 from fbsplab.transform import (
     DEFAULT_EPS,
@@ -61,7 +61,9 @@ class TestAnalyze:
         x = random_waveform(64, 2)
         grid = FrameGrid.for_length(len(x), n_fft, n_fft)
         win = WindowSpec("rectangular", n_fft)
-        coeffs = analyze(x, dft_kernel(n_fft, two_sided=True), grid, win)
+        scale = 1.0 / math.sqrt(n_fft)
+        two_sided = KernelBank(np.fft.fft(np.eye(n_fft)) * scale, "dft", scale)
+        coeffs = analyze(x, two_sided, grid, win)
         frames = frame(x, grid, win)
         for t in range(grid.num_frames):
             assert math.isclose(np.sum(np.abs(coeffs[:, t]) ** 2),
