@@ -70,9 +70,9 @@ MAX_DRAW_ATTEMPTS = 100_000
 # ``admissible_draw`` admits.
 DRAW_MARGIN = 1e-2
 # Largest n_fft ``gradient_check_report`` differences. The oracle rebuilds the
-# whole (F, N) bank for every f_c probe, so a pass costs O(F^2 N): about 1.5 s
-# at n_fft 256, 11.5 s at 512 and 78 s at 1024 on a 2-core VM, some 7x per
-# doubling, which would put 2048 near ten minutes.
+# whole (F, N) bank for every f_c probe, so a pass costs O(F^2 N): 0.2 s at
+# n_fft 128, 1.3 s at 256, 8.8 s at 512 and 67 s at 1024 (the whole command)
+# on a 2-core x86-64 VM, about 7x per doubling.
 MAX_CHECK_N_FFT = 1024
 
 
