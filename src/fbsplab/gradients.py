@@ -342,6 +342,7 @@ def gradient_check_report(
     suite covers the loss gradient at a fixed point and at random admitted
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
+    Raises ValueError for n_fft above ``MAX_CHECK_N_FFT``, after the draws.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
