@@ -44,6 +44,7 @@ from fbsplab.bank import (  # the build bound comes with its peak factor
 )
 from fbsplab.gradients import SingularGradientError, gradient_check_report
 from fbsplab.perturb import (
+    SWEEP_KINDS,
     add_awgn,
     apply_filter,
     check_axis,
@@ -178,7 +179,7 @@ _TRAIN_KNOBS = [
 ]
 
 _SWEEP_KNOBS = _TRAIN_KNOBS + [
-    ("sweep.kind", "--kind", ["awgn", "lowpass"], "awgn", None),
+    ("sweep.kind", "--kind", list(SWEEP_KINDS), "awgn", None),
     ("sweep.axis", "--axis", list, None, "comma-separated axis values ('inf' allowed)"),
     ("sweep.order", "--order", int, 5, "Butterworth order (lowpass)"),
     ("sweep.seed", None, int, 0, None),
@@ -401,7 +402,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
     frozen_cfg = replace(train_cfg, freeze_epochs=train_cfg.epochs)
     models = [
         train(corpus, frozen_cfg, features).model("stft"),
-        train(corpus, train_cfg, features).model("fbsp"),
+        train(corpus, train_cfg, features),
     ]
     val_wfs = [corpus.waveforms[i] for i in corpus.val_indices]
     val_labels = [int(v) for v in corpus.labels[corpus.val_indices]]

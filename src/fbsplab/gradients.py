@@ -247,7 +247,7 @@ def finite_difference_oracle(
     when a probe would leave the valid domain (f_c entries at 0 or 0.5, or
     m within one step of 0), so accuracy stays O(step^2) throughout.
     """
-    if step <= 0:
+    if not step > 0:  # NaN included
         raise ValueError(f"step must be positive, got {step}")
 
     def derivative(shift: Callable[[float], FbspParams]) -> float:
@@ -342,10 +342,17 @@ def gradient_check_report(
     suite covers the loss gradient at a fixed point and at random admitted
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
-    Raises ValueError for n_fft above ``MAX_CHECK_N_FFT``, after the draws.
+    Raises ValueError, before any draw, for a negative ``draws`` or a ``step``
+    that is not finite, positive and below 1/(2 n_fft), at which a one-sided
+    stencil from f_c[0] = 0 would reach f_c[1]; and for n_fft above
+    ``MAX_CHECK_N_FFT``, after the draws.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
+    grid = dft_grid(n_fft)  # refuses an n_fft below 2
+    if not 0.0 < step < 0.5 / n_fft:  # NaN included
+        raise ValueError(f"step must be positive and below 1/(2 n_fft) = {0.5 / n_fft} "
+                         f"at n_fft {n_fft}, got {step}")
 
     def loss_of(p: FbspParams) -> float:
         return fbsp_loss(fbsp_kernel(p, n_fft))
@@ -364,7 +371,7 @@ def gradient_check_report(
         })
 
     rng = np.random.default_rng(seed)
-    points = [FbspParams(m=point[0], f_b=point[1], f_c=dft_grid(n_fft))]
+    points = [FbspParams(m=point[0], f_b=point[1], f_c=grid)]
     points += [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
     if n_fft > MAX_CHECK_N_FFT:
         raise ValueError(f"a gradient check needs n_fft at most {MAX_CHECK_N_FFT}, "

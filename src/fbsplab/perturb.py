@@ -30,6 +30,7 @@ __all__ = [
     "magnitude_response_db",
     "apply_filter",
     "SweepResult",
+    "SWEEP_KINDS",
     "default_axis",
     "check_axis",
     "robustness_sweep",
@@ -185,6 +186,8 @@ def apply_filter(filt: ButterworthFilter, signal: Waveform) -> Waveform:
 # robustness sweeps
 # ---------------------------------------------------------------------------
 
+# The perturbation kinds a sweep runs; a kind's index seeds its cells' noise.
+SWEEP_KINDS = ("awgn", "lowpass")
 DEFAULT_SNR_AXIS = (math.inf, 30.0, 25.0, 20.0, 15.0, 10.0, 5.0, 0.0)
 
 
@@ -259,9 +262,10 @@ def robustness_sweep(
         raise ValueError("waveforms and labels disagree in length")
     if len(waveforms) == 0:
         raise ValueError("sweep needs at least one clip")
-    kind_id = {"awgn": 0, "lowpass": 1}.get(kind)
-    if kind_id is None:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected 'awgn' or 'lowpass'")
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown sweep kind {kind!r}; expected one of "
+                         f"{', '.join(SWEEP_KINDS)}")
+    kind_id = SWEEP_KINDS.index(kind)
     clean_specs = [model.spectrogram(wf) for wf in waveforms]
     accuracy = np.zeros(len(axis))
     snr_out = np.zeros(len(axis))

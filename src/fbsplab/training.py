@@ -24,7 +24,7 @@ bank velocity reset.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -40,8 +40,8 @@ from fbsplab.gradients import (
 )
 from fbsplab.perturb import add_awgn
 from fbsplab.runio import write_csv
-from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, band_noise, chirp, derive_seed,
-                             frame, frozen_field, sine)
+from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
+                             derive_seed, frame, frozen_field, sine)
 from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "TrainLog",
     "TrainingDiverged",
     "TrainedModel",
-    "TrainResult",
     "train",
 ]
 
@@ -178,10 +177,17 @@ def make_task(
     Every example draws from its own generator seeded by (seed, class index,
     example index), so corpora are reproducible and individual clips can be
     regenerated in isolation. snr_range of None keeps clips clean; a scalar
-    adds noise at that level, a (lo, hi) pair draws a level per clip.
+    adds noise at that level, a (lo, hi) pair draws a level per clip. A pair
+    with lo > hi or an infinite width, and a class band reaching Nyquist, are
+    refused before any clip is drawn.
     """
     if len(classes) < 2:
         raise ValueError("a classification task needs at least two classes")
+    if isinstance(snr_range, tuple) and not 0.0 <= snr_range[1] - snr_range[0] < math.inf:
+        raise ValueError(f"snr_range must be a [lo, hi] pair with lo <= hi and a finite "
+                         f"width, got {list(snr_range)}")
+    for spec in classes:
+        _check_band(spec.high_hz, sample_rate, f"class {spec.name!r} high_hz")
     if samples_per_class < 2:
         raise ValueError("need at least two samples per class")
     if not 0.0 < train_fraction < 1.0:
@@ -309,17 +315,23 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Inference bundle: bank parameters, head, and feature settings."""
+    """Inference bundle: bank parameters, head, feature settings and the bank
+    label a sweep writes; ``log`` is ``train``'s log, None for a hand-built model."""
 
     params: FbspParams
     head: LinearHead
     features: FeatureSpec
     class_names: tuple[str, ...]
     bank_label: str = "fbsp"
+    log: TrainLog | None = None
 
     @cached_property
     def bank(self) -> KernelBank:
         return fbsp_kernel(self.params, self.features.n_fft)
+
+    def model(self, bank_label: str) -> "TrainedModel":
+        """This model under another bank label."""
+        return replace(self, bank_label=bank_label)
 
     def spectrogram(self, signal: Waveform) -> Spectrogram:
         return self.features.spectrogram(signal, self.bank)
@@ -328,20 +340,6 @@ class TrainedModel:
         """Class index of a spectrogram rendered by ``spectrogram``."""
         logits = self.head.logits(spec.values.mean(axis=1)[None, :])
         return int(np.argmax(logits[0]))
-
-
-@dataclass(frozen=True)
-class TrainResult:
-    params: FbspParams
-    head: LinearHead
-    log: TrainLog
-    features: FeatureSpec
-    class_names: tuple[str, ...]
-
-    def model(self, bank_label: str = "fbsp") -> TrainedModel:
-        return TrainedModel(params=self.params, head=self.head,
-                            features=self.features, class_names=self.class_names,
-                            bank_label=bank_label)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +495,13 @@ def train(
     config: TrainConfig = TrainConfig(),
     features: FeatureSpec = FeatureSpec(),
     init: FbspParams | None = None,
-) -> TrainResult:
+) -> TrainedModel:
     """Full-batch training of the head and (after a freeze) the bank.
 
-    The log holds exactly config.epochs records, each snapshotting the state
-    at the start of its epoch; the returned parameters include the final
-    update. Raises TrainingDiverged when the objective leaves the reals.
+    Returns the trained model labelled "fbsp". Its log holds exactly
+    config.epochs records, each snapshotting the state at the start of its
+    epoch; its parameters include the final update. Raises TrainingDiverged
+    when the objective leaves the reals.
     """
     params = init if init is not None else init_params(features.n_fft)
     frames_all = prepare_frames(corpus, features)
@@ -566,6 +565,6 @@ def train(
         else:
             vel_bank = np.zeros_like(vel_bank)  # drop momentum into the wall
 
-    return TrainResult(params=params, head=LinearHead(weights, bias, feat_mean, feat_std),
-                       log=TrainLog(tuple(records)), features=features,
-                       class_names=corpus.class_names)
+    return TrainedModel(params=params, head=LinearHead(weights, bias, feat_mean, feat_std),
+                        features=features, class_names=corpus.class_names,
+                        log=TrainLog(tuple(records)))

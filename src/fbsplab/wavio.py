@@ -7,7 +7,6 @@ samples are scaled to [-1, 1) doubles; float files are read as-is.
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import wavfile
 
 from fbsplab.signals import Waveform
 
@@ -18,6 +17,8 @@ _PCM16_SCALE = 32768.0
 
 def read_wav(path: str) -> Waveform:
     """Load a PCM 16-bit or float 32-bit WAV file as a mono Waveform."""
+    from scipy.io import wavfile  # imported here: commands that touch no WAV skip scipy
+
     rate, data = wavfile.read(path)
     if data.ndim == 2:
         data = data.mean(axis=1)
@@ -52,4 +53,6 @@ def write_wav(path: str, signal: Waveform, encoding: str = "pcm16") -> None:
             raise ValueError(f"float32 encoding cannot hold a sample of magnitude {peak}")
     else:
         raise ValueError(f"unknown WAV encoding {encoding!r}, expected pcm16 or float32")
+    from scipy.io import wavfile
+
     wavfile.write(path, signal.sample_rate, data)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fbsplab.bank
 import fbsplab.cli
 import fbsplab.gradients
+import fbsplab.training
 from fbsplab.bank import (
     RESPONSE_PEAK_FACTOR,
     FbspParams,
@@ -62,6 +63,18 @@ def test_import_leaves_scipy_signal_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # wavio imports scipy.io only when a WAV is read or written, so commands
+    # that touch no WAV (train, sweep, gradcheck, freq-response) skip scipy
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fbsplab.cli; "
+         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", ["fbsplab.signals", "fbsplab.bank"])
@@ -1011,4 +1024,51 @@ def test_order_cap_and_subnormal_level_fail_before_the_corpus(tmp_path, capsys, 
     monkeypatch.setattr(fbsplab.cli, "train", no_work)
     assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# task settings and gradcheck steps refused before any work
+# ---------------------------------------------------------------------------
+
+
+def no_clip(*args, **kwargs):
+    raise AssertionError("a clip was drawn before the task settings were checked")
+
+
+@pytest.mark.parametrize("snr_range", [[10, "inf"], [-1e308, 1e308], [20, 10]])
+def test_bad_snr_range_is_refused_before_any_clip(tmp_path, capsys, monkeypatch, snr_range):
+    # the first two ended in an OverflowError traceback (exit 1), the last in
+    # numpy's "high - low < 0", which names no setting
+    monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
+    assert run_with_config(tmp_path, "train", {"task": {"snr_range": snr_range}}) == 2
+    assert "snr_range must be a [lo, hi] pair with lo <= hi" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_class_band_reaching_nyquist_is_refused_before_any_clip(tmp_path, capsys, monkeypatch,
+                                                                 seed):
+    # this band failed at seed 0 naming a drawn sine frequency, and trained at seed 4
+    edge = {"name": "edge", "kind": "tone", "low_hz": 100.0, "high_hz": 4100.0}
+    monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
+    assert run_with_config(tmp_path, "train", {"task": {"classes": [edge, HIGH], "seed": seed}}) == 2
+    assert ("class 'edge' high_hz 4100.0 Hz is at or above Nyquist (4000.0 Hz)"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("step", ["0.0078125", "nan", "inf", "0.0078"])
+def test_gradcheck_step_must_be_below_half_a_bin(tmp_path, capsys, step):
+    # at n_fft 64 the bound is 1/128: a one-sided stencil from f_c[0] = 0 reaches f_c[1]
+    out = tmp_path / "r.json"
+    code = main(["gradcheck", "--n-fft", "64", "--draws", "0", f"--step={step}",
+                 "--out", str(out)])
+    if step == "0.0078":
+        assert code in (0, 3)
+        assert json.loads(out.read_text())["step"] == 0.0078
+        return
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "step must be positive and below 1/(2 n_fft) = 0.0078125 at n_fft 64" in err
     assert list(tmp_path.iterdir()) == []

@@ -13,6 +13,7 @@ from fbsplab.training import (
     LinearHead,
     TaskCorpus,
     TrainConfig,
+    TrainedModel,
     TrainingDiverged,
     feature_matrix,
     make_task,
@@ -268,6 +269,23 @@ class TestModelAndLog:
         correct = sum(model.predict(model.spectrogram(corpus.waveforms[i])) == corpus.labels[i]
                       for i in corpus.val_indices)
         assert correct / len(corpus.val_indices) >= 0.95
+
+    def test_train_returns_the_model_a_sweep_runs(self):
+        corpus = small_task()
+        config = TrainConfig(epochs=3, lr=0.1, freeze_epochs=1)
+        model = train(corpus, config, FAST_FEATURES)
+        assert isinstance(model, TrainedModel)
+        assert model.bank_label == "fbsp"
+        assert len(model.log) == config.epochs
+        spec = model.spectrogram(corpus.waveforms[0])
+        assert spec.values.shape[0] == model.params.num_filters
+        assert model.predict(spec) in range(corpus.num_classes)
+        stft = model.model("stft")
+        assert stft.bank_label == "stft"
+        assert stft.params is model.params and stft.log is model.log
+        hand_built = TrainedModel(params=model.params, head=model.head,
+                                  features=FAST_FEATURES, class_names=corpus.class_names)
+        assert hand_built.log is None
 
     def test_log_csv(self, tmp_path):
         corpus = small_task()
