@@ -54,20 +54,7 @@ def read_csv_matrix(path):
                                for line in lines[1:]])
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is most of the start-up cost of every command, and only
-    # the low-pass filter needs it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fbsplab.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 def test_import_loads_no_scipy():
-    # wavio imports scipy.io only when a WAV is read or written, so commands
-    # that touch no WAV (train, sweep, gradcheck, freq-response) skip scipy
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fbsplab.cli; "
@@ -75,6 +62,29 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_wav_and_filter_commands_load_no_scipy(tmp_path):
+    # the WAV codec and the low-pass filter are numpy code; scipy is only the
+    # tests' reference
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(SMALL_RUN_CONFIG))
+    wav, out = str(tmp_path / "x.wav"), str(tmp_path / "y")
+    commands = [
+        ["gen", "--duration", "0.2", "--out", wav],
+        ["spectrogram", "--input", wav, "--out", out + ".csv", "--n-fft", "64"],
+        ["perturb", "--input", wav, "--out", out + ".wav", "--snr-db", "10"],
+        ["perturb", "--input", wav, "--out", out + ".wav", "--cutoff-hz", "900"],
+        ["sweep", "--config", str(cfg), "--kind", "lowpass", "--axis", "1000,3000",
+         "--out", out],
+    ]
+    script = ("import sys; from fbsplab.cli import main\n"
+              f"codes = [main(argv) for argv in {commands!r}]\n"
+              "print(codes, sorted(name for name in sys.modules "
+              "if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("module", ["fbsplab.signals", "fbsplab.bank"])
