@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -110,6 +111,15 @@ class KernelBank:
     @property
     def num_taps(self) -> int:
         return int(self.weights.shape[1])
+
+    @cached_property
+    def real_matrix(self) -> np.ndarray:
+        """The read-only (N, 2F) real matrix [Re W; Im W]^T that
+        ``transform.forward`` multiplies frames by, built on first use (so a
+        bank that is never run through ``forward`` never holds it)."""
+        matrix = np.concatenate([self.weights.real, self.weights.imag]).T
+        matrix.setflags(write=False)
+        return matrix
 
 
 def dft_grid(n_fft: int) -> np.ndarray:

@@ -71,13 +71,15 @@ def add_awgn(signal: Waveform, snr_db: float, seed: int) -> Waveform:
     """Add white Gaussian noise so that mean(x^2) / var(noise) hits snr_db.
 
     snr_db = +inf returns the input unchanged (control arm of a sweep).
-    The signal must carry nonzero power for the ratio to be defined, and the
-    noise sigma must be a finite float.
+    The signal must carry nonzero power for the ratio to be defined, so an
+    empty or all-zero clip is refused, and the noise sigma must be a finite
+    float.
     """
     ratio = snr_power_ratio(snr_db)
     if ratio == math.inf:
         return signal
-    power = float(np.mean(signal.samples ** 2))
+    # an empty clip has no power; its mean would be NaN, with numpy warnings
+    power = float(np.mean(signal.samples ** 2)) if len(signal) else 0.0
     if power == 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")
     sigma = math.sqrt(power / ratio)

@@ -9,16 +9,16 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-What the trainer derives from the bank (the kernel, one
-``transform.forward`` over each split's frames stacked, the regularizer
-loss) depends on the parameters alone, so it is rendered once per parameter
-value an epoch starts from, and once per run while the bank is frozen. The
-freeze only decides whether an epoch runs the bank gradient:
-``transform.backward`` and the analytic cotangent pullback. A proposed bank
-step is validated before it is taken (m >= 0, f_b > 0, ordered in-band f_c,
-and the gradients' own ``require_gradient_point`` exclusion rule); invalid
-steps are halved up to 20 times and skipped when still invalid, with the
-bank velocity reset.
+Each split's frames are stacked into one array once per run. What the
+trainer derives from the bank (the kernel, one ``transform.forward`` over
+each split's stack, the regularizer loss) depends on the parameters alone,
+so it is rendered once per parameter value an epoch starts from, and once
+per run while the bank is frozen. The freeze only decides whether an epoch
+runs the bank gradient: ``transform.backward`` and the analytic cotangent
+pullback. A proposed bank step is validated before it is taken (m >= 0,
+f_b > 0, ordered in-band f_c, and the gradients' own
+``require_gradient_point`` exclusion rule); invalid steps are halved up to
+20 times and skipped when still invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class FeatureSpec:
             raise ValueError(f"bank has {bank.num_taps} taps but frames are {self.n_fft} samples")
         grid = self.grid_for(len(signal))
         frames = frame(signal, grid, WindowSpec(self.window, self.n_fft))
-        logp, _ = forward(bank, frames, self.eps)
+        logp = forward(bank, frames, self.eps)[0]  # the cache is freed before values are copied
         return Spectrogram(values=logp.T, grid=grid, bank_descriptor=bank.params, eps=self.eps)
 
 
@@ -353,13 +353,20 @@ def prepare_frames(corpus: TaskCorpus, features: FeatureSpec) -> list[np.ndarray
     return [frame(wf, features.grid_for(len(wf)), window) for wf in corpus.waveforms]
 
 
-def _clip_features(bank: KernelBank, frames_list: Sequence[np.ndarray], eps: float):
-    """(clips, filters) time-averaged log-power rows from one ``forward`` of
-    every clip's frames stacked, with its cache and the clips' frame counts."""
+def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every clip's frames stacked into one (frames, N) array, and the clips'
+    frame counts."""
     counts = np.array([len(frames) for frames in frames_list])
     if np.any(counts < 1):
         raise ValueError("every clip needs at least one frame")
-    logp, cache = forward(bank, np.concatenate(frames_list), eps)
+    return np.concatenate(frames_list), counts
+
+
+def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float):
+    """(clips, filters) time-averaged log-power rows from one ``forward`` of a
+    ``_stack_frames`` split, with its cache and the clips' frame counts."""
+    frames, counts = split
+    logp, cache = forward(bank, frames, eps)
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache, counts
 
@@ -367,7 +374,8 @@ def _clip_features(bank: KernelBank, frames_list: Sequence[np.ndarray], eps: flo
 def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
                    features: FeatureSpec) -> np.ndarray:
     """Stack per-clip time-averaged log-power vectors into (clips, filters)."""
-    return _clip_features(fbsp_kernel(params, features.n_fft), frames_list, features.eps)[0]
+    return _clip_features(fbsp_kernel(params, features.n_fft), _stack_frames(frames_list),
+                          features.eps)[0]
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -447,7 +455,7 @@ def pipeline_gradients(
     bank_gradient).
     """
     bank = fbsp_kernel(params, features.n_fft)
-    feats, cache, counts = _clip_features(bank, frames_list, features.eps)
+    feats, cache, counts = _clip_features(bank, _stack_frames(frames_list), features.eps)
     bank_reg = fbsp_loss(bank)
     ce, objective, grad_w, grad_b, dfeat = _head_pass(feats, head, labels, weight_decay)
     bank_grad = _bank_gradient(params, features.n_fft, cache, counts, dfeat, lambda_fbsp)
@@ -463,7 +471,9 @@ def pipeline_gradients(
 class _BankPoint:
     """What ``train`` derives from one parameter value: the bank's regularizer
     loss, the validation features, and the train features with the cache and
-    frame counts the bank gradient needs."""
+    frame counts the bank gradient needs. The cache holds the train split's
+    stacked frames, not a copy, and ``backward`` leaves it unchanged, so a
+    point whose step was refused runs the bank gradient again."""
 
     params: FbspParams
     bank_loss: float
@@ -473,12 +483,12 @@ class _BankPoint:
     counts: np.ndarray
 
     @classmethod
-    def render(cls, params: FbspParams, train_frames: Sequence[np.ndarray],
-               val_frames: Sequence[np.ndarray], features: FeatureSpec) -> "_BankPoint":
+    def render(cls, params: FbspParams, train_split: tuple[np.ndarray, np.ndarray],
+               val_split: tuple[np.ndarray, np.ndarray], features: FeatureSpec) -> "_BankPoint":
         bank = fbsp_kernel(params, features.n_fft)
-        val_feats = _clip_features(bank, val_frames, features.eps)[0]
+        val_feats = _clip_features(bank, val_split, features.eps)[0]
         return cls(params, fbsp_loss(bank), val_feats,
-                   *_clip_features(bank, train_frames, features.eps))
+                   *_clip_features(bank, train_split, features.eps))
 
 
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
@@ -505,12 +515,13 @@ def train(
     """
     params = init if init is not None else init_params(features.n_fft)
     frames_all = prepare_frames(corpus, features)
-    train_frames = [frames_all[i] for i in corpus.train_indices]
+    train_split = _stack_frames([frames_all[i] for i in corpus.train_indices])
     train_labels = corpus.labels[corpus.train_indices]
-    val_frames = [frames_all[i] for i in corpus.val_indices]
+    val_split = _stack_frames([frames_all[i] for i in corpus.val_indices])
     val_labels = corpus.labels[corpus.val_indices]
+    del frames_all  # the stacked splits hold every frame
 
-    point = _BankPoint.render(params, train_frames, val_frames, features)
+    point = _BankPoint.render(params, train_split, val_split, features)
     feat_mean = point.train_feats.mean(axis=0)
     feat_std = np.maximum(point.train_feats.std(axis=0), 1e-8)
 
@@ -525,7 +536,7 @@ def train(
     for epoch in range(config.epochs):
         if point.params is not params:
             point = None  # release the old cache before rendering the new point
-            point = _BankPoint.render(params, train_frames, val_frames, features)
+            point = _BankPoint.render(params, train_split, val_split, features)
         head = LinearHead(weights, bias, feat_mean, feat_std)
         ce, objective, grad_w, grad_b, dfeat = _head_pass(
             point.train_feats, head, train_labels, config.weight_decay)

@@ -8,10 +8,10 @@ and the spectrogram is log(|X|^2 + eps) with a small positive eps keeping
 the log finite on silent frames.
 
 ``forward`` computes X for real (frames, N) frames as one real product
-with the (N, 2F) matrix [Re K; Im K]^T and returns log-power rows;
-``backward`` turns their cotangent into the (F, N) bank cotangent that
-``gradients.kernel_jacobian_vector`` pulls back. Training, inference and
-``analyze`` all go through this one pair.
+with the (N, 2F) matrix [Re K; Im K]^T, the bank's cached ``real_matrix``,
+and returns log-power rows; ``backward`` turns their cotangent into the
+(F, N) bank cotangent that ``gradients.kernel_jacobian_vector`` pulls back.
+Training, inference and ``analyze`` all go through this one pair.
 """
 
 from __future__ import annotations
@@ -67,22 +67,27 @@ class Spectrogram:
 def forward(bank: KernelBank, frames: np.ndarray,
             eps: float) -> tuple[np.ndarray, tuple]:
     """log(|X|^2 + eps) of real (T, N) frames, shape (T, F), and the cache
-    ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product."""
-    outputs = frames @ np.concatenate([bank.weights.real, bank.weights.imag]).T
+    ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product
+    with the bank's cached ``real_matrix``."""
+    outputs = frames @ bank.real_matrix
     k = bank.num_filters
     shifted = np.square(outputs[:, :k])
-    shifted += np.square(outputs[:, k:])
+    logp = np.square(outputs[:, k:])
+    shifted += logp
     shifted += eps
-    return np.log(shifted), (frames, outputs, shifted)
+    return np.log(shifted, out=logp), (frames, outputs, shifted)
 
 
 def backward(cache: tuple, dlogp: np.ndarray) -> np.ndarray:
     """(F, N) bank cotangent C = sum_t dlogp / (|X|^2 + eps) conj(X) frame_t of
-    a (T, F) cotangent on ``forward``'s output; it pairs as 2 Re sum C dK."""
+    a (T, F) cotangent on ``forward``'s output; it pairs as 2 Re sum C dK.
+
+    ``dlogp`` is consumed: it is divided in place, so pass an array no one
+    reads afterwards. The cache is left unchanged and can be passed again."""
     frames, outputs, shifted = cache
     t, k = shifted.shape
-    g = dlogp / shifted
-    paired = (outputs.reshape(t, 2, k) * g[:, None, :]).reshape(t, 2 * k).T @ frames
+    dlogp /= shifted
+    paired = (outputs.reshape(t, 2, k) * dlogp[:, None, :]).reshape(t, 2 * k).T @ frames
     return paired[:k] - 1j * paired[k:]
 
 
@@ -161,7 +166,7 @@ def spectrogram_to_csv(path: str, spec: Spectrogram) -> None:
     bank provenance needed to interpret the matrix.
     """
     header = [f"frame_{t}" for t in range(spec.values.shape[1])]
-    write_csv(path, header, spec.values.tolist())
+    write_csv(path, header, spec.values)
     write_json(os.fspath(path) + ".meta.json", {
         "grid": {
             "frame_length": spec.grid.frame_length,

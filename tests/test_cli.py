@@ -401,6 +401,19 @@ class TestPerturb:
         from fbsplab.wavio import read_wav
         assert np.array_equal(read_wav(out).samples, read_wav(wav).samples)
 
+    @pytest.mark.parametrize("samples", [0, 400])
+    def test_awgn_on_an_empty_or_silent_clip_is_refused(self, tmp_path, samples):
+        # an empty clip's mean power is NaN, which passed a test for 0: numpy
+        # warned twice and an empty WAV was written with exit 0
+        from fbsplab.signals import Waveform
+        from fbsplab.wavio import write_wav
+        wav, out = tmp_path / "x.wav", tmp_path / "y.wav"
+        write_wav(str(wav), Waveform(np.zeros(samples), 8000))
+        proc = run("perturb", "--input", str(wav), "--snr-db", "10", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot set an SNR against an all-zero signal\n"
+        assert not out.exists()
+
     def test_lowpass_mode(self, tmp_path):
         wav = tmp_path / "x.wav"
         run("gen", "--kind", "band_noise", "--low-hz", "200", "--high-hz",

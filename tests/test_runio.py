@@ -2,6 +2,7 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fbsplab.runio import write_csv
 
@@ -28,3 +29,18 @@ def test_write_csv_holds_no_copy_of_the_file_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(path) / 20
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1e-05, 1e+17, -0.0, 3.0, -23.025850929940457],
+              [0.1, -1e-300, 2.0 ** 60, 1.0 / 3.0, 7.0]]),
+    np.array([[1e-05], [-0.0], [12.0]]),  # one column
+    np.empty((0, 3)),  # no rows
+    (np.arange(12.0).reshape(3, 4) / 7.0).T,  # column-major, as a spectrogram's values
+])
+def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, matrix):
+    header = [f"c{j}" for j in range(matrix.shape[1])]
+    write_csv(str(tmp_path / "values.csv"), header, matrix.tolist())
+    write_csv(str(tmp_path / "matrix.csv"), header, matrix)
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
