@@ -26,7 +26,8 @@ from fbsplab.bank import (
 )
 from fbsplab.cli import build_parser, main
 from fbsplab.runio import _jsonable, write_json
-from fbsplab.signals import WindowSpec
+from fbsplab.signals import Waveform, WindowSpec
+from fbsplab.wavio import write_wav
 
 CLI = [sys.executable, "-m", "fbsplab.cli"]
 
@@ -405,8 +406,6 @@ class TestPerturb:
     def test_awgn_on_an_empty_or_silent_clip_is_refused(self, tmp_path, samples):
         # an empty clip's mean power is NaN, which passed a test for 0: numpy
         # warned twice and an empty WAV was written with exit 0
-        from fbsplab.signals import Waveform
-        from fbsplab.wavio import write_wav
         wav, out = tmp_path / "x.wav", tmp_path / "y.wav"
         write_wav(str(wav), Waveform(np.zeros(samples), 8000))
         proc = run("perturb", "--input", str(wav), "--snr-db", "10", "--out", str(out))
