@@ -153,22 +153,28 @@ def centered_taps(n_fft: int) -> np.ndarray:
     return np.arange(n_fft) - (n_fft - 1) / 2.0
 
 
+def sinc_argument(m: float, f_b: float, taps: np.ndarray) -> np.ndarray:
+    """The envelope's sinc argument u = f_b t / m, m > 0. A ValueError names m
+    and f_b where |u| exceeds 2**52: a float that large has no fraction, so sinc
+    there is rounding noise, and near float range 1/sinc overflows."""
+    reach = f_b * float(np.max(np.abs(taps))) / m
+    if not reach <= 2.0 ** 52:  # inf included
+        raise ValueError(f"the envelope's sinc argument f_b t / m reaches {reach:.4g} at "
+                         f"m={m}, f_b={f_b}, above 2**52")
+    return f_b * taps / m
+
+
 def fbsp_envelope(m: float, f_b: float, taps: np.ndarray) -> np.ndarray:
     """Complex spline envelope sinc(f_b t / m) ** m on the given taps.
 
     m = 0 returns the constant 1 (the family's limiting value). Negative
     sinc values go through the principal branch, so the result is complex
-    for fractional m; exact sinc zeros map to 0 for any m > 0.
+    for fractional m. ``sinc_argument`` refuses an (m, f_b) out of its range.
     """
     if m == 0.0:
         return np.ones(taps.shape, dtype=np.complex128)
-    u = f_b * taps / m
-    s = np.sinc(u)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(s))  # -inf at exact sinc zeros
-    env = np.exp(m * log_mag) * np.exp(1j * np.pi * m * (s < 0))
-    env[s == 0.0] = 0.0
-    return env
+    s = np.sinc(sinc_argument(m, f_b, taps))
+    return np.exp(m * np.log(np.abs(s))) * np.exp(1j * np.pi * m * (s < 0))
 
 
 def fbsp_kernel(params: FbspParams, n_fft: int) -> KernelBank:

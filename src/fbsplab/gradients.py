@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from fbsplab.bank import (FbspParams, KernelBank, centered_taps, dft_grid, fbsp_envelope,
-                          fbsp_kernel)
+                          fbsp_kernel, sinc_argument)
 from fbsplab.signals import frozen_field
 
 __all__ = [
@@ -117,7 +117,7 @@ def sinc_zone_clearance(m: float, f_b: float, n_fft: int) -> float:
     """
     if m == 0.0:
         return math.inf
-    u = f_b * centered_taps(n_fft) / m
+    u = sinc_argument(m, f_b, centered_taps(n_fft))
     nearest = np.round(u)
     dist = np.abs(u - nearest)
     dist[nearest == 0.0] = math.inf  # u near 0 is the smooth sinc center
@@ -146,28 +146,17 @@ def _envelope_terms(m: float, f_b: float, n_fft: int):
     """The envelope and its parameter derivatives, (env, denv_dm, denv_dfb).
 
     ``env`` is ``bank.fbsp_envelope``; at m = 0 both derivatives are 0 by
-    convention. Exact sinc zeros (reachable only at integer m once
-    ``require_gradient_point`` has passed) get their limiting values.
+    convention.
     """
     taps = centered_taps(n_fft)
     env = fbsp_envelope(m, f_b, taps)
     if m == 0.0:
         return env, np.zeros_like(env), np.zeros_like(env)
-    u = f_b * taps / m
+    u = sinc_argument(m, f_b, taps)
     s = np.sinc(u)
-    cos_pi_u = np.cos(np.pi * u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # q = u * sinc'(u) / sinc(u), stable form away from zeros
-        q = cos_pi_u / s - 1.0
-        denv_dm = env * ((np.log(np.abs(s)) + 1j * np.pi * (s < 0)) - q)
-        denv_dfb = env * q * (m / f_b)
-    zero = s == 0.0
-    if np.any(zero):
-        # env * Log s -> 0 and env * q -> s^(m-1) (cos(pi u) - s), nonzero only at m = 1
-        limit = cos_pi_u[zero] if m == 1.0 else 0.0
-        denv_dm[zero] = -limit
-        denv_dfb[zero] = limit * (m / f_b)
-    return env, denv_dm, denv_dfb
+    q = np.cos(np.pi * u) / s - 1.0  # u * sinc'(u) / sinc(u)
+    denv_dm = env * ((np.log(np.abs(s)) + 1j * np.pi * (s < 0)) - q)
+    return env, denv_dm, env * q * (m / f_b)
 
 
 def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:

@@ -48,11 +48,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return _jsonable(obj.item())
-        except (AttributeError, ValueError):
-            return obj
     return obj
 
 

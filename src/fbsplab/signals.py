@@ -187,12 +187,17 @@ def _num_samples(duration: float, sample_rate: int) -> int:
 
 
 def _check_band(frequency: float, sample_rate: int, what: str) -> None:
-    if frequency < 0:
+    if not frequency >= 0:  # NaN included
         raise ValueError(f"{what} must be >= 0 Hz, got {frequency}")
     if frequency >= sample_rate / 2:
         raise ValueError(
             f"{what} {frequency} Hz is at or above Nyquist ({sample_rate / 2} Hz)"
         )
+
+
+def _check_finite(value: float, what: str) -> None:
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 def sine(
@@ -204,6 +209,8 @@ def sine(
 ) -> Waveform:
     """Pure tone with the requested frequency, amplitude and initial phase."""
     _check_band(frequency, sample_rate, "sine frequency")
+    _check_finite(amplitude, "sine amplitude")
+    _check_finite(phase, "sine phase")
     n = _num_samples(duration, sample_rate)
     t = np.arange(n) / sample_rate
     return Waveform(amplitude * np.sin(2.0 * np.pi * frequency * t + phase), sample_rate)
@@ -219,6 +226,7 @@ def chirp(
     """Linear sweep from f_start to f_end over the clip duration."""
     _check_band(f_start, sample_rate, "chirp start frequency")
     _check_band(f_end, sample_rate, "chirp end frequency")
+    _check_finite(amplitude, "chirp amplitude")
     n = _num_samples(duration, sample_rate)
     t = np.arange(n) / sample_rate
     phase = 2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * duration))
@@ -239,6 +247,7 @@ def band_noise(
     peak absolute sample equals ``amplitude``. Deterministic per seed.
     """
     _check_band(high_hz, sample_rate, "noise band upper edge")
+    _check_finite(amplitude, "noise band amplitude")
     if not 0 <= low_hz < high_hz:
         raise ValueError(f"need 0 <= low_hz < high_hz, got [{low_hz}, {high_hz}]")
     n = _num_samples(duration, sample_rate)

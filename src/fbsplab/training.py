@@ -73,8 +73,7 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.n_fft < 2:
             raise ValueError(f"n_fft must be at least 2, got {self.n_fft}")
-        if self.hop < 1:
-            raise ValueError(f"hop must be positive, got {self.hop}")
+        FrameGrid(self.n_fft, self.hop, 0)  # validates 0 < hop <= n_fft
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
         WindowSpec(self.window, self.n_fft)  # validates the window kind
@@ -117,8 +116,9 @@ class ClassSpec:
             raise ValueError(
                 f"band must satisfy 0 < low < high, got [{self.low_hz}, {self.high_hz}]")
         lo, hi = self.amplitude
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"amplitude range must satisfy 0 < lo <= hi, got {self.amplitude}")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"class {self.name!r} amplitude range must satisfy "
+                             f"0 < lo <= hi < inf, got {self.amplitude}")
 
 
 @dataclass(frozen=True)

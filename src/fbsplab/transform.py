@@ -11,7 +11,8 @@ the log finite on silent frames.
 with the (N, 2F) matrix [Re K; Im K]^T, the bank's cached ``real_matrix``,
 and returns log-power rows; ``backward`` turns their cotangent into the
 (F, N) bank cotangent that ``gradients.kernel_jacobian_vector`` pulls back.
-Training, inference and ``analyze`` all go through this one pair.
+Training and inference go through this one pair; ``analyze``, the complex
+product K @ frames^T, is the separate reference they are tested against.
 """
 
 from __future__ import annotations
@@ -97,14 +98,12 @@ def analyze(
     grid: FrameGrid,
     window: WindowSpec,
 ) -> np.ndarray:
-    """Complex filter outputs, shape (num_filters, num_frames)."""
+    """Complex filter outputs, shape (num_filters, num_frames), computed apart from ``forward``."""
     if bank.num_taps != grid.frame_length:
         raise ValueError(
             f"bank has {bank.num_taps} taps but grid frames are {grid.frame_length} samples"
         )
-    _, (_, outputs, _) = forward(bank, frame(signal, grid, window), DEFAULT_EPS)
-    k = bank.num_filters
-    return (outputs[:, :k] + 1j * outputs[:, k:]).T
+    return bank.weights @ frame(signal, grid, window).T
 
 
 def log_power(

@@ -1029,12 +1029,12 @@ def test_huge_butterworth_order_is_refused_quickly(tmp_path, capsys):
     assert main(["perturb", "--input", str(wav), "--cutoff-hz", "1000", "--order", "3000000",
                  "--out", str(tmp_path / "o.wav")]) == 2
     assert time.perf_counter() - start < 5.0
-    assert "order must be at most 1000, got 3000000" in capsys.readouterr().err
+    assert "order must be at most 100, got 3000000" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--kind", "lowpass", "--order", "3000000"], "order must be at most 1000, got 3000000"),
+    (["--kind", "lowpass", "--order", "3000000"], "order must be at most 100, got 3000000"),
     (["--kind", "awgn", "--axis=-3100"], "snr_db -3100.0 dB puts the noise level outside"),
 ])
 def test_order_cap_and_subnormal_level_fail_before_the_corpus(tmp_path, capsys, monkeypatch,
@@ -1094,3 +1094,76 @@ def test_gradcheck_step_must_be_below_half_a_bin(tmp_path, capsys, step):
     err = capsys.readouterr().err
     assert "step must be positive and below 1/(2 n_fft) = 0.0078125 at n_fft 64" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# settings outside the envelope's and the generators' float domain
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_hop_above_n_fft_is_refused_before_the_corpus(tmp_path, capsys, monkeypatch, command):
+    # the features' hop rule is FrameGrid's, applied when the features are read
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus before the hop was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    assert run_with_config(tmp_path, command, {"features": {"n_fft": 64, "hop": 1000}}) == 2
+    assert "hop must satisfy 0 < hop <= frame_length, got hop=1000" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv, m, f_b", [
+    (["--m", "1e-310"], "m=1e-310", "f_b=0.9"),
+    (["--f-b", "1e308"], "m=1.7", "f_b=1e+308"),
+    (["--m", "2", "--f-b", "1e308"], "m=2.0", "f_b=1e+308"),
+    (["--m", "1", "--f-b", "1e306"], "m=1.0", "f_b=1e+306"),  # finite u, but 1/sinc overflows
+])
+def test_gradcheck_outside_the_envelope_domain_names_m_and_f_b(tmp_path, capsys, argv, m, f_b):
+    # the pytest settings turn a numpy RuntimeWarning into a failure, so this
+    # also shows that the refusal comes before any overflow
+    assert main(["gradcheck", *argv, "--draws", "0", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "sinc argument f_b t / m reaches" in err
+    assert m in err and f_b in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["freq-response", "spectrogram"])
+def test_params_file_outside_the_envelope_domain_names_m_and_f_b(tmp_path, capsys, command):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"m": 1e-310, "f_b": 1.0, "f_c": [0.0, 0.25, 0.5],
+                                  "n_fft": 4}))
+    wav = tmp_path / "in.wav"
+    write_wav(str(wav), Waveform(np.linspace(-0.5, 0.5, 64), 8000))
+    inputs = ["--input", str(wav)] if command == "spectrogram" else []
+    assert main([command, "--mode", "fbsp", "--params", str(params), *inputs,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "sinc argument f_b t / m reaches inf at m=1e-310, f_b=1.0, above 2**52" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "p.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--frequency", "nan"], "sine frequency must be >= 0 Hz, got nan"),
+    (["--amplitude", "nan"], "sine amplitude must be finite, got nan"),
+    (["--phase", "inf"], "sine phase must be finite, got inf"),
+    (["--kind", "chirp", "--f-end", "nan"], "chirp end frequency must be >= 0 Hz, got nan"),
+    (["--kind", "band_noise", "--amplitude=-inf"],
+     "noise band amplitude must be finite, got -inf"),
+])
+def test_non_finite_generator_setting_is_named(tmp_path, capsys, argv, message):
+    # each value is refused where it enters, not as the waveform's non-finite samples
+    assert main(["gen", *argv, "--out", str(tmp_path / "o.wav")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_class_amplitude_is_refused_before_any_clip(tmp_path, capsys, monkeypatch):
+    # rng.uniform cannot draw from an infinite range, so the class refuses it
+    loud = dict(LOW, amplitude=[0.6, "inf"])
+    monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
+    assert run_with_config(tmp_path, "train", {"task": {"classes": [loud, HIGH]}}) == 2
+    assert ("class 'low' amplitude range must satisfy 0 < lo <= hi < inf, got (0.6, inf)"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

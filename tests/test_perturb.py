@@ -350,6 +350,19 @@ class TestBounds:
         out = apply_filter(filt, sine(440.0, 0.5, 8000))
         assert np.all(np.isfinite(out.samples))
 
+    @pytest.mark.parametrize("sample_rate, cutoff_hz",
+                             [(8000, 181.0), (16000, 1000.0), (8000, 3000.0), (44100, 1000.0)])
+    def test_order_at_the_cap_stays_within_1e_8_of_sosfilt(self, sample_rate, cutoff_hz):
+        # the cap is the largest round order whose cascade stays this close to
+        # scipy's runner on 1 s of noise; at order 110 the worst cell is 2e-8
+        from scipy.signal import sosfilt
+
+        filt = design_butterworth_lowpass(MAX_ORDER, cutoff_hz, float(sample_rate))
+        x = 0.3 * np.random.default_rng(0).standard_normal(sample_rate)
+        ref = sosfilt(np.insert(filt.sections, 3, 1.0, axis=1), x)
+        out = apply_filter(filt, Waveform(x, sample_rate)).samples
+        assert np.max(np.abs(out - ref)) <= 1e-8 * np.max(np.abs(ref))
+
     def test_subnormal_power_ratio_is_refused(self):
         assert 10.0 * math.log10(sys.float_info.min) > -3077.0
         with pytest.raises(ValueError, match="snr_db -3100.0 dB puts the noise level outside"):

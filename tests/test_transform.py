@@ -69,6 +69,23 @@ class TestAnalyze:
             assert math.isclose(np.sum(np.abs(coeffs[:, t]) ** 2),
                                 np.sum(frames[t] ** 2), rel_tol=1e-12)
 
+    def test_is_computed_without_forward(self, monkeypatch):
+        # the reference the forward pass is tested against must not run it
+        def no_forward(*args, **kwargs):
+            raise AssertionError("analyze ran transform.forward")
+
+        n_fft, hop = 16, 5
+        x = random_waveform(90, 3)
+        grid = FrameGrid.for_length(len(x), n_fft, hop)
+        win = WindowSpec("hann", n_fft)
+        bank = fbsp_kernel(init_params(n_fft), n_fft)
+        frames = frame(x, grid, win)
+        expected = np.array([[np.sum(frames[t] * bank.weights[k])
+                              for t in range(grid.num_frames)]
+                             for k in range(bank.num_filters)])
+        monkeypatch.setattr("fbsplab.transform.forward", no_forward)
+        assert np.allclose(analyze(x, bank, grid, win), expected, atol=1e-12)
+
 
 class TestLogPower:
     def test_values(self):
