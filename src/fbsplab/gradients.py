@@ -15,16 +15,17 @@ truth every analytic path is tested against.
 Singular points: the spline envelope ``sinc(f_b t / m) ** m`` is not
 differentiable where the sinc argument sits on a nonzero integer (a sinc
 zero) at fractional m, and the per-tap log factor diverges there. Each rule
-lives in one function. ``bank.fbsp_envelope`` evaluates the envelope, and
-``_envelope_terms`` adds its m and f_b derivatives, which both the loss
-gradient and the pullback use. ``_envelope_terms`` also owns the m = 0
-convention: the envelope is the constant 1, the kernel is smooth in f_b
-and f_c, and both envelope derivatives are 0, so d_m = 0, the loss's
-limiting one-sided derivative at the unit-energy minimum. (Away from that
-minimum no finite one-sided m-derivative exists at m = 0: a finite
-difference with step h grows like log h. See the gradient tests.)
-``require_gradient_point`` is the exclusion rule: at fractional m, a point
-within 1e-6 (in sinc-argument units) of a zero raises
+lives in one function. ``bank.fbsp_kernel`` builds the kernel and
+``bank.fbsp_envelope`` its envelope. ``_log_derivatives`` gives the kernel's
+per-tap log-derivatives with respect to m and f_b, so both gradients write
+dK = K * dlog and no factor of the kernel is written twice. It also owns the
+m = 0 convention: the envelope is the constant 1, the kernel is smooth in
+f_b and f_c, and the envelope's part of the log-derivatives is 0, so
+d_m = 0, the loss's limiting one-sided derivative at the unit-energy
+minimum. (Away from that minimum no finite one-sided m-derivative exists at
+m = 0: a finite difference with step h grows like log h. See the gradient
+tests.) ``require_gradient_point`` is the exclusion rule: at fractional m, a
+point within 1e-6 (in sinc-argument units) of a zero raises
 ``SingularGradientError``. The trainer checks proposed steps with it and
 projects them away from the zones instead of stepping into them.
 """
@@ -142,21 +143,25 @@ def require_gradient_point(params: FbspParams, n_fft: int) -> None:
         )
 
 
-def _envelope_terms(m: float, f_b: float, n_fft: int):
-    """The envelope and its parameter derivatives, (env, denv_dm, denv_dfb).
+def _log_derivatives(params: FbspParams, n_fft: int) -> np.ndarray:
+    """Per-tap derivatives of log K_k[n] with respect to (m, f_b), shape (2, N).
 
-    ``env`` is ``bank.fbsp_envelope``; at m = 0 both derivatives are 0 by
-    convention.
+    Every row shares them (f_c only rotates phases), so dK = K * dlog. Row one
+    is the envelope's Log s - q; row two is q m / f_b + 1 / (2 f_b), the last
+    term from the sqrt(f_b) prefactor. At m = 0 the envelope's part is 0 by
+    convention. Raises ``SingularGradientError`` inside an exclusion zone.
     """
-    taps = centered_taps(n_fft)
-    env = fbsp_envelope(m, f_b, taps)
-    if m == 0.0:
-        return env, np.zeros_like(env), np.zeros_like(env)
-    u = sinc_argument(m, f_b, taps)
-    s = np.sinc(u)
-    q = np.cos(np.pi * u) / s - 1.0  # u * sinc'(u) / sinc(u)
-    denv_dm = env * ((np.log(np.abs(s)) + 1j * np.pi * (s < 0)) - q)
-    return env, denv_dm, env * q * (m / f_b)
+    require_gradient_point(params, n_fft)
+    m, f_b = params.m, params.f_b
+    dlog = np.zeros((2, n_fft), dtype=np.complex128)
+    dlog[1] = 1.0 / (2.0 * f_b)
+    if m != 0.0:
+        u = sinc_argument(m, f_b, centered_taps(n_fft))
+        s = np.sinc(u)
+        q = np.cos(np.pi * u) / s - 1.0  # u * sinc'(u) / sinc(u)
+        dlog[0] = np.log(np.abs(s)) + 1j * np.pi * (s < 0) - q
+        dlog[1] += q * (m / f_b)
+    return dlog
 
 
 def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:
@@ -165,15 +170,12 @@ def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:
     Every row has the energy g = f_b * mean|env|^2 (f_c only rotates
     phases), so the loss is (g - 1)^2 and d_fc is exactly zero.
     """
-    require_gradient_point(params, n_fft)
-    env, denv_dm, denv_dfb = _envelope_terms(params.m, params.f_b, n_fft)
-    # g and the envelope parts of its derivatives, d|env|^2 = 2 Re(conj(env) denv)
-    g, dg_dm, dg_dfb = params.f_b * np.mean(
-        [np.abs(env) ** 2, 2.0 * np.real(np.conj(env) * denv_dm),
-         2.0 * np.real(np.conj(env) * denv_dfb)], axis=1)
-    lead = 2.0 * (g - 1.0)
-    return ParamGradient(d_m=lead * dg_dm, d_fb=lead * (g / params.f_b + dg_dfb),
-                         d_fc=np.zeros(params.num_filters))
+    dlog = _log_derivatives(params, n_fft)
+    power = np.abs(fbsp_envelope(params.m, params.f_b, centered_taps(n_fft))) ** 2
+    g = params.f_b * np.mean(power)
+    # d|K|^2 = 2 |K|^2 Re dlog
+    d_m, d_fb = 2.0 * (g - 1.0) * (2.0 * params.f_b * np.mean(power * dlog.real, axis=1))
+    return ParamGradient(d_m=d_m, d_fb=d_fb, d_fc=np.zeros(params.num_filters))
 
 
 def kernel_jacobian_vector(
@@ -199,20 +201,13 @@ def kernel_jacobian_vector(
         raise ValueError(
             f"cotangent shape {cot.shape} does not match bank shape {(count, n_fft)}"
         )
-    require_gradient_point(params, n_fft)
-    env, denv_dm, denv_dfb = _envelope_terms(params.m, params.f_b, n_fft)
-    taps = centered_taps(n_fft)
-    scale = np.sqrt(params.f_b) / np.sqrt(n_fft)
-    # K = scale * env * phase: m and f_b move only the per-tap factor, f_c[k]
-    # only row k of the phase, so the phase meets the cotangent once
-    paired = scale * cot * np.exp(2j * np.pi * np.outer(params.f_c, taps))
-    column = paired.sum(axis=0)
-    # d/df_b includes the sqrt(f_b) prefactor alongside the envelope term
-    return ParamGradient(
-        d_m=2.0 * float(np.real(column @ denv_dm)),
-        d_fb=2.0 * float(np.real(column @ (env / (2.0 * params.f_b) + denv_dfb))),
-        d_fc=2.0 * np.real(paired @ (2j * np.pi * taps * env)),
-    )
+    dlog = _log_derivatives(params, n_fft)
+    # dK = K * dlog: m and f_b scale every tap of every row alike, f_c[k]
+    # multiplies row k by 2 pi i t
+    paired = cot * fbsp_kernel(params, n_fft).weights
+    d_m, d_fb = 2.0 * np.real(dlog @ paired.sum(axis=0))
+    return ParamGradient(d_m=d_m, d_fb=d_fb,
+                         d_fc=2.0 * np.real(paired @ (2j * np.pi * centered_taps(n_fft))))
 
 
 def energy_pairing(cotangent: np.ndarray, bank: KernelBank) -> float:
