@@ -49,6 +49,7 @@ __all__ = [
     "MAX_DRAW_ATTEMPTS",
     "DRAW_MARGIN",
     "MAX_CHECK_N_FFT",
+    "CHECK_REL_TOL",
     "fbsp_loss",
     "loss_gradient",
     "kernel_jacobian_vector",
@@ -228,8 +229,9 @@ def finite_difference_oracle(
 
     Ground truth for the analytic paths; shares no code with them. Uses
     central differences, falling back to a second-order one-sided stencil
-    when a probe would leave the valid domain (f_c entries at 0 or 0.5, or
-    m within one step of 0), so accuracy stays O(step^2) throughout.
+    when a probe is not a valid ``FbspParams`` (f_c entries at 0 or 0.5, or
+    m within one step of 0), so accuracy stays O(step^2) throughout. A
+    ValueError that ``scalar_fn`` raises at a valid probe propagates.
     """
     if not step > 0:  # NaN included
         raise ValueError(f"step must be positive, got {step}")
@@ -244,10 +246,10 @@ def finite_difference_oracle(
         base = scalar_fn(params)
         try:
             p1, p2 = shift(step), shift(2.0 * step)
-            return (-3.0 * base + 4.0 * scalar_fn(p1) - scalar_fn(p2)) / (2.0 * step)
         except ValueError:
             p1, p2 = shift(-step), shift(-2.0 * step)
             return (3.0 * base - 4.0 * scalar_fn(p1) + scalar_fn(p2)) / (2.0 * step)
+        return (-3.0 * base + 4.0 * scalar_fn(p1) - scalar_fn(p2)) / (2.0 * step)
 
     def shift_fc(k: int) -> Callable[[float], FbspParams]:
         def shift(delta: float) -> FbspParams:
@@ -304,8 +306,12 @@ def admissible_draw(
         f"in {MAX_DRAW_ATTEMPTS} attempts")
 
 
+# Relative tolerance of the report's checks.
+CHECK_REL_TOL = 1e-5
+
+
 def _compare(analytic: float, numeric: float,
-             rel_tol: float = 1e-5, abs_tol: float = 1e-8) -> tuple[float, bool]:
+             rel_tol: float = CHECK_REL_TOL, abs_tol: float = 1e-8) -> tuple[float, bool]:
     err = abs(analytic - numeric)
     if err < abs_tol:
         return err, True
@@ -326,10 +332,11 @@ def gradient_check_report(
     suite covers the loss gradient at a fixed point and at random admitted
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
-    Raises ValueError, before any draw, for a negative ``draws`` or a ``step``
+    Raises ValueError, before any draw, for a negative ``draws``; a ``step``
     that is not finite, positive and below 1/(2 n_fft), at which a one-sided
-    stencil from f_c[0] = 0 would reach f_c[1]; and for n_fft above
-    ``MAX_CHECK_N_FFT``, after the draws.
+    stencil from f_c[0] = 0 would reach f_c[1]; and a ``point`` whose f_b the
+    step cannot resolve. It raises for n_fft above ``MAX_CHECK_N_FFT`` after
+    the draws.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
@@ -344,7 +351,7 @@ def gradient_check_report(
     checks: list[dict] = []
 
     def record(param: str, analytic: float, numeric: float,
-               rel_tol: float = 1e-5, abs_tol: float = 1e-8) -> None:
+               rel_tol: float = CHECK_REL_TOL, abs_tol: float = 1e-8) -> None:
         err, ok = _compare(analytic, numeric, rel_tol, abs_tol)
         checks.append({
             "param": param,
@@ -354,9 +361,14 @@ def gradient_check_report(
             "status": "pass" if ok else "fail",
         })
 
+    fixed = FbspParams(m=point[0], f_b=point[1], f_c=grid)
+    # the sqrt(f_b) prefactor's central difference misses by (step/f_b)^2/8 relative
+    resolvable = fixed.f_b * math.sqrt(8.0 * CHECK_REL_TOL)
+    if not step < resolvable:
+        raise ValueError(f"step {step} cannot resolve f_b {fixed.f_b}: a central difference "
+                         f"needs a step below f_b sqrt(8 * {CHECK_REL_TOL:g}) = {resolvable:.4g}")
     rng = np.random.default_rng(seed)
-    points = [FbspParams(m=point[0], f_b=point[1], f_c=grid)]
-    points += [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
+    points = [fixed] + [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
     if n_fft > MAX_CHECK_N_FFT:
         raise ValueError(f"a gradient check needs n_fft at most {MAX_CHECK_N_FFT}, "
                          f"got n_fft {n_fft}")

@@ -1096,6 +1096,16 @@ def test_gradcheck_step_must_be_below_half_a_bin(tmp_path, capsys, step):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("f_b", ["1e-300", "1e-4"])
+def test_gradcheck_refuses_a_bandwidth_the_step_cannot_resolve(tmp_path, capsys, f_b):
+    out = tmp_path / "r.json"
+    assert main(["gradcheck", "--m", "1.7", "--f-b", f_b, "--draws", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"step 1e-06 cannot resolve f_b {float(f_b)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # settings outside the envelope's and the generators' float domain
 # ---------------------------------------------------------------------------

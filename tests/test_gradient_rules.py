@@ -1,6 +1,6 @@
-"""The shared envelope derivatives behind both analytic gradients, their
-limits on sinc zeros at integer m, and the one exclusion rule that the
-gradients and the trainer's step check apply alike."""
+"""The shared log-derivatives behind both analytic gradients, their limits
+on sinc zeros at integer m, and the one exclusion rule that the gradients and
+the trainer's step check apply alike."""
 
 import math
 
@@ -9,9 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fbsplab.bank
+import fbsplab.gradients
 from fbsplab.bank import FbspParams, dft_grid, fbsp_kernel
 from fbsplab.gradients import (
     SINC_ZONE_RADIUS,
+    admissible_draw,
+    energy_pairing,
     fbsp_loss,
     finite_difference_oracle,
     kernel_jacobian_vector,
@@ -97,3 +101,57 @@ OUT_OF_ZONE = 6.0 / (4.0 + 2.0 * SINC_ZONE_RADIUS)
 def test_trainer_accepts_a_step_exactly_where_gradients_evaluate(m, f_b, n_fft, accepted):
     assert gradients_evaluate(m, f_b, n_fft) is accepted
     assert _params_valid(m, f_b, dft_grid(64), n_fft) is accepted
+
+
+@st.composite
+def off_grid_points(draw):
+    """A bank with strictly increasing centers off the DFT grid, at m = 0 or
+    an admissible (m, f_b), and a random complex cotangent."""
+    n_fft = draw(st.integers(8, 48))
+    count = draw(st.integers(1, n_fft // 2 + 1))
+    # one center per slot of width 0.5 / count, so neighbours stay at least
+    # 0.05 / count apart and every f_c probe keeps the order
+    offsets = draw(st.lists(st.floats(0.05, 0.95), min_size=count, max_size=count))
+    f_c = (np.arange(count) + np.array(offsets)) * (0.5 / count)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m, f_b = 0.0, draw(st.floats(0.25, 4.0))
+    else:
+        drawn = admissible_draw(rng, n_fft)
+        m, f_b = drawn.m, drawn.f_b
+    cot = rng.standard_normal((count, n_fft)) + 1j * rng.standard_normal((count, n_fft))
+    return FbspParams(m=m, f_b=f_b, f_c=f_c), n_fft, cot
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(off_grid_points())
+def test_pullback_off_the_grid_matches_differences(point):
+    params, n_fft, cot = point
+    analytic = kernel_jacobian_vector(params, n_fft, cot)
+    numeric = finite_difference_oracle(
+        lambda p: energy_pairing(cot, fbsp_kernel(p, n_fft)), params)
+    if params.m == 0.0:
+        assert analytic.d_m == 0.0  # the boundary convention
+    else:
+        assert math.isclose(analytic.d_m, numeric.d_m, rel_tol=1e-5)
+    assert math.isclose(analytic.d_fb, numeric.d_fb, rel_tol=1e-5)
+    assert np.allclose(analytic.d_fc, numeric.d_fc,
+                       rtol=1e-5, atol=1e-6 * np.max(np.abs(analytic.d_fc)))
+
+
+def test_each_gradient_forms_the_sinc_argument_at_most_three_times(monkeypatch):
+    calls = []
+    original = fbsplab.bank.sinc_argument
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fbsplab.bank, "sinc_argument", counted)
+    monkeypatch.setattr(fbsplab.gradients, "sinc_argument", counted)
+    params = FbspParams(m=1.7, f_b=0.9, f_c=dft_grid(64))
+    loss_gradient(params, 64)
+    assert 0 < len(calls) <= 3
+    calls.clear()
+    kernel_jacobian_vector(params, 64, np.ones((params.num_filters, 64), dtype=complex))
+    assert 0 < len(calls) <= 3

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fbsplab.bank import FbspParams, dft_grid, fbsp_kernel, init_params
+import fbsplab.gradients
 from fbsplab.gradients import (
+    CHECK_REL_TOL,
     SINC_ZONE_RADIUS,
     ParamGradient,
     SingularGradientError,
@@ -267,6 +269,17 @@ class TestOracleAndDraws:
         assert math.isclose(g.d_fc[1], 0.5, rel_tol=1e-8)
         assert math.isclose(g.d_fc[2], 1.0, rel_tol=1e-8)
 
+    def test_oracle_raises_what_the_scalar_raises_at_a_valid_probe(self):
+        # m - step leaves the domain at m = 0, so the oracle steps forward;
+        # the scalar's own error at m = step is not a domain exit
+        def scalar(p):
+            if p.m > 0.0:
+                raise ValueError("boom")
+            return 0.0
+
+        with pytest.raises(ValueError, match="boom"):
+            finite_difference_oracle(scalar, init_params(8))
+
     def test_oracle_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_difference_oracle(lambda p: 0.0, PINNED, step=0.0)
@@ -299,3 +312,22 @@ class TestGradientCheckReport:
     def test_singular_fixed_point_raises(self):
         with pytest.raises(SingularGradientError):
             gradient_check_report(n_fft=16, draws=0, point=(1.5, 0.8))
+
+
+class TestUnresolvableBandwidth:
+    # the sqrt(f_b) prefactor's central difference misses by (step/f_b)^2/8
+    # relative; the report refuses a fixed f_b where that reaches its tolerance
+
+    @pytest.mark.parametrize("f_b", [1e-300, 1e-4, 1e-6 / math.sqrt(8.0 * CHECK_REL_TOL)])
+    def test_refused_before_any_draw(self, monkeypatch, f_b):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the fixed point was checked")
+
+        monkeypatch.setattr(fbsplab.gradients, "admissible_draw", no_draw)
+        with pytest.raises(ValueError, match="cannot resolve f_b") as err:
+            gradient_check_report(n_fft=N_FFT, draws=3, point=(1.7, f_b), step=1e-6)
+        assert f"f_b {f_b}" in str(err.value) and "step 1e-06" in str(err.value)
+
+    def test_resolvable_bandwidth_is_checked(self):
+        report = gradient_check_report(n_fft=N_FFT, draws=0, point=(1.7, 1.2e-4), step=1e-6)
+        assert report["status"] == "pass"
