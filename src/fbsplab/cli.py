@@ -25,6 +25,7 @@ divergence, failed check).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import MISSING, fields, replace
 from typing import Sequence, get_origin, get_type_hints
@@ -362,13 +363,23 @@ def _cmd_perturb(cfg: dict, args) -> int:
     return 0
 
 
+def _section_spec(section: str, spec, values: dict):
+    """``spec(**values)``; a refusal names each of its fields as the config key
+    ``section.field``."""
+    try:
+        return spec(**values)
+    except ValueError as err:
+        names = "|".join(f.name for f in fields(spec))
+        raise ValueError(re.sub(rf"\b({names})\b", rf"{section}.\1", str(err))) from None
+
+
 def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
     large to build, or a corpus whose waveforms alone exceed physical memory, is
     refused before the corpus is generated."""
-    features = FeatureSpec(**cfg["features"])
+    features = _section_spec("features", FeatureSpec, cfg["features"])
     _require_bank_memory(features.n_fft, features.n_fft // 2 + 1, _physical_memory())
-    train_cfg = TrainConfig(**cfg["train"])
+    train_cfg = _section_spec("train", TrainConfig, cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]
     samples = (task["samples_per_class"] * len(classes)

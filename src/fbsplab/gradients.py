@@ -49,6 +49,7 @@ __all__ = [
     "MAX_DRAW_ATTEMPTS",
     "DRAW_MARGIN",
     "MAX_CHECK_N_FFT",
+    "MAX_CHECK_ENERGY",
     "CHECK_REL_TOL",
     "fbsp_loss",
     "loss_gradient",
@@ -76,6 +77,10 @@ DRAW_MARGIN = 1e-2
 # n_fft 128, 1.3 s at 256, 8.8 s at 512 and 67 s at 1024 (the whole command)
 # on a 2-core x86-64 VM, about 7x per doubling.
 MAX_CHECK_N_FFT = 1024
+# Largest row energy g = f_b mean|env|^2 of a checked point. The loss sums
+# (g - 1)^2 over up to 513 rows (n_fft 1024), under 2**1009 at this bound,
+# which keeps the oracle's sums and quotients 2**15 below float overflow.
+MAX_CHECK_ENERGY = 2.0 ** 500
 
 
 class SingularGradientError(ValueError):
@@ -165,15 +170,21 @@ def _log_derivatives(params: FbspParams, n_fft: int) -> np.ndarray:
     return dlog
 
 
+def _row_energy(params: FbspParams, n_fft: int) -> tuple[float, np.ndarray]:
+    """The energy g = f_b * mean|env|^2 every row of the bank has (f_c only
+    rotates phases), and the per-tap power |env|^2."""
+    power = np.abs(fbsp_envelope(params.m, params.f_b, centered_taps(n_fft))) ** 2
+    return params.f_b * float(np.mean(power)), power
+
+
 def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:
     """Analytic gradient of fbsp_loss(fbsp_kernel(params, n_fft)).
 
-    Every row has the energy g = f_b * mean|env|^2 (f_c only rotates
-    phases), so the loss is (g - 1)^2 and d_fc is exactly zero.
+    Every row has the energy g, so the loss is (g - 1)^2 and d_fc is exactly
+    zero.
     """
     dlog = _log_derivatives(params, n_fft)
-    power = np.abs(fbsp_envelope(params.m, params.f_b, centered_taps(n_fft))) ** 2
-    g = params.f_b * np.mean(power)
+    g, power = _row_energy(params, n_fft)
     # d|K|^2 = 2 |K|^2 Re dlog
     d_m, d_fb = 2.0 * (g - 1.0) * (2.0 * params.f_b * np.mean(power * dlog.real, axis=1))
     return ParamGradient(d_m=d_m, d_fb=d_fb, d_fc=np.zeros(params.num_filters))
@@ -335,8 +346,8 @@ def gradient_check_report(
     Raises ValueError, before any draw, for a negative ``draws``; a ``step``
     that is not finite, positive and below 1/(2 n_fft), at which a one-sided
     stencil from f_c[0] = 0 would reach f_c[1]; and a ``point`` whose f_b the
-    step cannot resolve. It raises for n_fft above ``MAX_CHECK_N_FFT`` after
-    the draws.
+    step cannot resolve or whose row energy exceeds ``MAX_CHECK_ENERGY``. It
+    raises for n_fft above ``MAX_CHECK_N_FFT`` after the draws.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
@@ -367,6 +378,11 @@ def gradient_check_report(
     if not step < resolvable:
         raise ValueError(f"step {step} cannot resolve f_b {fixed.f_b}: a central difference "
                          f"needs a step below f_b sqrt(8 * {CHECK_REL_TOL:g}) = {resolvable:.4g}")
+    energy = _row_energy(fixed, n_fft)[0]
+    if not energy <= MAX_CHECK_ENERGY:
+        raise ValueError(f"f_b {fixed.f_b} gives every row the energy g = f_b mean|env|^2 = "
+                         f"{energy:.4g} at m={fixed.m}, above 2**500: the loss (g - 1)^2 "
+                         "and its differences would overflow")
     rng = np.random.default_rng(seed)
     points = [fixed] + [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
     if n_fft > MAX_CHECK_N_FFT:

@@ -71,9 +71,11 @@ class FeatureSpec:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self) -> None:
-        if self.n_fft < 2:
-            raise ValueError(f"n_fft must be at least 2, got {self.n_fft}")
-        FrameGrid(self.n_fft, self.hop, 0)  # validates 0 < hop <= n_fft
+        try:
+            FrameGrid(self.n_fft, self.hop, 0)
+        except ValueError:  # the grid's rule, in this spec's field names
+            raise ValueError(f"n_fft must be at least 2 and hop in 1..n_fft, "
+                             f"got n_fft={self.n_fft} hop={self.hop}") from None
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive, got {self.eps}")
         WindowSpec(self.window, self.n_fft)  # validates the window kind

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1106,6 +1107,20 @@ def test_gradcheck_refuses_a_bandwidth_the_step_cannot_resolve(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("m, f_b, g", [("0", "1e308", "1e+308"), ("1e306", "1e154", "1e+154")])
+def test_gradcheck_refuses_a_row_energy_the_loss_cannot_square(tmp_path, capsys, m, f_b, g):
+    # refused before any arithmetic overflows: numpy warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gradcheck", "--m", m, "--f-b", f_b, "--draws", "0",
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert f"f_b {float(f_b)} gives every row the energy g = f_b mean|env|^2 = {g}" in err
+    assert "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # settings outside the envelope's and the generators' float domain
 # ---------------------------------------------------------------------------
@@ -1119,8 +1134,26 @@ def test_hop_above_n_fft_is_refused_before_the_corpus(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
     assert run_with_config(tmp_path, command, {"features": {"n_fft": 64, "hop": 1000}}) == 2
-    assert "hop must satisfy 0 < hop <= frame_length, got hop=1000" in capsys.readouterr().err
+    assert ("features.hop in 1..features.n_fft, got features.n_fft=64 features.hop=1000"
+            in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_n_fft_below_two_names_the_config_key(tmp_path, capsys, command):
+    assert run_with_config(tmp_path, command, {"features": {"n_fft": 1, "hop": 1}}) == 2
+    assert "features.n_fft must be at least 2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_spectrogram_n_fft_below_two_names_n_fft(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_wav(str(wav), Waveform(np.linspace(-0.5, 0.5, 64), 8000))
+    assert main(["spectrogram", "--n-fft", "1", "--input", str(wav),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "n_fft must be at least 2 and hop in 1..n_fft, got n_fft=1 hop=0" \
+        in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.wav"]
 
 
 @pytest.mark.parametrize("argv, m, f_b", [

@@ -4,7 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbsplab.runio import write_csv
+from fbsplab import runio
+from fbsplab.cli import main
+from fbsplab.signals import Waveform
+from fbsplab.wavio import write_wav
+from fbsplab.runio import SPLIT_MIN_VALUES, write_csv
 
 
 def test_write_csv_streams_a_generator_to_exact_bytes(tmp_path):
@@ -44,3 +48,139 @@ def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, matrix):
     write_csv(str(tmp_path / "matrix.csv"), header, matrix)
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
+
+
+# ---------------------------------------------------------------------------
+# large float arrays: the lower half of the rows is formatted in a forked helper
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The helper pids os.fork returned; the split runs whatever CPUs the host has."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(runio, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _per_value_and_array_bytes(tmp_path, matrix):
+    header = [f"c{j}" for j in range(matrix.shape[1])]
+    write_csv(str(tmp_path / "values.csv"), header, matrix.tolist())
+    write_csv(str(tmp_path / "matrix.csv"), header, matrix)
+    return (tmp_path / "values.csv").read_bytes(), (tmp_path / "matrix.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (SPLIT_MIN_VALUES - 1, 1),  # one value short of the threshold (2**17 - 1 is prime)
+    (SPLIT_MIN_VALUES // 256, 256),  # exactly the threshold
+    (SPLIT_MIN_VALUES // 128 + 1, 128),  # an odd row count
+    (1, SPLIT_MIN_VALUES + 3),  # a single row wider than the threshold
+])
+def test_split_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, two_cpus, rows, cols):
+    rng = np.random.default_rng(rows)
+    matrix = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    values, split = _per_value_and_array_bytes(tmp_path, matrix)
+    assert split == values
+    assert len(two_cpus) == (rows * cols >= SPLIT_MIN_VALUES)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "values.csv"]
+
+
+def test_split_of_a_column_major_matrix_keeps_its_row_order(tmp_path, two_cpus):
+    # Spectrogram.values is the transpose of a C-ordered (frames, filters) array
+    matrix = np.log(np.random.default_rng(1).random((2 * SPLIT_MIN_VALUES // 129 + 1, 129))).T
+    assert not matrix.flags.c_contiguous
+    values, split = _per_value_and_array_bytes(tmp_path, matrix)
+    assert split == values
+    assert len(two_cpus) == 1
+
+
+def test_no_rows_and_small_matrices_are_written_without_a_fork(tmp_path, two_cpus):
+    assert _per_value_and_array_bytes(tmp_path, np.empty((0, SPLIT_MIN_VALUES + 1)))[1] \
+        == b",".join(f"c{j}".encode() for j in range(SPLIT_MIN_VALUES + 1)) + b"\n"
+    short_calls_sized = np.random.default_rng(2).standard_normal((129, 124))
+    values, serial = _per_value_and_array_bytes(tmp_path, short_calls_sized)
+    assert serial == values
+    assert two_cpus == []
+
+
+def test_a_large_row_iterable_is_written_without_a_fork(tmp_path, two_cpus):
+    rows = np.random.default_rng(3).standard_normal((257, 1873)).tolist()
+    write_csv(str(tmp_path / "rows.csv"), ["c"] * 1873, iter(rows))
+    assert two_cpus == []
+
+
+def test_a_spectrogram_long_sized_matrix_forks_one_helper(tmp_path, two_cpus):
+    matrix = np.random.default_rng(4).standard_normal((1873, 257)).T
+    write_csv(str(tmp_path / "s.csv"), [f"frame_{t}" for t in range(1873)], matrix)
+    assert len(two_cpus) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(two_cpus[0], os.WNOHANG)  # the helper was reaped
+
+
+def test_one_cpu_writes_a_large_matrix_without_a_fork(tmp_path, two_cpus, monkeypatch):
+    monkeypatch.setattr(runio, "_cpu_count", lambda: 1)
+    matrix = np.random.default_rng(5).standard_normal((257, 1873))
+    values, serial = _per_value_and_array_bytes(tmp_path, matrix)
+    assert serial == values
+    assert two_cpus == []
+
+
+def test_a_failed_helper_raises_oserror_naming_the_path(tmp_path, two_cpus, monkeypatch):
+    parent, real_row_lines = os.getpid(), runio._row_lines
+
+    def row_lines_failing_in_the_helper(rows):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in the helper")
+        return real_row_lines(rows)
+
+    monkeypatch.setattr(runio, "_row_lines", row_lines_failing_in_the_helper)
+    path = tmp_path / "s.csv"
+    with pytest.raises(OSError, match=f"could not write {path}: the helper process"):
+        write_csv(str(path), ["c"] * 300, np.ones((SPLIT_MIN_VALUES // 300 + 1, 300)))
+    assert len(two_cpus) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]  # no temporary file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(two_cpus[0], os.WNOHANG)
+
+
+def test_split_write_holds_no_copy_of_the_file_text(tmp_path, two_cpus):
+    # the twin of the row-iterable test above, for an array large enough to split
+    matrix = np.random.default_rng(0).standard_normal((1000, 500))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(str(path), [f"frame_{t}" for t in range(500)], matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(two_cpus) == 1
+    assert peak < os.path.getsize(path) / 20
+
+
+def test_spectrogram_exits_2_when_the_helper_fails(tmp_path, capsys, two_cpus, monkeypatch):
+    # 4,096 frames of 33 filters at n_fft 64, hop 1: a matrix that splits
+    wav = tmp_path / "in.wav"
+    write_wav(str(wav), Waveform(np.sin(0.01 * np.arange(4096 + 63)), 8000))
+    parent, real_row_lines = os.getpid(), runio._row_lines
+
+    def row_lines_failing_in_the_helper(rows):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in the helper")
+        return real_row_lines(rows)
+
+    monkeypatch.setattr(runio, "_row_lines", row_lines_failing_in_the_helper)
+    out = tmp_path / "s.csv"
+    assert main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "1",
+                 "--out", str(out)]) == 2
+    assert f"error: could not write {out}: the helper process" in capsys.readouterr().err
+    assert len(two_cpus) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "s.csv"]
