@@ -7,12 +7,13 @@ text is held. A 2-D float array is written one row at a time through a
 single row format, one ``FLOAT_FORMAT`` field per column, with the bytes the
 per-value path writes for the same floats.
 
-A float array of at least ``SPLIT_MIN_VALUES`` values is formatted by two
-processes: a helper forked with ``os.fork`` writes the lower half of the rows
-to a temporary file beside the output while this process writes the header
-and the upper half, then appends the helper's file. Both halves go through the
-same row format, so the bytes equal the serial path's. The serial path runs
-below the threshold, on one CPU, and where ``os.fork`` does not exist.
+A float array of at least ``SPLIT_MIN_VALUES`` values (2**17, about 0.1 s of
+serial formatting) is formatted by two processes: a helper forked with
+``os.fork`` writes the lower half of the rows to a temporary file beside the
+output while this process writes the header and the upper half, then appends
+the helper's file. Both halves go through the same row format, so the bytes
+equal the serial path's. The serial path runs below the threshold, on one
+CPU, and where ``os.fork`` does not exist.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def _cpu_count() -> int:
 def _write_lower_rows(part: str, rows: np.ndarray, half: int) -> None:
     """The forked helper: write the lines of ``rows[half:]`` to ``part`` and
     leave through ``os._exit``, so no finally block, atexit handler or buffered
-    stream of the parent runs here. Exit status 0 means the file is complete."""
+    stream of the parent runs here. Exit status 0 means the file is complete.
+    It only formats and writes text, so it needs no lock that a thread of the
+    parent (a BLAS worker, say) could have held at the fork."""
     status = 1
     try:
         with open(part, "w", encoding="utf-8") as fh:

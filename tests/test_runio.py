@@ -6,9 +6,9 @@ import pytest
 
 from fbsplab import runio
 from fbsplab.cli import main
+from fbsplab.runio import SPLIT_MIN_VALUES, write_csv
 from fbsplab.signals import Waveform
 from fbsplab.wavio import write_wav
-from fbsplab.runio import SPLIT_MIN_VALUES, write_csv
 
 
 def test_write_csv_streams_a_generator_to_exact_bytes(tmp_path):
@@ -35,25 +35,6 @@ def test_write_csv_holds_no_copy_of_the_file_text(tmp_path):
     assert peak < os.path.getsize(path) / 20
 
 
-@pytest.mark.parametrize("matrix", [
-    np.array([[1e-05, 1e+17, -0.0, 3.0, -23.025850929940457],
-              [0.1, -1e-300, 2.0 ** 60, 1.0 / 3.0, 7.0]]),
-    np.array([[1e-05], [-0.0], [12.0]]),  # one column
-    np.empty((0, 3)),  # no rows
-    (np.arange(12.0).reshape(3, 4) / 7.0).T,  # column-major, as a spectrogram's values
-])
-def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, matrix):
-    header = [f"c{j}" for j in range(matrix.shape[1])]
-    write_csv(str(tmp_path / "values.csv"), header, matrix.tolist())
-    write_csv(str(tmp_path / "matrix.csv"), header, matrix)
-    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
-
-
-
-# ---------------------------------------------------------------------------
-# large float arrays: the lower half of the rows is formatted in a forked helper
-# ---------------------------------------------------------------------------
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """The helper pids os.fork returned; the split runs whatever CPUs the host has."""
@@ -71,51 +52,39 @@ def two_cpus(monkeypatch):
     return forks
 
 
-def _per_value_and_array_bytes(tmp_path, matrix):
+def _spread(rows, cols):
+    """Floats of every magnitude, so the 17-digit fields vary in width."""
+    rng = np.random.default_rng(rows)
+    return rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1e-05, 1e+17, -0.0, 3.0, -23.025850929940457],
+              [0.1, -1e-300, 2.0 ** 60, 1.0 / 3.0, 7.0]]),
+    np.array([[1e-05], [-0.0], [12.0]]),  # one column
+    np.empty((0, 3)),  # no rows
+    (np.arange(12.0).reshape(3, 4) / 7.0).T,  # column-major, as a spectrogram's values
+    # the split writer's sizes
+    _spread(SPLIT_MIN_VALUES - 1, 1),  # one value short of the threshold (2**17 - 1 is prime)
+    _spread(SPLIT_MIN_VALUES // 256, 256),  # exactly the threshold
+    _spread(SPLIT_MIN_VALUES // 128 + 1, 128),  # an odd row count
+    _spread(1, SPLIT_MIN_VALUES + 3),  # a single row wider than the threshold
+    np.empty((0, SPLIT_MIN_VALUES + 1)),  # no rows
+    np.log(np.random.default_rng(1).random((2 * SPLIT_MIN_VALUES // 129 + 1, 129))).T,
+    np.random.default_rng(2).standard_normal((129, 124)),  # a short_calls spectrogram
+])
+def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, two_cpus, matrix):
     header = [f"c{j}" for j in range(matrix.shape[1])]
     write_csv(str(tmp_path / "values.csv"), header, matrix.tolist())
     write_csv(str(tmp_path / "matrix.csv"), header, matrix)
-    return (tmp_path / "values.csv").read_bytes(), (tmp_path / "matrix.csv").read_bytes()
-
-
-@pytest.mark.parametrize("rows, cols", [
-    (SPLIT_MIN_VALUES - 1, 1),  # one value short of the threshold (2**17 - 1 is prime)
-    (SPLIT_MIN_VALUES // 256, 256),  # exactly the threshold
-    (SPLIT_MIN_VALUES // 128 + 1, 128),  # an odd row count
-    (1, SPLIT_MIN_VALUES + 3),  # a single row wider than the threshold
-])
-def test_split_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, two_cpus, rows, cols):
-    rng = np.random.default_rng(rows)
-    matrix = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
-    values, split = _per_value_and_array_bytes(tmp_path, matrix)
-    assert split == values
-    assert len(two_cpus) == (rows * cols >= SPLIT_MIN_VALUES)
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    assert len(two_cpus) == (matrix.size >= SPLIT_MIN_VALUES)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "values.csv"]
 
 
-def test_split_of_a_column_major_matrix_keeps_its_row_order(tmp_path, two_cpus):
-    # Spectrogram.values is the transpose of a C-ordered (frames, filters) array
-    matrix = np.log(np.random.default_rng(1).random((2 * SPLIT_MIN_VALUES // 129 + 1, 129))).T
-    assert not matrix.flags.c_contiguous
-    values, split = _per_value_and_array_bytes(tmp_path, matrix)
-    assert split == values
-    assert len(two_cpus) == 1
-
-
-def test_no_rows_and_small_matrices_are_written_without_a_fork(tmp_path, two_cpus):
-    assert _per_value_and_array_bytes(tmp_path, np.empty((0, SPLIT_MIN_VALUES + 1)))[1] \
-        == b",".join(f"c{j}".encode() for j in range(SPLIT_MIN_VALUES + 1)) + b"\n"
-    short_calls_sized = np.random.default_rng(2).standard_normal((129, 124))
-    values, serial = _per_value_and_array_bytes(tmp_path, short_calls_sized)
-    assert serial == values
-    assert two_cpus == []
-
-
-def test_a_large_row_iterable_is_written_without_a_fork(tmp_path, two_cpus):
-    rows = np.random.default_rng(3).standard_normal((257, 1873)).tolist()
-    write_csv(str(tmp_path / "rows.csv"), ["c"] * 1873, iter(rows))
-    assert two_cpus == []
-
+# ---------------------------------------------------------------------------
+# large float arrays: the lower half of the rows is formatted in a forked helper
+# ---------------------------------------------------------------------------
 
 def test_a_spectrogram_long_sized_matrix_forks_one_helper(tmp_path, two_cpus):
     matrix = np.random.default_rng(4).standard_normal((1873, 257)).T
@@ -126,15 +95,17 @@ def test_a_spectrogram_long_sized_matrix_forks_one_helper(tmp_path, two_cpus):
         os.waitpid(two_cpus[0], os.WNOHANG)  # the helper was reaped
 
 
-def test_one_cpu_writes_a_large_matrix_without_a_fork(tmp_path, two_cpus, monkeypatch):
-    monkeypatch.setattr(runio, "_cpu_count", lambda: 1)
+def test_rows_and_one_cpu_write_a_large_matrix_without_a_fork(tmp_path, two_cpus, monkeypatch):
     matrix = np.random.default_rng(5).standard_normal((257, 1873))
-    values, serial = _per_value_and_array_bytes(tmp_path, matrix)
-    assert serial == values
+    write_csv(str(tmp_path / "rows.csv"), ["c"] * 1873, iter(matrix.tolist()))
+    monkeypatch.setattr(runio, "_cpu_count", lambda: 1)
+    write_csv(str(tmp_path / "one_cpu.csv"), ["c"] * 1873, matrix)
     assert two_cpus == []
+    assert (tmp_path / "one_cpu.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_a_failed_helper_raises_oserror_naming_the_path(tmp_path, two_cpus, monkeypatch):
+def _fail_in_the_helper(monkeypatch):
+    """Make the row formatter raise in any process but this one."""
     parent, real_row_lines = os.getpid(), runio._row_lines
 
     def row_lines_failing_in_the_helper(rows):
@@ -143,6 +114,10 @@ def test_a_failed_helper_raises_oserror_naming_the_path(tmp_path, two_cpus, monk
         return real_row_lines(rows)
 
     monkeypatch.setattr(runio, "_row_lines", row_lines_failing_in_the_helper)
+
+
+def test_a_failed_helper_raises_oserror_naming_the_path(tmp_path, two_cpus, monkeypatch):
+    _fail_in_the_helper(monkeypatch)
     path = tmp_path / "s.csv"
     with pytest.raises(OSError, match=f"could not write {path}: the helper process"):
         write_csv(str(path), ["c"] * 300, np.ones((SPLIT_MIN_VALUES // 300 + 1, 300)))
@@ -152,8 +127,20 @@ def test_a_failed_helper_raises_oserror_naming_the_path(tmp_path, two_cpus, monk
         os.waitpid(two_cpus[0], os.WNOHANG)
 
 
+def test_spectrogram_exits_2_when_the_helper_fails(tmp_path, capsys, two_cpus, monkeypatch):
+    # 4,096 frames of 33 filters at n_fft 64, hop 1: a matrix that splits
+    wav = tmp_path / "in.wav"
+    write_wav(str(wav), Waveform(np.sin(0.01 * np.arange(4096 + 63)), 8000))
+    _fail_in_the_helper(monkeypatch)
+    out = tmp_path / "s.csv"
+    assert main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "1",
+                 "--out", str(out)]) == 2
+    assert f"error: could not write {out}: the helper process" in capsys.readouterr().err
+    assert len(two_cpus) == 1
+
+
 def test_split_write_holds_no_copy_of_the_file_text(tmp_path, two_cpus):
-    # the twin of the row-iterable test above, for an array large enough to split
+    # the array twin of test_write_csv_holds_no_copy_of_the_file_text
     matrix = np.random.default_rng(0).standard_normal((1000, 500))
     path = tmp_path / "big.csv"
     tracemalloc.start()
@@ -164,23 +151,3 @@ def test_split_write_holds_no_copy_of_the_file_text(tmp_path, two_cpus):
         tracemalloc.stop()
     assert len(two_cpus) == 1
     assert peak < os.path.getsize(path) / 20
-
-
-def test_spectrogram_exits_2_when_the_helper_fails(tmp_path, capsys, two_cpus, monkeypatch):
-    # 4,096 frames of 33 filters at n_fft 64, hop 1: a matrix that splits
-    wav = tmp_path / "in.wav"
-    write_wav(str(wav), Waveform(np.sin(0.01 * np.arange(4096 + 63)), 8000))
-    parent, real_row_lines = os.getpid(), runio._row_lines
-
-    def row_lines_failing_in_the_helper(rows):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting failed in the helper")
-        return real_row_lines(rows)
-
-    monkeypatch.setattr(runio, "_row_lines", row_lines_failing_in_the_helper)
-    out = tmp_path / "s.csv"
-    assert main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "1",
-                 "--out", str(out)]) == 2
-    assert f"error: could not write {out}: the helper process" in capsys.readouterr().err
-    assert len(two_cpus) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "s.csv"]
