@@ -55,8 +55,8 @@ from fbsplab.perturb import (
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import (_GENERATOR_PARAMS, WindowSpec, _num_samples, generate,
-                              real_number, whole_number)
+from fbsplab.signals import (_GENERATOR_PARAMS, FrameGrid, WindowSpec, _num_samples,
+                              generate, real_number, whole_number)
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -375,17 +375,25 @@ def _section_spec(section: str, spec, values: dict):
 
 def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
-    large to build, or a corpus whose waveforms alone exceed physical memory, is
-    refused before the corpus is generated."""
+    large to build, a corpus whose waveforms alone exceed physical memory, and
+    a trainer working set that does, are refused before the corpus is
+    generated. The working set is the stacked frames of every clip, T rows of
+    n_fft values, and the trainer's two (rows, 2F) workspace buffers, rows at
+    most T: about 8 T (n_fft + 4F) bytes."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
-    _require_bank_memory(features.n_fft, features.n_fft // 2 + 1, _physical_memory())
+    filters = features.n_fft // 2 + 1
+    _require_bank_memory(features.n_fft, filters, _physical_memory())
     train_cfg = _section_spec("train", TrainConfig, cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]
-    samples = (task["samples_per_class"] * len(classes)
-               * _num_samples(task["duration"], task["sample_rate"]))
-    _require_memory(f"a corpus of {samples} samples", "generate", 8 * samples,
-                    _physical_memory())
+    clips = task["samples_per_class"] * len(classes)
+    clip_samples = _num_samples(task["duration"], task["sample_rate"])
+    _require_memory(f"a corpus of {clips * clip_samples} samples", "generate",
+                    8 * clips * clip_samples, _physical_memory())
+    frames = clips * FrameGrid.for_length(clip_samples, features.n_fft, features.hop).num_frames
+    _require_memory(f"a task of {clips} clips framed at features.n_fft {features.n_fft} and "
+                    f"features.hop {features.hop} ({frames} frames)", "train",
+                    8 * frames * (features.n_fft + 4 * filters), _physical_memory())
     return make_task(classes, **task), features, train_cfg
 
 

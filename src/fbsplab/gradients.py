@@ -51,6 +51,7 @@ __all__ = [
     "MAX_CHECK_N_FFT",
     "MAX_CHECK_ENERGY",
     "CHECK_REL_TOL",
+    "CHECK_ABS_TOL",
     "fbsp_loss",
     "loss_gradient",
     "kernel_jacobian_vector",
@@ -319,10 +320,13 @@ def admissible_draw(
 
 # Relative tolerance of the report's checks.
 CHECK_REL_TOL = 1e-5
+# Absolute accuracy the oracle promises at its default step: its rounding
+# error, about eps |f| / step, reached 5e-10 on the pairing scalar's d_m.
+CHECK_ABS_TOL = 1e-8
 
 
 def _compare(analytic: float, numeric: float,
-             rel_tol: float = CHECK_REL_TOL, abs_tol: float = 1e-8) -> tuple[float, bool]:
+             rel_tol: float = CHECK_REL_TOL, abs_tol: float = CHECK_ABS_TOL) -> tuple[float, bool]:
     err = abs(analytic - numeric)
     if err < abs_tol:
         return err, True
@@ -339,15 +343,19 @@ def gradient_check_report(
 ) -> dict:
     """Run the standard gradient checks and return a JSON-ready report.
 
-    Each entry records {param, analytic, numeric, rel_error, status}. The
+    Each entry records {param, analytic, numeric, rel_error, status}; it
+    passes when the two differ by less than ``CHECK_ABS_TOL`` or, relatively,
+    by less than ``CHECK_REL_TOL`` (1e-8 for f_c's exact zero). The
     suite covers the loss gradient at a fixed point and at random admitted
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
     Raises ValueError, before any draw, for a negative ``draws``; a ``step``
     that is not finite, positive and below 1/(2 n_fft), at which a one-sided
-    stencil from f_c[0] = 0 would reach f_c[1]; and a ``point`` whose f_b the
-    step cannot resolve or whose row energy exceeds ``MAX_CHECK_ENERGY``. It
-    raises for n_fft above ``MAX_CHECK_N_FFT`` after the draws.
+    stencil from f_c[0] = 0 would reach f_c[1]; a ``point`` whose f_b the
+    step cannot resolve or whose row energy exceeds ``MAX_CHECK_ENERGY``; and
+    a point at m = 0 whose one-sided m-probe at m = step puts the sinc
+    argument above 2**52. It raises for n_fft above ``MAX_CHECK_N_FFT`` after
+    the draws.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
@@ -361,9 +369,8 @@ def gradient_check_report(
 
     checks: list[dict] = []
 
-    def record(param: str, analytic: float, numeric: float,
-               rel_tol: float = CHECK_REL_TOL, abs_tol: float = 1e-8) -> None:
-        err, ok = _compare(analytic, numeric, rel_tol, abs_tol)
+    def record(param: str, analytic: float, numeric: float, rel_tol: float = CHECK_REL_TOL) -> None:
+        err, ok = _compare(analytic, numeric, rel_tol)
         checks.append({
             "param": param,
             "analytic": float(analytic),
@@ -383,6 +390,13 @@ def gradient_check_report(
         raise ValueError(f"f_b {fixed.f_b} gives every row the energy g = f_b mean|env|^2 = "
                          f"{energy:.4g} at m={fixed.m}, above 2**500: the loss (g - 1)^2 "
                          "and its differences would overflow")
+    if fixed.m == 0.0:
+        try:
+            sinc_argument(step, fixed.f_b, centered_taps(n_fft))
+        except ValueError as err:
+            raise ValueError(f"the point m=0, f_b={fixed.f_b} cannot be differenced in m: its "
+                             f"one-sided m-probe at m = step = {step} exceeds 2**52: {err}"
+                             ) from None
     rng = np.random.default_rng(seed)
     points = [fixed] + [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
     if n_fft > MAX_CHECK_N_FFT:
@@ -397,8 +411,7 @@ def gradient_check_report(
         record(f"{tag}.f_b", analytic.d_fb, numeric.d_fb)
         worst = int(np.argmax(np.abs(numeric.d_fc)))
         exact_zero = float(np.max(np.abs(analytic.d_fc)))
-        record(f"{tag}.f_c[{worst}]", exact_zero, numeric.d_fc[worst],
-               rel_tol=1e-8, abs_tol=1e-8)
+        record(f"{tag}.f_c[{worst}]", exact_zero, numeric.d_fc[worst], rel_tol=1e-8)
 
     # cotangent pullback against differences of the pairing scalar
     params = points[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -116,6 +117,16 @@ class ButterworthFilter:
     def num_sections(self) -> int:
         return self.sections.shape[0]
 
+    @cached_property
+    def block_operators(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each section's read-only ``_section_operators`` for blocks of
+        ``_BLOCK`` samples, which ``apply_filter`` runs; built on first use,
+        so a filter runs any number of clips on one build."""
+        operators = tuple(_section_operators(section, _BLOCK) for section in self.sections)
+        for array in (a for ops in operators for a in ops):
+            array.setflags(write=False)
+        return operators
+
 
 def design_butterworth_lowpass(
     order: int,
@@ -179,17 +190,19 @@ def magnitude_response_db(
 _BLOCK = 32
 
 
-def _section_pass(blocks: np.ndarray, section: np.ndarray) -> np.ndarray:
-    """One section [b0, b1, b2, a1, a2] over a signal cut into rows of length
-    L = ``blocks.shape[1]``, with zero initial state.
+def _section_operators(section: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    """The operators by which ``_section_pass`` runs one section [b0, b1, b2,
+    a1, a2] over blocks of ``width`` samples: (the transposed Toeplitz matrix
+    of the section's impulse response h, the map from a block's input to the
+    state it leaves at the next block's start, the one-block step of a state,
+    and the map from a state at a block's start to its free response over
+    the block).
 
     Within its own block, a block's input has the response h * x, with h the
     section's impulse response: a Toeplitz product. From two samples after the
     block on, that response obeys the free recursion r[n] = -a1 r[n-1] -
     a2 r[n-2], so what it leaves for later blocks is fixed by a 2-vector state
-    at the next block's start. The states left by all earlier blocks add up to
-    one state per block start; a doubling scan sums them, advancing a state L
-    samples per block, and each state's free response is added to its block.
+    at the next block's start.
 
     The state of r at n is (r[n], r[n+1] - s r[n]) with s = -a1 / 2, the mean
     of the poles. In it a step of the recursion is the matrix [[s, 1], [d, s]],
@@ -197,12 +210,11 @@ def _section_pass(blocks: np.ndarray, section: np.ndarray) -> np.ndarray:
     that nearly coincide near z = 1 or z = -1, where the plain pair
     (r[n], r[n+1]) loses digits to cancellation."""
     b0, b1, b2, a1, a2 = section
-    width = blocks.shape[1]
     s = -a1 / 2.0
     d = s * s - a2
 
     def orbit(u: float, v: float) -> np.ndarray:
-        """States at 0..L of the free response whose state at 0 is (u, v)."""
+        """States at 0..width of the free response whose state at 0 is (u, v)."""
         states = [(u, v)]
         for _ in range(width):
             u, v = s * u + v, d * u + s * v
@@ -211,18 +223,30 @@ def _section_pass(blocks: np.ndarray, section: np.ndarray) -> np.ndarray:
 
     h1 = b1 - a1 * b0
     h2 = b2 - a1 * h1 - a2 * b0
-    lagged = orbit(h1, h2 - s * h1)  # states of h at lags 1..L + 1, free from lag 1 on
+    lagged = orbit(h1, h2 - s * h1)  # states of h at lags 1..width + 1, free from lag 1 on
     h = np.concatenate([[b0], lagged[:width - 1, 0]])
     lag = np.subtract.outer(np.arange(width), np.arange(width))
     toeplitz = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)  # [i, j] = h[i - j]
-    out = blocks @ toeplitz.T
-    carry = blocks @ lagged[width - 1::-1]  # state each block's input leaves at the next start
     free = np.stack([orbit(1.0, 0.0), orbit(0.0, 1.0)], axis=-1)  # [lag, coordinate, unit state]
-    step, shift = free[width], 1  # step advances a state by ``shift`` blocks
+    return toeplitz.T, lagged[width - 1::-1], free[width], free[:width, 0].T
+
+
+def _section_pass(blocks: np.ndarray, operators: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One section, given by its ``_section_operators`` for rows of length L =
+    ``blocks.shape[1]``, over a signal cut into such rows, with zero initial
+    state.
+
+    The states left by all earlier blocks add up to one state per block start;
+    a doubling scan sums them, advancing a state L samples per block, and each
+    state's free response is added to its block."""
+    toeplitz_t, leave, step, enter = operators
+    out = blocks @ toeplitz_t
+    carry = blocks @ leave  # state each block's input leaves at the next start
+    shift = 1  # step advances a state by ``shift`` blocks
     while shift < len(carry):
         carry[shift:] += carry[:-shift] @ step.T
         step, shift = step @ step, 2 * shift
-    out[1:] += carry[:-1] @ free[:width, 0].T
+    out[1:] += carry[:-1] @ enter
     return out
 
 
@@ -240,8 +264,8 @@ def apply_filter(filt: ButterworthFilter, signal: Waveform) -> Waveform:
     blocks = np.zeros(-(-n // _BLOCK) * _BLOCK)
     blocks[:n] = signal.samples
     blocks = blocks.reshape(-1, _BLOCK)
-    for section in filt.sections:
-        blocks = _section_pass(blocks, section)
+    for operators in filt.block_operators:
+        blocks = _section_pass(blocks, operators)
     return Waveform(blocks.reshape(-1)[:n], signal.sample_rate)
 
 
@@ -272,7 +296,7 @@ def check_axis(kind: str, axis: Sequence[float], sample_rate: float, order: int)
     for value in axis:
         if kind == "awgn":
             snr_power_ratio(value)
-        elif not value >= sample_rate / 2.0:  # as in _perturbed, NaN included
+        elif not value >= sample_rate / 2.0:  # as in _cell_perturbation, NaN included
             design_butterworth_lowpass(order, value, sample_rate)
 
 
@@ -294,15 +318,20 @@ class SweepResult:
             raise ValueError("axis, accuracy and spectro_snr_db must share one 1-D shape")
 
 
-def _perturbed(kind: str, value: float, signal: Waveform,
-               seed: int, order: int) -> Waveform:
-    """One sweep cell's clip; ``kind`` is "awgn" or "lowpass", checked by the caller."""
+def _cell_perturbation(kind: str, value: float, order: int):
+    """One sweep cell's perturbation, as (clip, seed) -> clip; ``kind`` is
+    "awgn" or "lowpass", checked by the caller. A lowpass cell designs its
+    filter once per sample rate, not once per clip."""
     if kind == "awgn":
-        return add_awgn(signal, value, seed)
-    if value >= signal.sample_rate / 2.0:
-        return signal  # at or above Nyquist, nothing to remove
-    filt = design_butterworth_lowpass(order, value, signal.sample_rate)
-    return apply_filter(filt, signal)
+        return lambda signal, seed: add_awgn(signal, value, seed)
+    design = cache(lambda rate: design_butterworth_lowpass(order, value, rate))
+
+    def lowpass(signal: Waveform, seed: int) -> Waveform:
+        if value >= signal.sample_rate / 2.0:
+            return signal  # at or above Nyquist, nothing to remove
+        return apply_filter(design(signal.sample_rate), signal)
+
+    return lowpass
 
 
 def robustness_sweep(
@@ -333,11 +362,11 @@ def robustness_sweep(
     accuracy = np.zeros(len(axis))
     snr_out = np.zeros(len(axis))
     for i, value in enumerate(axis):
+        perturb = _cell_perturbation(kind, float(value), order)
         correct = 0
         ratios = np.zeros(len(waveforms))
         for j, (wf, label) in enumerate(zip(waveforms, labels)):
-            noisy = model.spectrogram(_perturbed(kind, float(value), wf,
-                                                 derive_seed(seed, kind_id, i, j), order))
+            noisy = model.spectrogram(perturb(wf, derive_seed(seed, kind_id, i, j)))
             if model.predict(noisy) == label:
                 correct += 1
             ratios[j] = bank_energy_ratio(clean_specs[j], noisy)

@@ -14,11 +14,21 @@ trainer derives from the bank (the kernel, one ``transform.forward`` over
 each split's stack, the regularizer loss) depends on the parameters alone,
 so it is rendered once per parameter value an epoch starts from, and once
 per run while the bank is frozen. The freeze only decides whether an epoch
-runs the bank gradient: ``transform.backward`` and the analytic cotangent
-pullback. A proposed bank step is validated before it is taken (m >= 0,
-f_b > 0, ordered in-band f_c, and the gradients' own
-``require_gradient_point`` exclusion rule); invalid steps are halved up to
-20 times and skipped when still invalid, with the bank velocity reset.
+runs the bank gradient: ``transform.backward`` on the per-clip cotangent of
+the features, and the analytic cotangent pullback.
+
+``train`` owns one workspace for the run: two (rows, 2F) buffers, rows the
+larger split's frame count. ``forward`` writes its product into the first,
+the validation split's into its leading rows and then the train split's
+over it, and the cache keeps that product: (frames, outputs, eps), views of
+the stacked train frames and of that buffer. The second is scratch:
+``forward``'s power and log-power, then ``backward``'s product. So an epoch
+allocates no array of the frames' size.
+
+A proposed bank step is validated before it is taken (m >= 0, f_b > 0,
+ordered in-band f_c, and the gradients' own ``require_gradient_point``
+exclusion rule); invalid steps are halved up to 20 times and skipped when
+still invalid, with the bank velocity reset.
 """
 
 from __future__ import annotations
@@ -364,11 +374,13 @@ def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
     return np.concatenate(frames_list), counts
 
 
-def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float):
+def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float,
+                   buffers: tuple[np.ndarray, np.ndarray] | None = None):
     """(clips, filters) time-averaged log-power rows from one ``forward`` of a
-    ``_stack_frames`` split, with its cache and the clips' frame counts."""
+    ``_stack_frames`` split, with its cache and the clips' frame counts;
+    ``buffers`` are ``forward``'s."""
     frames, counts = split
-    logp, cache = forward(bank, frames, eps)
+    logp, cache = forward(bank, frames, eps, buffers)
     starts = np.cumsum(counts) - counts
     return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache, counts
 
@@ -425,11 +437,13 @@ def _head_pass(feats: np.ndarray, head: LinearHead, labels: np.ndarray,
 
 
 def _bank_gradient(params: FbspParams, n_fft: int, cache: tuple, counts: np.ndarray,
-                   dfeat: np.ndarray, lambda_fbsp: float) -> ParamGradient:
+                   dfeat: np.ndarray, lambda_fbsp: float,
+                   scratch: np.ndarray | None = None) -> ParamGradient:
     """The bank half: the feature cotangent backpropagated through the per-clip
     time means and log-power into the kernel entries, pulled back to
-    (m, f_b, f_c), plus lambda times the analytic regularizer gradient."""
-    cotangent = backward(cache, np.repeat(dfeat / counts[:, None], counts, axis=0))
+    (m, f_b, f_c), plus lambda times the analytic regularizer gradient;
+    ``scratch`` is ``backward``'s."""
+    cotangent = backward(cache, dfeat / counts[:, None], counts, scratch)
     bank_grad = kernel_jacobian_vector(params, n_fft, cotangent)
     if not lambda_fbsp:
         return bank_grad
@@ -474,8 +488,10 @@ class _BankPoint:
     """What ``train`` derives from one parameter value: the bank's regularizer
     loss, the validation features, and the train features with the cache and
     frame counts the bank gradient needs. The cache holds the train split's
-    stacked frames, not a copy, and ``backward`` leaves it unchanged, so a
-    point whose step was refused runs the bank gradient again."""
+    stacked frames and ``forward``'s product, not copies; ``backward`` leaves
+    both unchanged, so a point whose step was refused runs the bank gradient
+    again. With ``buffers`` (``forward``'s) the cache is valid until the next
+    render into them."""
 
     params: FbspParams
     bank_loss: float
@@ -486,11 +502,12 @@ class _BankPoint:
 
     @classmethod
     def render(cls, params: FbspParams, train_split: tuple[np.ndarray, np.ndarray],
-               val_split: tuple[np.ndarray, np.ndarray], features: FeatureSpec) -> "_BankPoint":
+               val_split: tuple[np.ndarray, np.ndarray], features: FeatureSpec,
+               buffers: tuple[np.ndarray, np.ndarray] | None = None) -> "_BankPoint":
         bank = fbsp_kernel(params, features.n_fft)
-        val_feats = _clip_features(bank, val_split, features.eps)[0]
+        val_feats = _clip_features(bank, val_split, features.eps, buffers)[0]
         return cls(params, fbsp_loss(bank), val_feats,
-                   *_clip_features(bank, train_split, features.eps))
+                   *_clip_features(bank, train_split, features.eps, buffers))
 
 
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
@@ -523,7 +540,9 @@ def train(
     val_labels = corpus.labels[corpus.val_indices]
     del frames_all  # the stacked splits hold every frame
 
-    point = _BankPoint.render(params, train_split, val_split, features)
+    rows, width = max(len(train_split[0]), len(val_split[0])), 2 * params.num_filters
+    workspace = np.empty((rows, width)), np.empty((rows, width))
+    point = _BankPoint.render(params, train_split, val_split, features, workspace)
     feat_mean = point.train_feats.mean(axis=0)
     feat_std = np.maximum(point.train_feats.std(axis=0), 1e-8)
 
@@ -537,8 +556,7 @@ def train(
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
         if point.params is not params:
-            point = None  # release the old cache before rendering the new point
-            point = _BankPoint.render(params, train_split, val_split, features)
+            point = _BankPoint.render(params, train_split, val_split, features, workspace)
         head = LinearHead(weights, bias, feat_mean, feat_std)
         ce, objective, grad_w, grad_b, dfeat = _head_pass(
             point.train_feats, head, train_labels, config.weight_decay)
@@ -564,7 +582,7 @@ def train(
         if epoch < config.freeze_epochs:
             continue
         bank_grad = _bank_gradient(params, features.n_fft, point.cache, point.counts, dfeat,
-                                   config.lambda_fbsp)
+                                   config.lambda_fbsp, workspace[1])
         grad_vec = np.concatenate(([bank_grad.d_m, bank_grad.d_fb], bank_grad.d_fc))
         vel_bank = mu * vel_bank + grad_vec
         step = lr * (grad_vec + mu * vel_bank)

@@ -9,10 +9,20 @@ the log finite on silent frames.
 
 ``forward`` computes X for real (frames, N) frames as one real product
 with the (N, 2F) matrix [Re K; Im K]^T, the bank's cached ``real_matrix``,
-and returns log-power rows; ``backward`` turns their cotangent into the
-(F, N) bank cotangent that ``gradients.kernel_jacobian_vector`` pulls back.
-Training and inference go through this one pair; ``analyze``, the complex
-product K @ frames^T, is the separate reference they are tested against.
+and returns log-power rows; ``backward`` turns a per-clip cotangent on the
+sums of each clip's rows into the (F, N) bank cotangent that
+``gradients.kernel_jacobian_vector`` pulls back. Training and inference go
+through this one pair; ``analyze``, the complex product K @ frames^T, is the
+separate reference they are tested against.
+
+``forward``'s cache is (frames, outputs, eps): the frames it was given and
+its (T, 2F) product [Re X | Im X]; ``backward`` recomputes the power from it
+through ``_power``, the helper ``forward`` uses, so the bits agree. Neither
+owns its memory when the caller passes buffers: ``forward`` then writes the
+product into the leading rows of the caller's (rows, 2F) ``outputs`` buffer
+and the power and log-power into the two leading contiguous (T, F) halves of
+its ``scratch`` buffer, and ``backward`` writes its (T, 2F) product into
+that scratch. Without buffers each call allocates its own.
 """
 
 from __future__ import annotations
@@ -65,30 +75,62 @@ class Spectrogram:
         object.__setattr__(self, "eps", float(self.eps))
 
 
-def forward(bank: KernelBank, frames: np.ndarray,
-            eps: float) -> tuple[np.ndarray, tuple]:
+def _power(outputs: np.ndarray, eps: float, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """|X|^2 + eps, Re^2 + Im^2 + eps, of (T, 2F) rows [Re X | Im X], written
+    into the (T, F) ``out``; ``spare``, of the same shape, is overwritten."""
+    k = out.shape[1]
+    np.square(outputs[:, :k], out=out)
+    out += np.square(outputs[:, k:], out=spare)
+    out += eps
+    return out
+
+
+def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) values of a C-contiguous buffer, as one contiguous array."""
+    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def forward(bank: KernelBank, frames: np.ndarray, eps: float,
+            buffers: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, tuple]:
     """log(|X|^2 + eps) of real (T, N) frames, shape (T, F), and the cache
     ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product
-    with the bank's cached ``real_matrix``."""
-    outputs = frames @ bank.real_matrix
-    k = bank.num_filters
-    shifted = np.square(outputs[:, :k])
-    logp = np.square(outputs[:, k:])
-    shifted += logp
-    shifted += eps
-    return np.log(shifted, out=logp), (frames, outputs, shifted)
+    with the bank's cached ``real_matrix``.
+
+    ``buffers``, if given, is a pair of C-contiguous (rows, 2F) arrays with
+    rows >= T, (outputs, scratch): the product goes into the leading rows of
+    the first and the power and log-power into the second, so the returned
+    rows and the cache are views of them, valid until they are written again."""
+    t, k = len(frames), bank.num_filters
+    if buffers is None:  # apart, so the returned rows keep no power alive
+        outputs, power, logp = np.empty((t, 2 * k)), np.empty((t, k)), np.empty((t, k))
+    else:
+        outputs = _leading(buffers[0], (t, 2 * k))
+        power, logp = _leading(buffers[1], (2, t, k))
+    np.matmul(frames, bank.real_matrix, out=outputs)
+    return np.log(_power(outputs, eps, power, logp), out=logp), (frames, outputs, eps)
 
 
-def backward(cache: tuple, dlogp: np.ndarray) -> np.ndarray:
-    """(F, N) bank cotangent C = sum_t dlogp / (|X|^2 + eps) conj(X) frame_t of
-    a (T, F) cotangent on ``forward``'s output; it pairs as 2 Re sum C dK.
+def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """(F, N) bank cotangent C = sum_t g_t conj(X_t) frame_t of a (clips, F)
+    cotangent on the per-clip sums of ``forward``'s rows, where clip c owns
+    the next ``counts[c]`` rows and g_t = cotangent[c] / (|X_t|^2 + eps) on
+    each of them; it pairs as 2 Re sum C dK.
 
-    ``dlogp`` is consumed: it is divided in place, so pass an array no one
-    reads afterwards. The cache is left unchanged and can be passed again."""
-    frames, outputs, shifted = cache
-    t, k = shifted.shape
-    dlogp /= shifted
-    paired = (outputs.reshape(t, 2, k) * dlogp[:, None, :]).reshape(t, 2 * k).T @ frames
+    The (T, 2F) product [Re X g | Im X g] goes into the leading values of
+    ``scratch`` (a C-contiguous array of at least 2 T F values) if given. The
+    cache is left unchanged and can be passed again."""
+    frames, outputs, eps = cache
+    t, k = len(frames), outputs.shape[1] // 2
+    product = _leading(np.empty((t, 2 * k)) if scratch is None else scratch, (t, 2 * k))
+    g = np.empty((int(np.max(counts)), k))
+    start = 0
+    for row, count in zip(cotangent, counts):
+        clip, out, gain = outputs[start:start + count], product[start:start + count], g[:count]
+        np.divide(row, _power(clip, eps, gain, out[:, k:]), out=gain)
+        np.multiply(clip.reshape(count, 2, k), gain[:, None, :], out=out.reshape(count, 2, k))
+        start += count
+    paired = product.T @ frames
     return paired[:k] - 1j * paired[k:]
 
 

@@ -879,6 +879,26 @@ def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_working_set_larger_than_memory_is_refused_before_the_corpus(
+        tmp_path, monkeypatch, capsys, command):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generated the corpus before the working-set bound")
+
+    # the small task's 8 clips of 1600 samples stack 392 frames of 64 taps at
+    # hop 32, about 0.6 MB with the trainer's two (T, 66) buffers, but 12,296 at
+    # hop 1, about 19 MB; its bank and its corpus need about 0.1 MB each
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(fbsplab.cli, "make_task", no_corpus)
+        assert run_with_config(tmp_path, command, {"features": {"hop": 1}}) == 2
+    assert ("a task of 8 clips framed at features.n_fft 64 and features.hop 1 "
+            "(12296 frames) needs about 19280128 bytes to train, more than the 1000000 "
+            "bytes of physical memory") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert run_with_config(tmp_path, command, {}) == 0
+
+
 # ---------------------------------------------------------------------------
 # config merging property
 # ---------------------------------------------------------------------------
@@ -1118,6 +1138,17 @@ def test_gradcheck_refuses_a_row_energy_the_loss_cannot_square(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"f_b {float(f_b)} gives every row the energy g = f_b mean|env|^2 = {g}" in err
     assert "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gradcheck_names_the_given_point_when_its_m_probe_leaves_the_envelope_range(
+        tmp_path, capsys):
+    # at m = 0 the m-derivative is differenced one-sided, from a probe at m = step
+    assert main(["gradcheck", "--m", "0", "--f-b", "1e9", "--draws", "0",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert ("the point m=0, f_b=1000000000.0 cannot be differenced in m: its one-sided "
+            "m-probe at m = step = 1e-06 exceeds 2**52") in err
     assert list(tmp_path.iterdir()) == []
 
 

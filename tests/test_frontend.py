@@ -26,7 +26,7 @@ from fbsplab.training import (
     prepare_frames,
     train,
 )
-from fbsplab.transform import analyze, log_power
+from fbsplab.transform import analyze, backward, forward, log_power
 
 FEATURES = FeatureSpec(n_fft=64, hop=32)
 # (1.7, 0.9) keeps every tap 1/34 away from the nearest sinc zero
@@ -137,6 +137,40 @@ def test_bank_cotangent_matches_per_clip_reference(monkeypatch):
     pipeline_gradients(PARAMS, head, clips, labels, FEATURES)
     assert len(captured) == 1
     assert relative_error(captured[0], expected) <= 1e-12
+
+
+def stacked_case():
+    """The uneven clips stacked, their frame counts, the bank, a per-clip
+    cotangent, and a pair of (rows, 2F) buffers with rows to spare, filled
+    with NaN so that a value read before it is written shows."""
+    clips = uneven_clips()
+    bank = fbsp_kernel(PARAMS, FEATURES.n_fft)
+    cotangent = np.random.default_rng(3).standard_normal((len(clips), bank.num_filters))
+    frames = np.concatenate(clips)
+    shape = (len(frames) + 3, 2 * bank.num_filters)
+    buffers = np.full(shape, np.nan), np.full(shape, np.nan)
+    return frames, np.array([len(c) for c in clips]), bank, cotangent, buffers
+
+
+def test_forward_and_backward_agree_with_and_without_buffers():
+    frames, counts, bank, cotangent, (outputs, scratch) = stacked_case()
+    logp, cache = forward(bank, frames, FEATURES.eps)
+    logp_in, cache_in = forward(bank, frames, FEATURES.eps, (outputs, scratch))
+    assert np.array_equal(logp_in, logp)
+    assert np.array_equal(cache_in[1], cache[1])
+    assert np.shares_memory(logp_in, scratch) and np.shares_memory(cache_in[1], outputs)
+    assert np.array_equal(backward(cache_in, cotangent, counts, scratch),
+                          backward(cache, cotangent, counts))
+
+
+def test_backward_leaves_frames_and_outputs_unchanged():
+    # a refused step runs the bank gradient again on the same cache
+    frames, counts, bank, cotangent, buffers = stacked_case()
+    cache = forward(bank, frames, FEATURES.eps, buffers)[1]
+    kept = [array.copy() for array in cache[:2]]
+    first = backward(cache, cotangent, counts, buffers[1])
+    assert all(np.array_equal(array, copy) for array, copy in zip(cache[:2], kept))
+    assert np.array_equal(backward(cache, cotangent, counts, buffers[1]), first)
 
 
 @pytest.mark.parametrize("freeze_epochs", [0, 2, 5])

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import fbsplab.perturb
 from fbsplab.bank import dft_kernel
 from fbsplab.perturb import (
     DEFAULT_SNR_AXIS,
@@ -295,6 +296,25 @@ class TestRobustnessSweep:
         model = CountingModel()
         robustness_sweep(kind, axis, model, clips, labels, seed=5)
         assert model.renders == len(clips) * (len(axis) + 1)
+
+    def test_each_cell_designs_its_filter_once(self, monkeypatch):
+        # one design per cell below Nyquist (4 kHz here), whatever the clip
+        # count, and none at or above it; each filter builds its block
+        # operators once
+        designs = []
+        design = fbsplab.perturb.design_butterworth_lowpass
+
+        def counted(*args):
+            designs.append(design(*args))
+            return designs[-1]
+
+        monkeypatch.setattr(fbsplab.perturb, "design_butterworth_lowpass", counted)
+        clips, labels = self.make_clips()
+        robustness_sweep("lowpass", [4000.0, 9000.0, 1000.0, 2500.0], StubModel(),
+                         clips, labels, seed=5)
+        assert [filt.cutoff_hz for filt in designs] == [1000.0, 2500.0]
+        for filt in designs:
+            assert filt.block_operators is filt.block_operators
 
     def test_cells_are_independently_seeded(self):
         clips, labels = self.make_clips()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,28 @@ class TestTrain:
             np.testing.assert_allclose(steps[0], lr * (1 + config.momentum) * grad,
                                        rtol=1e-9, atol=1e-15)
             np.testing.assert_allclose(steps[-1], steps[0] / 2 ** 20, rtol=1e-3, atol=1e-15)
+
+    def test_epochs_allocate_no_array_of_the_frames_size(self):
+        # an unfrozen run holds the stacked frames and the workspace's two
+        # (T, 2F) buffers; the bank, its gradient and the head need a fixed
+        # few hundred KB whatever T is. At T = 3136 train frames one (T, F)
+        # temporary is 0.8 MB, so a per-epoch array of that size fails here
+        corpus = small_task(samples=40)
+        frames = prepare_frames(corpus, FAST_FEATURES)
+        rows = max(sum(len(frames[i]) for i in indices)
+                   for indices in (corpus.train_indices, corpus.val_indices))
+        workspace = 2 * 8 * rows * 2 * (FAST_FEATURES.n_fft // 2 + 1)
+        slack = 512 * 1024
+        bound = sum(f.nbytes for f in frames) + workspace + slack
+        del frames
+        config = TrainConfig(epochs=4, lr=0.1, freeze_epochs=1)
+        tracemalloc.start()
+        try:
+            train(corpus, config, FAST_FEATURES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_standardization_uses_init_train_stats(self):
         corpus = small_task()
