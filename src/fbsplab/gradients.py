@@ -27,7 +27,7 @@ m = 0: a finite difference with step h grows like log h. See the gradient
 tests.) ``require_gradient_point`` is the exclusion rule: at fractional m, a
 point within 1e-6 (in sinc-argument units) of a zero raises
 ``SingularGradientError``. The trainer checks proposed steps with it and
-projects them away from the zones instead of stepping into them.
+does not take one that lands in a zone.
 """
 
 from __future__ import annotations

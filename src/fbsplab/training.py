@@ -25,10 +25,10 @@ the stacked train frames and of that buffer. The second is scratch:
 ``forward``'s power and log-power, then ``backward``'s product. So an epoch
 allocates no array of the frames' size.
 
-A proposed bank step is validated before it is taken (m >= 0, f_b > 0,
-ordered in-band f_c, and the gradients' own ``require_gradient_point``
-exclusion rule); invalid steps are halved up to 20 times and skipped when
-still invalid, with the bank velocity reset.
+Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
+center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between
+the centers, so the centers stay ordered in [0, 0.5] and zeros stay pinned. A
+non-finite proposal or one in an exclusion zone (``_params_valid``) is not taken.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
     "train",
 ]
 
-_MAX_STEP_HALVINGS = 20
+MAX_CENTER_STEP = 0.05  # bins of 1 / n_fft: the largest center move of one bank step
 
 
 @dataclass(frozen=True)
@@ -519,6 +519,21 @@ def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
     return True
 
 
+@np.errstate(over="ignore", divide="ignore")  # an infinite ratio clips like any other
+def _bank_step(params: FbspParams, step: np.ndarray, n_fft: int) -> np.ndarray:
+    """(m, f_b, f_c) moved by ``step`` on that vector scaled to MAX_CENTER_STEP: m, f_b and
+    the gaps between 0, the centers and 0.5 move as x exp(-clip(dx / x, -1, 1)), and the gaps
+    are floored at 2**-40, far above the rounding of their sum, and rescaled to sum to 0.5."""
+    if not np.all(np.isfinite(step)):
+        return np.full_like(step, np.nan)
+    step = step * min(1.0, MAX_CENTER_STEP / n_fft / np.max(np.abs(step[2:])))
+    x = np.concatenate(([params.m, params.f_b], np.diff(params.f_c, prepend=0.0, append=0.5)))
+    dx = np.concatenate((step[:2], np.diff(step[2:], prepend=0.0, append=0.0)))
+    moved = x * np.exp(-np.clip(np.divide(dx, x, out=np.zeros_like(x), where=x > 0), -1, 1))
+    edges = np.cumsum(np.where(x[2:] > 0, np.maximum(moved[2:], 2.0 ** -40), 0.0))
+    return np.concatenate((moved[:2], edges[:-1] * 0.5 / edges[-1]))
+
+
 def train(
     corpus: TaskCorpus,
     config: TrainConfig = TrainConfig(),
@@ -558,10 +573,11 @@ def train(
         if point.params is not params:
             point = _BankPoint.render(params, train_split, val_split, features, workspace)
         head = LinearHead(weights, bias, feat_mean, feat_std)
-        ce, objective, grad_w, grad_b, dfeat = _head_pass(
-            point.train_feats, head, train_labels, config.weight_decay)
+        with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
+            ce, objective, grad_w, grad_b, dfeat = _head_pass(
+                point.train_feats, head, train_labels, config.weight_decay)
+            accuracy = float(np.mean(np.argmax(head.logits(point.val_feats), axis=1) == val_labels))
         total = objective + config.lambda_fbsp * point.bank_loss
-        accuracy = float(np.mean(np.argmax(head.logits(point.val_feats), axis=1) == val_labels))
         records.append(EpochRecord(
             epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=point.bank_loss,
             accuracy=accuracy, m=params.m, f_b=params.f_b,
@@ -584,17 +600,11 @@ def train(
         bank_grad = _bank_gradient(params, features.n_fft, point.cache, point.counts, dfeat,
                                    config.lambda_fbsp, workspace[1])
         grad_vec = np.concatenate(([bank_grad.d_m, bank_grad.d_fb], bank_grad.d_fc))
-        vel_bank = mu * vel_bank + grad_vec
-        step = lr * (grad_vec + mu * vel_bank)
-        theta = np.concatenate(([params.m, params.f_b], params.f_c))
-        for _ in range(_MAX_STEP_HALVINGS + 1):
-            proposed = theta - step
-            if _params_valid(proposed[0], proposed[1], proposed[2:], features.n_fft):
-                params = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
-                break
-            step = step / 2.0
-        else:
-            vel_bank = np.zeros_like(vel_bank)  # drop momentum into the wall
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
+            vel_bank = mu * vel_bank + grad_vec
+            proposed = _bank_step(params, lr * (grad_vec + mu * vel_bank), features.n_fft)
+        if _params_valid(proposed[0], proposed[1], proposed[2:], features.n_fft):
+            params = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
 
     return TrainedModel(params=params, head=LinearHead(weights, bias, feat_mean, feat_std),
                         features=features, class_names=corpus.class_names,

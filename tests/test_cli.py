@@ -457,6 +457,17 @@ class TestTrainAndSweep:
         assert sidecar["command"] == "train"
         assert sidecar["config"]["train"]["epochs"] == 2
 
+    def test_divergence_exits_3_with_its_message_alone(self, tmp_path):
+        # the head's weights leave float range at epoch 1: the trainer's
+        # finiteness check reports it, and numpy warns of nothing
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(SMALL_RUN_CONFIG))
+        proc = run("train", "--config", str(cfg), "--lr", "1e308", "--epochs", "5",
+                   "--freeze-epochs", "0", "--out-params", str(tmp_path / "p.json"),
+                   "--out-log", str(tmp_path / "log.csv"))
+        assert proc.returncode == 3
+        assert proc.stderr == "numerical failure: objective became non-finite at epoch 1\n"
+
     def test_train_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(SMALL_RUN_CONFIG))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fbsplab.training as training
 from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params
-from fbsplab.gradients import fbsp_loss, require_gradient_point
+from fbsplab.gradients import fbsp_loss
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 from fbsplab.training import (
     ClassSpec,
@@ -254,20 +254,9 @@ def reference_train(corpus, config, features):
             continue
         grad_vec = np.concatenate(([grad.d_m, grad.d_fb], grad.d_fc))
         vel_bank = mu * vel_bank + grad_vec
-        step = lr * (grad_vec + mu * vel_bank)
-        theta = np.concatenate(([params.m, params.f_b], params.f_c))
-        for _ in range(training._MAX_STEP_HALVINGS + 1):
-            proposed = theta - step
-            try:
-                moved = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
-                require_gradient_point(moved, features.n_fft)
-            except ValueError:
-                step = step / 2.0
-                continue
-            params = moved
-            break
-        else:
-            vel_bank = np.zeros_like(vel_bank)
+        proposed = training._bank_step(params, lr * (grad_vec + mu * vel_bank), features.n_fft)
+        if training._params_valid(proposed[0], proposed[1], proposed[2:], features.n_fft):
+            params = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
     return params, LinearHead(weights, bias, mean, std), records, starts
 
 

@@ -138,8 +138,8 @@ def test_pullback_off_the_grid_matches_differences(point):
     else:
         assert math.isclose(analytic.d_m, numeric.d_m, rel_tol=1e-5, abs_tol=CHECK_ABS_TOL)
     assert math.isclose(analytic.d_fb, numeric.d_fb, rel_tol=1e-5, abs_tol=CHECK_ABS_TOL)
-    assert np.allclose(analytic.d_fc, numeric.d_fc,
-                       rtol=1e-5, atol=1e-6 * np.max(np.abs(analytic.d_fc)))
+    assert np.allclose(analytic.d_fc, numeric.d_fc, rtol=1e-5,
+                       atol=max(CHECK_ABS_TOL, 1e-6 * np.max(np.abs(analytic.d_fc))))
 
 
 def test_each_gradient_forms_the_sinc_argument_at_most_three_times(monkeypatch):

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbsplab.training as training
 from fbsplab.bank import FbspParams, dft_grid, init_params
-from fbsplab.gradients import finite_difference_oracle
+from fbsplab.gradients import finite_difference_oracle, sinc_zone_clearance
 from fbsplab.training import (
     ClassSpec,
     EpochRecord,
@@ -160,6 +162,97 @@ class TestPipelineGradients:
         assert math.isclose(gb[1], fd, rel_tol=1e-6, abs_tol=1e-10)
 
 
+def zone_step(start):
+    """A step on (m, f_b, f_c) whose proposal from ``start`` (fractional m,
+    n_fft 64) puts the last tap, t = 31.5, on the sinc zero f_b t / m = 17."""
+    target = start.f_b * 31.5 / 17.0
+    step = np.zeros(2 + start.num_filters)
+    step[0] = -start.m * math.log(target / start.m)  # the step maps m to m exp(-dm / m)
+    return step
+
+
+@st.composite
+def bank_points(draw):
+    """A bank at the STFT point or with off-grid centers, m = 0 or not."""
+    n_fft = draw(st.integers(4, 64))
+    if draw(st.booleans()):
+        f_c = dft_grid(n_fft)
+    else:
+        count = draw(st.integers(1, n_fft // 2 + 1))
+        offsets = draw(st.lists(st.floats(0.05, 0.95), min_size=count, max_size=count))
+        f_c = (np.arange(count) + np.array(offsets)) * (0.5 / count)
+    m = draw(st.one_of(st.just(0.0), st.floats(0.1, 4.0)))
+    return FbspParams(m=m, f_b=draw(st.floats(0.25, 4.0)), f_c=f_c), n_fft
+
+
+def steps_for(params, elements):
+    return st.lists(elements, min_size=2 + params.num_filters,
+                    max_size=2 + params.num_filters).map(np.array)
+
+
+FINITE_STEPS = st.one_of(st.just(0.0), st.sampled_from([1e300, -1e300]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestBankStep:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(bank_points(), st.data())
+    def test_any_finite_step_gives_a_bank_with_its_pins(self, point, data):
+        params, n_fft = point
+        step = data.draw(steps_for(params, FINITE_STEPS))
+        proposed = training._bank_step(params, step, n_fft)
+        moved = FbspParams(m=proposed[0], f_b=proposed[1], f_c=proposed[2:])
+        if params.m == 0.0:
+            assert moved.m == 0.0
+        if params.f_c[0] == 0.0:
+            assert moved.f_c[0] == 0.0
+        if params.f_c[-1] == 0.5:
+            assert moved.f_c[-1] == 0.5
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(bank_points())
+    def test_a_zero_step_stays_put(self, point):
+        params, n_fft = point
+        proposed = training._bank_step(params, np.zeros(2 + params.num_filters), n_fft)
+        assert (proposed[0], proposed[1]) == (params.m, params.f_b)
+        np.testing.assert_allclose(proposed[2:], params.f_c, rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(bank_points(), st.data())
+    def test_a_small_step_is_theta_minus_step_to_first_order(self, point, data):
+        params, n_fft = point
+        step = 1e-10 * data.draw(steps_for(params, st.floats(-1.0, 1.0)))
+        # pinned coordinates have exact derivative 0 and stay put
+        step[2:][(params.f_c == 0.0) | (params.f_c == 0.5)] = 0.0
+        step[0] *= params.m != 0.0
+        proposed = training._bank_step(params, step, n_fft)
+        theta = np.concatenate(([params.m, params.f_b], params.f_c))
+        assert np.max(np.abs(proposed - (theta - step))) <= 1e-3 * 1e-10
+
+    def test_a_large_step_moves_no_center_by_much_more_than_the_bound(self):
+        params = init_params(64)
+        step = np.zeros(2 + params.num_filters)
+        step[2 + 10] = 1.0  # a whole cycle/sample on center 10
+        proposed = training._bank_step(params, step, 64)
+        moves = np.abs(proposed[2:] - params.f_c) * 64
+        assert 0.5 * training.MAX_CENTER_STEP < np.max(moves) < 2 * training.MAX_CENTER_STEP
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_step_is_refused(self, bad):
+        params = init_params(64)
+        step = np.zeros(2 + params.num_filters)
+        step[1] = bad
+        proposed = training._bank_step(params, step, 64)
+        assert not training._params_valid(proposed[0], proposed[1], proposed[2:], 64)
+
+    def test_a_step_into_an_exclusion_zone_is_refused(self):
+        start = FbspParams(m=1.7, f_b=0.9, f_c=dft_grid(64))
+        assert training._params_valid(start.m, start.f_b, start.f_c, 64)
+        proposed = training._bank_step(start, zone_step(start), 64)
+        assert sinc_zone_clearance(proposed[0], proposed[1], 64) < 1e-12
+        assert not training._params_valid(proposed[0], proposed[1], proposed[2:], 64)
+
+
 class TestTrain:
     def test_frozen_baseline_learns_separated_tones(self):
         # classes > 1 octave apart with the bank never unfrozen: the linear
@@ -223,46 +316,64 @@ class TestTrain:
         result = train(corpus, config, FAST_FEATURES, init=start)
         assert result.params.m == 1.7 and result.params.f_b == 0.9
 
-    def test_refused_steps_are_skipped_with_momentum_reset(self, monkeypatch):
-        # with every proposal refused, each unfrozen epoch halves its step 20
-        # times, skips it and drops the bank velocity; the bank never moves
-        proposals, gradients, builds = [], [], []
-        real_gradient, real_kernel = training._bank_gradient, training.fbsp_kernel
+    @pytest.mark.parametrize("snr_range", [None, (0.0, 12.0)])
+    def test_every_bank_step_is_taken(self, monkeypatch, snr_range):
+        verdicts = []
+        real_valid = training._params_valid
 
-        def refuse(m, f_b, f_c, n_fft):
-            proposals.append(np.concatenate(([m, f_b], f_c)))
-            return False
+        def counted(*args):
+            verdicts.append(real_valid(*args))
+            return verdicts[-1]
 
-        def recorded_gradient(*args):
-            grad = real_gradient(*args)
-            gradients.append(np.concatenate(([grad.d_m, grad.d_fb], grad.d_fc)))
-            return grad
+        monkeypatch.setattr(training, "_params_valid", counted)
+        config = TrainConfig(epochs=8, freeze_epochs=1)
+        result = train(small_task(snr_range=snr_range), config, FAST_FEATURES)
+        assert verdicts == [True] * 7
+        assert not np.array_equal(result.params.f_c, dft_grid(64))
+
+    def test_a_refused_proposal_is_not_taken(self, monkeypatch):
+        # from a fractional-m start every proposal lands on a sinc zero: the
+        # bank stays where it was, its one render serves every epoch, and each
+        # unfrozen epoch runs the bank gradient and makes one proposal
+        start = FbspParams(m=1.7, f_b=0.9, f_c=dft_grid(64))
+        verdicts, gradients, builds = [], [], []
+        real_valid, real_gradient = training._params_valid, training._bank_gradient
+        real_step, real_kernel = training._bank_step, training.fbsp_kernel
+
+        def counted_valid(*args):
+            verdicts.append(real_valid(*args))
+            return verdicts[-1]
+
+        def counted_gradient(*args):
+            gradients.append(args)
+            return real_gradient(*args)
 
         def counted_kernel(*args):
             builds.append(args)
             return real_kernel(*args)
 
-        monkeypatch.setattr(training, "_params_valid", refuse)
-        monkeypatch.setattr(training, "_bank_gradient", recorded_gradient)
+        monkeypatch.setattr(training, "_params_valid", counted_valid)
+        monkeypatch.setattr(training, "_bank_gradient", counted_gradient)
+        monkeypatch.setattr(training, "_bank_step",
+                            lambda params, step, n_fft: real_step(params, zone_step(start), n_fft))
         monkeypatch.setattr(training, "fbsp_kernel", counted_kernel)
         config = TrainConfig(epochs=6, lr=0.1, freeze_epochs=2)
-        result = train(small_task(), config, FAST_FEATURES)
+        result = train(small_task(), config, FAST_FEATURES, init=start)
 
-        start = init_params(64)
-        assert (result.params.m, result.params.f_b) == (0.0, 1.0)
+        assert (result.params.m, result.params.f_b) == (start.m, start.f_b)
         assert np.array_equal(result.params.f_c, start.f_c)
-        assert len(builds) == 1
-        assert len(gradients) == 4 and len(proposals) == 21 * 4
-        assert list(result.log.column("epoch")) == list(range(6))
-        assert all((r.m, r.f_b) == (0.0, 1.0) for r in result.log.records)
-        theta = np.concatenate(([start.m, start.f_b], start.f_c))
-        for i, grad in enumerate(gradients):
-            steps = theta - np.array(proposals[21 * i:21 * (i + 1)])
-            # a velocity restarted at zero makes each first step lr (1 + mu) g
-            lr = config.lr * config.lr_decay ** (config.freeze_epochs + i)
-            np.testing.assert_allclose(steps[0], lr * (1 + config.momentum) * grad,
-                                       rtol=1e-9, atol=1e-15)
-            np.testing.assert_allclose(steps[-1], steps[0] / 2 ** 20, rtol=1e-3, atol=1e-15)
+        assert all((r.m, r.f_b) == (start.m, start.f_b) for r in result.log.records)
+        assert len(builds) == 1 and len(gradients) == 4
+        assert verdicts == [False] * 4
+
+    def test_an_overflowing_step_is_refused_without_a_warning(self, monkeypatch):
+        # lr (g + mu v) leaves float range in the first unfrozen epoch; the
+        # proposal is not taken, and the run ends without a RuntimeWarning
+        huge = training.ParamGradient(d_m=1e308, d_fb=1e308, d_fc=np.full(33, 1e308))
+        monkeypatch.setattr(training, "_bank_gradient", lambda *args: huge)
+        result = train(small_task(), TrainConfig(epochs=4, freeze_epochs=1), FAST_FEATURES)
+        assert (result.params.m, result.params.f_b) == (0.0, 1.0)
+        assert np.array_equal(result.params.f_c, dft_grid(64))
 
     def test_epochs_allocate_no_array_of_the_frames_size(self):
         # an unfrozen run holds the stacked frames and the workspace's two
