@@ -164,17 +164,35 @@ def sinc_argument(m: float, f_b: float, taps: np.ndarray) -> np.ndarray:
     return f_b * taps / m
 
 
-def fbsp_envelope(m: float, f_b: float, taps: np.ndarray) -> np.ndarray:
-    """Complex spline envelope sinc(f_b t / m) ** m on the given taps.
-
-    m = 0 returns the constant 1 (the family's limiting value). Negative
-    sinc values go through the principal branch, so the result is complex
-    for fractional m. ``sinc_argument`` refuses an (m, f_b) out of its range.
-    """
+def envelope_terms(m: float, f_b: float,
+                   taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(env, dlog, u) on the given taps from one s = sinc(u), u = f_b t / m:
+    the envelope env = exp(m Log s) through the principal branch
+    Log s = log|s| + i pi [s < 0], and dlog, shape (2, N), its per-tap
+    log-derivatives in m and f_b, Log s - q and q m / f_b with
+    q = u sinc'(u) / sinc(u). At m = 0 env is 1, dlog is 0 by convention and
+    u is None. ``sinc_argument`` refuses an (m, f_b) out of its range."""
     if m == 0.0:
-        return np.ones(taps.shape, dtype=np.complex128)
-    s = np.sinc(sinc_argument(m, f_b, taps))
-    return np.exp(m * np.log(np.abs(s))) * np.exp(1j * np.pi * m * (s < 0))
+        return (np.ones(taps.shape, dtype=np.complex128),
+                np.zeros((2, taps.size), dtype=np.complex128), None)
+    u = sinc_argument(m, f_b, taps)
+    s = np.sinc(u)
+    log_abs, branch = np.log(np.abs(s)), 1j * np.pi * (s < 0)
+    q = np.cos(np.pi * u) / s - 1.0  # u * sinc'(u) / sinc(u)
+    env = np.exp(m * log_abs) * np.exp(m * branch)
+    return env, np.stack([log_abs + branch - q, q * (m / f_b)]), u
+
+
+def fbsp_envelope(m: float, f_b: float, taps: np.ndarray) -> np.ndarray:
+    """Complex spline envelope sinc(f_b t / m) ** m on the given taps (1 at m = 0)."""
+    return envelope_terms(m, f_b, taps)[0]
+
+
+def kernel_entries(params: FbspParams, env: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The (F, N) fbsp bank entries (1/sqrt(N)) sqrt(f_b) env(t) exp(2i pi f_c t)
+    of ``params`` with envelope ``env`` on ``taps``."""
+    phase = np.exp(2j * np.pi * np.outer(params.f_c, taps))
+    return (1.0 / np.sqrt(taps.size)) * np.sqrt(params.f_b) * env[None, :] * phase
 
 
 def fbsp_kernel(params: FbspParams, n_fft: int) -> KernelBank:
@@ -182,10 +200,8 @@ def fbsp_kernel(params: FbspParams, n_fft: int) -> KernelBank:
     _check_n(n_fft)
     taps = centered_taps(n_fft)
     env = fbsp_envelope(params.m, params.f_b, taps)
-    phase = np.exp(2j * np.pi * np.outer(params.f_c, taps))
-    scale = 1.0 / np.sqrt(n_fft)
-    weights = scale * np.sqrt(params.f_b) * env[None, :] * phase
-    return KernelBank(weights=weights, params=params, norm_scale=scale)
+    return KernelBank(weights=kernel_entries(params, env, taps), params=params,
+                      norm_scale=1.0 / np.sqrt(n_fft))
 
 
 def dft_reference_bank(n_fft: int) -> KernelBank:

@@ -7,27 +7,18 @@ The loss pushes every row of an fbsp bank toward unit energy,
 which is exactly zero at the STFT-equivalent starting point and invariant
 under the per-row phases, so its f_c gradient vanishes identically.
 
-Analytic derivatives are written against the closed kernel form, while
-``finite_difference_oracle`` estimates the same quantities by central
-differences through completely separate code; the oracle is the ground
-truth every analytic path is tested against.
-
-Singular points: the spline envelope ``sinc(f_b t / m) ** m`` is not
-differentiable where the sinc argument sits on a nonzero integer (a sinc
-zero) at fractional m, and the per-tap log factor diverges there. Each rule
-lives in one function. ``bank.fbsp_kernel`` builds the kernel and
-``bank.fbsp_envelope`` its envelope. ``_log_derivatives`` gives the kernel's
-per-tap log-derivatives with respect to m and f_b, so both gradients write
-dK = K * dlog and no factor of the kernel is written twice. It also owns the
-m = 0 convention: the envelope is the constant 1, the kernel is smooth in
-f_b and f_c, and the envelope's part of the log-derivatives is 0, so
-d_m = 0, the loss's limiting one-sided derivative at the unit-energy
-minimum. (Away from that minimum no finite one-sided m-derivative exists at
-m = 0: a finite difference with step h grows like log h. See the gradient
-tests.) ``require_gradient_point`` is the exclusion rule: at fractional m, a
-point within 1e-6 (in sinc-argument units) of a zero raises
-``SingularGradientError``. The trainer checks proposed steps with it and
-does not take one that lands in a zone.
+``bank.envelope_terms`` evaluates the envelope ``sinc(f_b t / m) ** m`` once:
+the envelope, its per-tap log-derivatives in (m, f_b) and its sinc arguments
+u. This module keeps the chain rule, dK = K * dlog on the entries of
+``bank.kernel_entries``, the exclusion rule, the oracle and the gradcheck
+report. At m = 0 the envelope's log-derivatives are 0 by convention, so
+d_m = 0, the loss's limiting one-sided derivative at the unit-energy minimum
+(away from it a one-sided difference with step h grows like log h). At
+fractional m the complex log diverges where u sits on a sinc zero:
+``require_gradient_point`` raises ``SingularGradientError`` within 1e-6 of one,
+both gradients apply it to their own u, and the trainer takes no step into a
+zone. ``finite_difference_oracle``, central differences through separate
+code, is the ground truth every analytic path is tested against.
 """
 
 from __future__ import annotations
@@ -38,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from fbsplab.bank import (FbspParams, KernelBank, centered_taps, dft_grid, fbsp_envelope,
-                          fbsp_kernel, sinc_argument)
+from fbsplab.bank import (FbspParams, KernelBank, centered_taps, dft_grid, envelope_terms,
+                          fbsp_envelope, fbsp_kernel, kernel_entries, sinc_argument)
 from fbsplab.signals import frozen_field
 
 __all__ = [
@@ -118,6 +109,13 @@ def fbsp_loss(bank: KernelBank) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _zone_clearance(u: np.ndarray) -> float:
+    """Distance of sinc arguments u from the nearest nonzero integer (a zero);
+    u near 0 is the smooth sinc center."""
+    nearest = np.round(u)
+    return float(np.min(np.where(nearest == 0.0, math.inf, np.abs(u - nearest))))
+
+
 def sinc_zone_clearance(m: float, f_b: float, n_fft: int) -> float:
     """Distance (in sinc-argument units) from the nearest envelope zero.
 
@@ -125,67 +123,44 @@ def sinc_zone_clearance(m: float, f_b: float, n_fft: int) -> float:
     """
     if m == 0.0:
         return math.inf
-    u = sinc_argument(m, f_b, centered_taps(n_fft))
-    nearest = np.round(u)
-    dist = np.abs(u - nearest)
-    dist[nearest == 0.0] = math.inf  # u near 0 is the smooth sinc center
-    return float(np.min(dist))
+    return _zone_clearance(sinc_argument(m, f_b, centered_taps(n_fft)))
 
 
 def require_gradient_point(params: FbspParams, n_fft: int) -> None:
     """Raise ``SingularGradientError`` where the envelope has no derivative.
 
     That is fractional m within ``SINC_ZONE_RADIUS`` of a sinc zero; integer
-    m (m = 0 included) has limits everywhere.
+    m (m = 0 included) has limits everywhere. Both gradients apply this rule.
     """
-    m = params.m
-    if float(m).is_integer():
-        return
-    clearance = sinc_zone_clearance(m, params.f_b, n_fft)
+    _kernel_terms(params, centered_taps(n_fft))
+
+
+def _kernel_terms(params: FbspParams, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope on ``taps`` and the per-tap derivatives of log K_k[n] in
+    (m, f_b), shape (2, N): the envelope's, plus the sqrt(f_b) prefactor's
+    1 / (2 f_b). Every row shares them (f_c only rotates phases), so
+    dK = K * dlog. The exclusion rule is applied to the same evaluation's u."""
+    env, dlog, u = envelope_terms(params.m, params.f_b, taps)
+    clearance = math.inf if params.m.is_integer() else _zone_clearance(u)
     if clearance < SINC_ZONE_RADIUS:
         raise SingularGradientError(
-            f"gradient at m={m}, f_b={params.f_b} sits {clearance:.3g} sinc-argument "
+            f"gradient at m={params.m}, f_b={params.f_b} sits {clearance:.3g} sinc-argument "
             f"units from an envelope zero (exclusion radius {SINC_ZONE_RADIUS:g}); "
             "the complex log diverges there"
         )
-
-
-def _log_derivatives(params: FbspParams, n_fft: int) -> np.ndarray:
-    """Per-tap derivatives of log K_k[n] with respect to (m, f_b), shape (2, N).
-
-    Every row shares them (f_c only rotates phases), so dK = K * dlog. Row one
-    is the envelope's Log s - q; row two is q m / f_b + 1 / (2 f_b), the last
-    term from the sqrt(f_b) prefactor. At m = 0 the envelope's part is 0 by
-    convention. Raises ``SingularGradientError`` inside an exclusion zone.
-    """
-    require_gradient_point(params, n_fft)
-    m, f_b = params.m, params.f_b
-    dlog = np.zeros((2, n_fft), dtype=np.complex128)
-    dlog[1] = 1.0 / (2.0 * f_b)
-    if m != 0.0:
-        u = sinc_argument(m, f_b, centered_taps(n_fft))
-        s = np.sinc(u)
-        q = np.cos(np.pi * u) / s - 1.0  # u * sinc'(u) / sinc(u)
-        dlog[0] = np.log(np.abs(s)) + 1j * np.pi * (s < 0) - q
-        dlog[1] += q * (m / f_b)
-    return dlog
-
-
-def _row_energy(params: FbspParams, n_fft: int) -> tuple[float, np.ndarray]:
-    """The energy g = f_b * mean|env|^2 every row of the bank has (f_c only
-    rotates phases), and the per-tap power |env|^2."""
-    power = np.abs(fbsp_envelope(params.m, params.f_b, centered_taps(n_fft))) ** 2
-    return params.f_b * float(np.mean(power)), power
+    dlog[1] += 1.0 / (2.0 * params.f_b)
+    return env, dlog
 
 
 def loss_gradient(params: FbspParams, n_fft: int) -> ParamGradient:
     """Analytic gradient of fbsp_loss(fbsp_kernel(params, n_fft)).
 
-    Every row has the energy g, so the loss is (g - 1)^2 and d_fc is exactly
-    zero.
+    Every row has the energy g = f_b mean|env|^2, so the loss is (g - 1)^2
+    and d_fc is exactly zero.
     """
-    dlog = _log_derivatives(params, n_fft)
-    g, power = _row_energy(params, n_fft)
+    env, dlog = _kernel_terms(params, centered_taps(n_fft))
+    power = np.abs(env) ** 2
+    g = params.f_b * float(np.mean(power))
     # d|K|^2 = 2 |K|^2 Re dlog
     d_m, d_fb = 2.0 * (g - 1.0) * (2.0 * params.f_b * np.mean(power * dlog.real, axis=1))
     return ParamGradient(d_m=d_m, d_fb=d_fb, d_fc=np.zeros(params.num_filters))
@@ -214,13 +189,13 @@ def kernel_jacobian_vector(
         raise ValueError(
             f"cotangent shape {cot.shape} does not match bank shape {(count, n_fft)}"
         )
-    dlog = _log_derivatives(params, n_fft)
+    taps = centered_taps(n_fft)
+    env, dlog = _kernel_terms(params, taps)
     # dK = K * dlog: m and f_b scale every tap of every row alike, f_c[k]
     # multiplies row k by 2 pi i t
-    paired = cot * fbsp_kernel(params, n_fft).weights
+    paired = cot * kernel_entries(params, env, taps)
     d_m, d_fb = 2.0 * np.real(dlog @ paired.sum(axis=0))
-    return ParamGradient(d_m=d_m, d_fb=d_fb,
-                         d_fc=2.0 * np.real(paired @ (2j * np.pi * centered_taps(n_fft))))
+    return ParamGradient(d_m=d_m, d_fb=d_fb, d_fc=2.0 * np.real(paired @ (2j * np.pi * taps)))
 
 
 def energy_pairing(cotangent: np.ndarray, bank: KernelBank) -> float:
@@ -385,7 +360,8 @@ def gradient_check_report(
     if not step < resolvable:
         raise ValueError(f"step {step} cannot resolve f_b {fixed.f_b}: a central difference "
                          f"needs a step below f_b sqrt(8 * {CHECK_REL_TOL:g}) = {resolvable:.4g}")
-    energy = _row_energy(fixed, n_fft)[0]
+    env = fbsp_envelope(fixed.m, fixed.f_b, centered_taps(n_fft))
+    energy = fixed.f_b * float(np.mean(np.abs(env) ** 2))
     if not energy <= MAX_CHECK_ENERGY:
         raise ValueError(f"f_b {fixed.f_b} gives every row the energy g = f_b mean|env|^2 = "
                          f"{energy:.4g} at m={fixed.m}, above 2**500: the loss (g - 1)^2 "

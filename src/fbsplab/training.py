@@ -48,7 +48,7 @@ from fbsplab.gradients import (
     loss_gradient,
     require_gradient_point,
 )
-from fbsplab.perturb import add_awgn
+from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
 from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
                              derive_seed, frame, frozen_field, sine)
@@ -190,14 +190,21 @@ def make_task(
     example index), so corpora are reproducible and individual clips can be
     regenerated in isolation. snr_range of None keeps clips clean; a scalar
     adds noise at that level, a (lo, hi) pair draws a level per clip. A pair
-    with lo > hi or an infinite width, and a class band reaching Nyquist, are
-    refused before any clip is drawn.
+    with lo > hi or an infinite width, a level or pair end that
+    ``snr_power_ratio`` refuses, and a class band reaching Nyquist, are refused
+    before any clip is drawn.
     """
     if len(classes) < 2:
         raise ValueError("a classification task needs at least two classes")
+    given = list(snr_range) if isinstance(snr_range, tuple) else snr_range
     if isinstance(snr_range, tuple) and not 0.0 <= snr_range[1] - snr_range[0] < math.inf:
         raise ValueError(f"snr_range must be a [lo, hi] pair with lo <= hi and a finite "
-                         f"width, got {list(snr_range)}")
+                         f"width, got {given}")
+    for level in [] if snr_range is None else np.atleast_1d(given).tolist():
+        try:
+            snr_power_ratio(level)
+        except ValueError as err:  # its message names snr_db, the parameter of a single level
+            raise ValueError(str(err).replace("snr_db", f"snr_range {given}:", 1)) from None
     for spec in classes:
         _check_band(spec.high_hz, sample_rate, f"class {spec.name!r} high_hz")
     if samples_per_class < 2:
@@ -258,8 +265,9 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or self.lambda_fbsp < 0:
-            raise ValueError("weight_decay and lambda_fbsp must be non-negative")
+        for name, value in (("weight_decay", self.weight_decay), ("lambda_fbsp", self.lambda_fbsp)):
+            if not 0.0 <= value < math.inf:  # NaN included
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.freeze_epochs < 0:
             raise ValueError(f"freeze_epochs must be >= 0, got {self.freeze_epochs}")
 

@@ -3,10 +3,15 @@
 Tests marked ``@pytest.mark.acceptance(number, label)`` get one summary line
 each at the end of the run. A passing test may downgrade itself to
 INCONCLUSIVE through ``record_property("acceptance_status", ...)``; an
-optional ``acceptance_detail`` property is appended to the line.
+optional ``acceptance_detail`` property is appended to the line. A last line
+gives the line count of the package sources under ``src/``.
 """
 
+from pathlib import Path
+
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _results: dict[int, tuple[str, str, str]] = {}
 
@@ -33,12 +38,14 @@ def pytest_runtest_makereport(item, call):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _results:
-        return
-    terminalreporter.section("acceptance criteria")
+    if _results:
+        terminalreporter.section("acceptance criteria")
     for number in sorted(_results):
         label, status, detail = _results[number]
         line = f"ACCEPTANCE {number} ({label}): {status}"
         if detail:
             line += f" [{detail}]"
         terminalreporter.write_line(line)
+    # information only: the code size to read next to the benchmark's figures
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    terminalreporter.write_line(f"src/ lines: {lines}")

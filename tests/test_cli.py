@@ -1100,6 +1100,28 @@ def test_bad_snr_range_is_refused_before_any_clip(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("key, value, argv", [
+    ("lambda_fbsp", "nan", ["--lambda-fbsp", "nan"]),
+    ("lambda_fbsp", "inf", ["--lambda-fbsp", "inf"]),
+    ("weight_decay", "nan", []),
+    ("weight_decay", "inf", []),
+])
+def test_non_finite_regularizer_weight_is_refused_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                                    key, value, argv):
+    # each of these trained and then exited 3 with "objective became non-finite"
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generated the corpus before the train settings were checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_corpus)
+    path = tmp_path / "c.json"
+    # json writes float("nan") and float("inf") as NaN and Infinity
+    path.write_text(json.dumps({} if argv else {"train": {key: float(value)}}))
+    assert main(["train", "--config", str(path), *argv, "--out-params", str(tmp_path / "p.json"),
+                 "--out-log", str(tmp_path / "l.csv")]) == 2
+    assert f"train.{key} must be finite and non-negative, got {value}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 @pytest.mark.parametrize("seed", [0, 4])
 def test_class_band_reaching_nyquist_is_refused_before_any_clip(tmp_path, capsys, monkeypatch,
                                                                  seed):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fbsplab.bank
 import fbsplab.gradients
-from fbsplab.bank import FbspParams, dft_grid, fbsp_kernel
+from fbsplab.bank import FbspParams, centered_taps, dft_grid, fbsp_envelope, fbsp_kernel
 from fbsplab.gradients import (
     CHECK_ABS_TOL,
     SINC_ZONE_RADIUS,
@@ -158,3 +158,50 @@ def test_each_gradient_forms_the_sinc_argument_at_most_three_times(monkeypatch):
     calls.clear()
     kernel_jacobian_vector(params, 64, np.ones((params.num_filters, 64), dtype=complex))
     assert 0 < len(calls) <= 3
+
+
+def test_each_gradient_forms_the_sinc_argument_exactly_once(monkeypatch):
+    # three times each before the envelope, its log-derivatives and the
+    # clearance came from one evaluation
+    calls = []
+    original = fbsplab.bank.sinc_argument
+    monkeypatch.setattr(fbsplab.bank, "sinc_argument",
+                        lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(fbsplab.gradients, "sinc_argument", fbsplab.bank.sinc_argument)
+    params = FbspParams(m=1.7, f_b=0.9, f_c=dft_grid(64))
+    loss_gradient(params, 64)
+    assert len(calls) == 1
+    kernel_jacobian_vector(params, 64, np.ones((params.num_filters, 64), dtype=complex))
+    assert len(calls) == 2
+
+
+@st.composite
+def envelope_points(draw):
+    """m = 0 at any f_b, or an ``admissible_draw`` point."""
+    n_fft = draw(st.integers(8, 48))  # draws at odd n_fft above about 90 are never admitted
+    if draw(st.booleans()):
+        return FbspParams(m=0.0, f_b=draw(st.floats(0.25, 4.0)), f_c=dft_grid(n_fft)), n_fft
+    return admissible_draw(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n_fft), n_fft
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(envelope_points())
+def test_gradients_use_the_bank_envelope_and_entries_bit_for_bit(point):
+    params, n_fft = point
+    envelopes, entries = [], []
+
+    def spy(record, function):
+        def recorded(*args):
+            record.append(function(*args))
+            return record[-1]
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fbsplab.gradients, "_kernel_terms",
+                      spy(envelopes, fbsplab.gradients._kernel_terms))
+        patch.setattr(fbsplab.gradients, "kernel_entries", spy(entries, fbsplab.bank.kernel_entries))
+        loss_gradient(params, n_fft)
+        kernel_jacobian_vector(params, n_fft, np.ones((params.num_filters, n_fft), dtype=complex))
+    env = fbsp_envelope(params.m, params.f_b, centered_taps(n_fft)).tobytes()
+    assert [used.tobytes() for used, _ in envelopes] == [env, env]
+    assert [used.tobytes() for used in entries] == [fbsp_kernel(params, n_fft).weights.tobytes()]

@@ -84,6 +84,19 @@ class TestMakeTask:
         with pytest.raises(ValueError):
             make_task(TWO_TONES, 5, train_fraction=1.0)
 
+    @pytest.mark.parametrize("snr_range, message", [
+        # each named snr_db, the last two a level drawn from the pair
+        (-math.inf, "snr_range -inf: -inf dB puts the noise level outside float range"),
+        (math.nan, "snr_range nan: must not be NaN"),
+        ((-4000.0, -3500.0), "snr_range [-4000.0, -3500.0]: -4000.0 dB puts the noise level"),
+        ((4000.0, 4100.0), "snr_range [4000.0, 4100.0]: 4000.0 dB puts the noise level"),
+    ])
+    def test_snr_levels_are_checked_before_any_clip(self, monkeypatch, snr_range, message):
+        monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
+        with pytest.raises(ValueError) as err:
+            make_task(TWO_TONES, 5, snr_range=snr_range)
+        assert message in str(err.value)
+
 
 class TestPipelineGradients:
     def setup_method(self):
