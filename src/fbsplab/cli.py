@@ -8,14 +8,15 @@ and the fully resolved config, and a sidecar is itself accepted by
 --config, which reruns the recorded settings.
 
 Each knob is declared once, as a row of its subcommand's knob table
-(``_GEN_KNOBS`` through ``_SWEEP_KNOBS``) giving its config key, flag, type
-or choices, default and help. ``build_parser`` makes the flags from those
-rows, and ``_resolve`` merges the config and types every value, flag and
-config alike, by its row: a value of another type, or null where the
-default is not null, fails naming its key. A dotted key names a knob in a
-section of the config: train and sweep configs have task, features and
-train sections, and sweep adds a sweep section. The features and train
-rows are made from the fields of ``FeatureSpec`` and ``TrainConfig``.
+(``_GEN_KNOBS`` through ``_SWEEP_KNOBS``) giving its config key, flag, type or
+choices, default and help. ``build_parser`` makes the flags from those rows,
+and ``_resolve`` merges the config and types every value, flag and config
+alike, by its row: a value of another type, or null where the default is not
+null, fails naming its key. ``main`` then refuses a negative value of any knob
+named seed, before any work. A dotted key names a knob in a section of the
+config: train and sweep configs have task, features and train sections, and
+sweep adds a sweep section. The features and train rows are made from the
+fields of ``FeatureSpec`` and ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (running
 out of memory included), 3 numerical failure (singular gradient,
@@ -46,6 +47,7 @@ from fbsplab.bank import (  # the build bound comes with its peak factor
 from fbsplab.gradients import SingularGradientError, gradient_check_report
 from fbsplab.perturb import (
     SWEEP_KINDS,
+    _check_order,
     add_awgn,
     apply_filter,
     check_axis,
@@ -415,6 +417,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
     sample_rate = cfg["task"]["sample_rate"]
     if sweep_cfg["axis"] is None:
         sweep_cfg["axis"] = default_axis(sweep_cfg["kind"], sample_rate)
+    _check_order(sweep_cfg["order"], "sweep.order")  # for every kind, used or not
     check_axis(sweep_cfg["kind"], sweep_cfg["axis"], sample_rate, sweep_cfg["order"])
     corpus, features, train_cfg = _run_inputs(cfg)
 
@@ -485,6 +488,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         cfg = _resolve(args)
+        for key, *_ in args.knobs:  # numpy refuses a negative seed later, naming no key
+            section, _, name = key.rpartition(".")
+            if name == "seed" and (seed := (cfg[section] if section else cfg)[name]) < 0:
+                raise ValueError(f"{key} must be a non-negative integer, got {seed}")
         code = args.run(cfg, args)
         for dest in args.outputs:
             write_json(getattr(args, dest) + ".run.json", {"command": args.command, "config": cfg})

@@ -128,6 +128,14 @@ class ButterworthFilter:
         return operators
 
 
+def _check_order(order: int, name: str) -> None:
+    """Refuse a Butterworth order outside 1..MAX_ORDER, naming the setting ``name``."""
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"{name} must be a positive integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise ValueError(f"{name} must be at most {MAX_ORDER}, got {order}")
+
+
 def design_butterworth_lowpass(
     order: int,
     cutoff_hz: float,
@@ -140,10 +148,7 @@ def design_butterworth_lowpass(
     the bilinear map. Each conjugate pole pair becomes one section with a
     double zero at z = -1, gain-normalized to unity at DC.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    if order > MAX_ORDER:
-        raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
+    _check_order(order, "order")
     if not 0.0 < cutoff_hz < sample_rate / 2.0:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie inside (0, {sample_rate / 2}) Hz")

@@ -17,13 +17,14 @@ per run while the bank is frozen. The freeze only decides whether an epoch
 runs the bank gradient: ``transform.backward`` on the per-clip cotangent of
 the features, and the analytic cotangent pullback.
 
-``train`` owns one workspace for the run: two (rows, 2F) buffers, rows the
-larger split's frame count. ``forward`` writes its product into the first,
-the validation split's into its leading rows and then the train split's
-over it, and the cache keeps that product: (frames, outputs, eps), views of
-the stacked train frames and of that buffer. The second is scratch:
-``forward``'s power and log-power, then ``backward``'s product. So an epoch
-allocates no array of the frames' size.
+Every caller passes ``forward`` a ``transform.workspace`` sized to its frames;
+``train``'s lasts the run: two (rows, 2F) buffers, rows the larger split's
+frame count. ``forward`` writes its product into the first, the validation
+split's into its leading rows and then the train split's over it, and the
+cache keeps that product: (frames, outputs, eps), views of the stacked train
+frames and of that buffer. The second is scratch: ``forward``'s power and
+log-power, then ``backward``'s product. So an epoch allocates no array of the
+frames' size.
 
 Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
 center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between
@@ -52,7 +53,7 @@ from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
 from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
                              derive_seed, frame, frozen_field, sine)
-from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward
+from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward, workspace
 
 __all__ = [
     "FeatureSpec",
@@ -103,7 +104,7 @@ class FeatureSpec:
             raise ValueError(f"bank has {bank.num_taps} taps but frames are {self.n_fft} samples")
         grid = self.grid_for(len(signal))
         frames = frame(signal, grid, WindowSpec(self.window, self.n_fft))
-        logp = forward(bank, frames, self.eps)[0]  # the cache is freed before values are copied
+        logp = forward(bank, frames, self.eps, workspace(len(frames), bank.num_filters))[0]
         return Spectrogram(values=logp.T, grid=grid, bank_descriptor=bank.params, eps=self.eps)
 
 
@@ -383,21 +384,20 @@ def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
 
 
 def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float,
-                   buffers: tuple[np.ndarray, np.ndarray] | None = None):
+                   buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
     """(clips, filters) time-averaged log-power rows from one ``forward`` of a
-    ``_stack_frames`` split, with its cache and the clips' frame counts;
-    ``buffers`` are ``forward``'s."""
+    ``_stack_frames`` split, with its cache; ``buffers`` are ``forward``'s."""
     frames, counts = split
     logp, cache = forward(bank, frames, eps, buffers)
     starts = np.cumsum(counts) - counts
-    return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache, counts
+    return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache
 
 
 def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
                    features: FeatureSpec) -> np.ndarray:
     """Stack per-clip time-averaged log-power vectors into (clips, filters)."""
-    return _clip_features(fbsp_kernel(params, features.n_fft), _stack_frames(frames_list),
-                          features.eps)[0]
+    bank, split = fbsp_kernel(params, features.n_fft), _stack_frames(frames_list)
+    return _clip_features(bank, split, features.eps, workspace(len(split[0]), bank.num_filters))[0]
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -445,8 +445,7 @@ def _head_pass(feats: np.ndarray, head: LinearHead, labels: np.ndarray,
 
 
 def _bank_gradient(params: FbspParams, n_fft: int, cache: tuple, counts: np.ndarray,
-                   dfeat: np.ndarray, lambda_fbsp: float,
-                   scratch: np.ndarray | None = None) -> ParamGradient:
+                   dfeat: np.ndarray, lambda_fbsp: float, scratch: np.ndarray) -> ParamGradient:
     """The bank half: the feature cotangent backpropagated through the per-clip
     time means and log-power into the kernel entries, pulled back to
     (m, f_b, f_c), plus lambda times the analytic regularizer gradient;
@@ -478,44 +477,18 @@ def pipeline_gradients(
     Returns (total, task_ce, bank_loss, grad_weights, grad_bias,
     bank_gradient).
     """
-    bank = fbsp_kernel(params, features.n_fft)
-    feats, cache, counts = _clip_features(bank, _stack_frames(frames_list), features.eps)
+    bank, (frames, counts) = fbsp_kernel(params, features.n_fft), _stack_frames(frames_list)
+    outputs, scratch = workspace(len(frames), bank.num_filters)
+    feats, cache = _clip_features(bank, (frames, counts), features.eps, (outputs, scratch))
     bank_reg = fbsp_loss(bank)
     ce, objective, grad_w, grad_b, dfeat = _head_pass(feats, head, labels, weight_decay)
-    bank_grad = _bank_gradient(params, features.n_fft, cache, counts, dfeat, lambda_fbsp)
+    bank_grad = _bank_gradient(params, features.n_fft, cache, counts, dfeat, lambda_fbsp, scratch)
     return objective + lambda_fbsp * bank_reg, ce, bank_reg, grad_w, grad_b, bank_grad
 
 
 # ---------------------------------------------------------------------------
 # the trainer
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BankPoint:
-    """What ``train`` derives from one parameter value: the bank's regularizer
-    loss, the validation features, and the train features with the cache and
-    frame counts the bank gradient needs. The cache holds the train split's
-    stacked frames and ``forward``'s product, not copies; ``backward`` leaves
-    both unchanged, so a point whose step was refused runs the bank gradient
-    again. With ``buffers`` (``forward``'s) the cache is valid until the next
-    render into them."""
-
-    params: FbspParams
-    bank_loss: float
-    val_feats: np.ndarray
-    train_feats: np.ndarray
-    cache: tuple
-    counts: np.ndarray
-
-    @classmethod
-    def render(cls, params: FbspParams, train_split: tuple[np.ndarray, np.ndarray],
-               val_split: tuple[np.ndarray, np.ndarray], features: FeatureSpec,
-               buffers: tuple[np.ndarray, np.ndarray] | None = None) -> "_BankPoint":
-        bank = fbsp_kernel(params, features.n_fft)
-        val_feats = _clip_features(bank, val_split, features.eps, buffers)[0]
-        return cls(params, fbsp_loss(bank), val_feats,
-                   *_clip_features(bank, train_split, features.eps, buffers))
 
 
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
@@ -563,11 +536,17 @@ def train(
     val_labels = corpus.labels[corpus.val_indices]
     del frames_all  # the stacked splits hold every frame
 
-    rows, width = max(len(train_split[0]), len(val_split[0])), 2 * params.num_filters
-    workspace = np.empty((rows, width)), np.empty((rows, width))
-    point = _BankPoint.render(params, train_split, val_split, features, workspace)
-    feat_mean = point.train_feats.mean(axis=0)
-    feat_std = np.maximum(point.train_feats.std(axis=0), 1e-8)
+    buffers = workspace(max(len(train_split[0]), len(val_split[0])), params.num_filters)
+
+    def render(params: FbspParams) -> tuple[float, np.ndarray, np.ndarray, tuple]:
+        """Bank loss, val and train features, train cache; val first, so the cache survives."""
+        bank = fbsp_kernel(params, features.n_fft)
+        val = _clip_features(bank, val_split, features.eps, buffers)[0]
+        return fbsp_loss(bank), val, *_clip_features(bank, train_split, features.eps, buffers)
+
+    rendered, (bank_loss, val_feats, train_feats, cache) = params, render(params)
+    feat_mean = train_feats.mean(axis=0)
+    feat_std = np.maximum(train_feats.std(axis=0), 1e-8)
 
     num_classes = corpus.num_classes
     weights = np.zeros((num_classes, params.num_filters))
@@ -578,16 +557,16 @@ def train(
 
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
-        if point.params is not params:
-            point = _BankPoint.render(params, train_split, val_split, features, workspace)
+        if rendered is not params:  # a step was taken
+            rendered, (bank_loss, val_feats, train_feats, cache) = params, render(params)
         head = LinearHead(weights, bias, feat_mean, feat_std)
         with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported below
             ce, objective, grad_w, grad_b, dfeat = _head_pass(
-                point.train_feats, head, train_labels, config.weight_decay)
-            accuracy = float(np.mean(np.argmax(head.logits(point.val_feats), axis=1) == val_labels))
-        total = objective + config.lambda_fbsp * point.bank_loss
+                train_feats, head, train_labels, config.weight_decay)
+            accuracy = float(np.mean(np.argmax(head.logits(val_feats), axis=1) == val_labels))
+        total = objective + config.lambda_fbsp * bank_loss
         records.append(EpochRecord(
-            epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=point.bank_loss,
+            epoch=epoch, total_loss=total, task_loss=ce, fbsp_loss=bank_loss,
             accuracy=accuracy, m=params.m, f_b=params.f_b,
         ))
         if not math.isfinite(total):
@@ -605,8 +584,8 @@ def train(
 
         if epoch < config.freeze_epochs:
             continue
-        bank_grad = _bank_gradient(params, features.n_fft, point.cache, point.counts, dfeat,
-                                   config.lambda_fbsp, workspace[1])
+        bank_grad = _bank_gradient(params, features.n_fft, cache, train_split[1], dfeat,
+                                   config.lambda_fbsp, buffers[1])
         grad_vec = np.concatenate(([bank_grad.d_m, bank_grad.d_fb], bank_grad.d_fc))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
             vel_bank = mu * vel_bank + grad_vec

@@ -18,11 +18,10 @@ separate reference they are tested against.
 ``forward``'s cache is (frames, outputs, eps): the frames it was given and
 its (T, 2F) product [Re X | Im X]; ``backward`` recomputes the power from it
 through ``_power``, the helper ``forward`` uses, so the bits agree. Neither
-owns its memory when the caller passes buffers: ``forward`` then writes the
-product into the leading rows of the caller's (rows, 2F) ``outputs`` buffer
-and the power and log-power into the two leading contiguous (T, F) halves of
-its ``scratch`` buffer, and ``backward`` writes its (T, 2F) product into
-that scratch. Without buffers each call allocates its own.
+owns its memory: callers pass a ``workspace`` of two C-contiguous (rows, 2F)
+buffers (outputs, scratch), rows >= T. ``forward`` writes the product into
+the leading rows of ``outputs`` and the power and log-power into the two
+leading (T, F) halves of ``scratch``, where ``backward`` writes its product.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame, frozen_field
 __all__ = [
     "Spectrogram",
     "analyze",
+    "workspace",
     "forward",
     "backward",
     "log_power",
@@ -90,39 +90,38 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
+def workspace(rows: int, filters: int) -> tuple[np.ndarray, np.ndarray]:
+    """(outputs, scratch): two C-contiguous (rows, 2F) buffers for ``forward`` and ``backward``."""
+    return np.empty((rows, 2 * filters)), np.empty((rows, 2 * filters))
+
+
 def forward(bank: KernelBank, frames: np.ndarray, eps: float,
-            buffers: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, tuple]:
+            buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
     """log(|X|^2 + eps) of real (T, N) frames, shape (T, F), and the cache
     ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product
     with the bank's cached ``real_matrix``.
 
-    ``buffers``, if given, is a pair of C-contiguous (rows, 2F) arrays with
-    rows >= T, (outputs, scratch): the product goes into the leading rows of
-    the first and the power and log-power into the second, so the returned
-    rows and the cache are views of them, valid until they are written again."""
+    ``buffers`` is a ``workspace`` of at least T rows; the returned rows and
+    the cache are views of it, valid until it is written again."""
     t, k = len(frames), bank.num_filters
-    if buffers is None:  # apart, so the returned rows keep no power alive
-        outputs, power, logp = np.empty((t, 2 * k)), np.empty((t, k)), np.empty((t, k))
-    else:
-        outputs = _leading(buffers[0], (t, 2 * k))
-        power, logp = _leading(buffers[1], (2, t, k))
+    outputs = _leading(buffers[0], (t, 2 * k))
+    power, logp = _leading(buffers[1], (2, t, k))
     np.matmul(frames, bank.real_matrix, out=outputs)
     return np.log(_power(outputs, eps, power, logp), out=logp), (frames, outputs, eps)
 
 
 def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
-             scratch: np.ndarray | None = None) -> np.ndarray:
+             scratch: np.ndarray) -> np.ndarray:
     """(F, N) bank cotangent C = sum_t g_t conj(X_t) frame_t of a (clips, F)
     cotangent on the per-clip sums of ``forward``'s rows, where clip c owns
     the next ``counts[c]`` rows and g_t = cotangent[c] / (|X_t|^2 + eps) on
     each of them; it pairs as 2 Re sum C dK.
 
     The (T, 2F) product [Re X g | Im X g] goes into the leading values of
-    ``scratch`` (a C-contiguous array of at least 2 T F values) if given. The
-    cache is left unchanged and can be passed again."""
+    ``scratch``, a ``workspace``'s second buffer; the cache can be passed again."""
     frames, outputs, eps = cache
     t, k = len(frames), outputs.shape[1] // 2
-    product = _leading(np.empty((t, 2 * k)) if scratch is None else scratch, (t, 2 * k))
+    product = _leading(scratch, (t, 2 * k))
     g = np.empty((int(np.max(counts)), k))
     start = 0
     for row, count in zip(cotangent, counts):

@@ -762,6 +762,10 @@ def test_bad_sweep_kind_fails_before_training(tmp_path, capsys, monkeypatch):
     ({"kind": "lowpass", "order": 0}, "order must be a positive integer, got 0"),
     ({"kind": "awgn", "axis": [10, "-inf"]}, "snr_db -inf dB puts the noise level outside"),
     ({"kind": "awgn", "axis": ["nan"]}, "snr_db must not be NaN"),
+    ({"kind": "awgn", "order": -5}, "sweep.order must be a positive integer, got -5"),
+    ({"kind": "awgn", "order": 101}, "sweep.order must be at most 100, got 101"),
+    ({"kind": "lowpass", "axis": [5000], "order": 0},
+     "sweep.order must be a positive integer, got 0"),
 ])
 def test_bad_sweep_axis_fails_before_the_corpus(tmp_path, capsys, monkeypatch, sweep, message):
     def no_work(*args, **kwargs):
@@ -1068,6 +1072,9 @@ def test_huge_butterworth_order_is_refused_quickly(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--kind", "lowpass", "--order", "3000000"], "order must be at most 100, got 3000000"),
     (["--kind", "awgn", "--axis=-3100"], "snr_db -3100.0 dB puts the noise level outside"),
+    (["--kind", "awgn", "--order", "-5"], "sweep.order must be a positive integer, got -5"),
+    (["--kind", "lowpass", "--axis", "5000", "--order", "0"],
+     "sweep.order must be a positive integer, got 0"),
 ])
 def test_order_cap_and_subnormal_level_fail_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                               argv, message):
@@ -1079,6 +1086,44 @@ def test_order_cap_and_subnormal_level_fail_before_the_corpus(tmp_path, capsys, 
     assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, argv, config, key", [
+    ("gen", ["--kind", "sine", "--seed", "-1"], None, "seed"),
+    ("gen", ["--kind", "band_noise", "--seed", "-3"], None, "seed"),
+    ("gen", [], {"seed": -1}, "seed"),
+    ("perturb", ["--snr-db", "10", "--seed", "-2"], None, "seed"),
+    ("gradcheck", ["--seed", "-1"], None, "seed"),
+    ("train", ["--seed", "-1"], {}, "task.seed"),
+    ("train", [], {"task": {"seed": -1}}, "task.seed"),
+    ("train", [], {"train": {"seed": -1}}, "train.seed"),
+    ("sweep", [], {"sweep": {"seed": -4}}, "sweep.seed"),
+])
+def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, argv,
+                                                  config, key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus or trained before the seed was checked")
+
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    monkeypatch.setattr(fbsplab.cli, "train", no_work)
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    if command == "perturb":
+        assert main(["gen", "--duration", "0.5", "--out", str(inputs / "a.wav")]) == 0
+        argv = argv + ["--input", str(inputs / "a.wav")]
+    if config is not None:
+        doc = json.loads(json.dumps(SMALL_RUN_CONFIG)) if command in ("train", "sweep") else {}
+        for section, values in config.items():
+            doc[section] = ({**doc.get(section, {}), **values} if isinstance(values, dict)
+                            else values)
+        (inputs / "c.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(inputs / "c.json")]
+    outputs = (["--out-params", str(out / "p.json"), "--out-log", str(out / "l.csv")]
+               if command == "train" else ["--out", str(out / "o")])
+    assert main([command, *argv, *outputs]) == 2
+    assert f"error: {key} must be a non-negative integer, got -" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

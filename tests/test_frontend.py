@@ -26,7 +26,7 @@ from fbsplab.training import (
     prepare_frames,
     train,
 )
-from fbsplab.transform import analyze, backward, forward, log_power
+from fbsplab.transform import analyze, backward, forward, log_power, workspace
 
 FEATURES = FeatureSpec(n_fft=64, hop=32)
 # (1.7, 0.9) keeps every tap 1/34 away from the nearest sinc zero
@@ -153,14 +153,16 @@ def stacked_case():
 
 
 def test_forward_and_backward_agree_with_and_without_buffers():
+    # a fresh workspace of exactly T rows against NaN-filled buffers with rows to spare
     frames, counts, bank, cotangent, (outputs, scratch) = stacked_case()
-    logp, cache = forward(bank, frames, FEATURES.eps)
+    fresh = workspace(len(frames), bank.num_filters)
+    logp, cache = forward(bank, frames, FEATURES.eps, fresh)
     logp_in, cache_in = forward(bank, frames, FEATURES.eps, (outputs, scratch))
     assert np.array_equal(logp_in, logp)
     assert np.array_equal(cache_in[1], cache[1])
     assert np.shares_memory(logp_in, scratch) and np.shares_memory(cache_in[1], outputs)
     assert np.array_equal(backward(cache_in, cotangent, counts, scratch),
-                          backward(cache, cotangent, counts))
+                          backward(cache, cotangent, counts, fresh[1]))
 
 
 def test_backward_leaves_frames_and_outputs_unchanged():

@@ -140,13 +140,14 @@ class TestPipelineGradients:
         # after a refused step train runs the bank gradient again on the same
         # point, so backward must leave the cache and the bank as it found them
         split = training._stack_frames(self.frames)
-        point = training._BankPoint.render(self.params, split, split, self.features)
-        dfeat = training._head_pass(point.train_feats, self.head, self.labels, 1e-3)[-1]
-        first, second = (training._bank_gradient(self.params, 32, point.cache, point.counts,
-                                                 dfeat, 2.0) for _ in range(2))
+        bank = training.fbsp_kernel(self.params, 32)
+        buffers = training.workspace(len(split[0]), bank.num_filters)
+        feats, cache = training._clip_features(bank, split, self.features.eps, buffers)
+        dfeat = training._head_pass(feats, self.head, self.labels, 1e-3)[-1]
+        first, second = (training._bank_gradient(self.params, 32, cache, split[1], dfeat, 2.0,
+                                                 buffers[1]) for _ in range(2))
         assert (first.d_m, first.d_fb) == (second.d_m, second.d_fb)
         assert np.array_equal(first.d_fc, second.d_fc)
-        bank = training.fbsp_kernel(self.params, 32)
         matrix = bank.real_matrix
         assert matrix is bank.real_matrix
         assert np.array_equal(matrix, np.concatenate([bank.weights.real, bank.weights.imag]).T)
