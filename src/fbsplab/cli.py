@@ -355,6 +355,7 @@ def _cmd_perturb(cfg: dict, args) -> int:
     has_cutoff = cfg["cutoff_hz"] is not None
     if has_snr == has_cutoff:
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
+    _check_order(cfg["order"], "order")  # for either mode, used or not
     wf = read_wav(cfg["input"])
     if has_snr:
         out = add_awgn(wf, real_number(cfg["snr_db"], "snr_db"), seed=cfg["seed"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -294,15 +294,26 @@ def default_axis(kind: str, sample_rate: float) -> list[float]:
     return [f * sample_rate for f in fractions]
 
 
-def check_axis(kind: str, axis: Sequence[float], sample_rate: float, order: int) -> None:
-    """Refuse, before any work, an axis value on which a sweep cell would fail:
-    an awgn level ``snr_power_ratio`` refuses, or a lowpass cutoff below Nyquist
-    whose filter (of ``order``) ``design_butterworth_lowpass`` refuses."""
-    for value in axis:
+def check_axis(kind: str, axis: Sequence[float], sample_rate: float, order: int) -> list:
+    """A sweep's cells at ``sample_rate``, one (clip, seed) -> clip per axis
+    value, built before any work: an awgn cell adds noise at a level
+    ``snr_power_ratio`` accepts; a lowpass cell below Nyquist runs the filter of
+    ``order`` designed here, once, and one at or above it returns its clip. An
+    unknown kind, a refused level and a refused filter raise ValueError."""
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown sweep kind {kind!r}; expected one of "
+                         f"{', '.join(SWEEP_KINDS)}")
+    cells = []
+    for value in map(float, axis):
         if kind == "awgn":
             snr_power_ratio(value)
-        elif not value >= sample_rate / 2.0:  # as in _cell_perturbation, NaN included
-            design_butterworth_lowpass(order, value, sample_rate)
+            cells.append(lambda signal, seed, value=value: add_awgn(signal, value, seed))
+        elif value >= sample_rate / 2.0:  # nothing to remove; NaN goes to the design's refusal
+            cells.append(lambda signal, seed: signal)
+        else:
+            filt = design_butterworth_lowpass(order, value, sample_rate)
+            cells.append(lambda signal, seed, filt=filt: apply_filter(filt, signal))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -323,22 +334,6 @@ class SweepResult:
             raise ValueError("axis, accuracy and spectro_snr_db must share one 1-D shape")
 
 
-def _cell_perturbation(kind: str, value: float, order: int):
-    """One sweep cell's perturbation, as (clip, seed) -> clip; ``kind`` is
-    "awgn" or "lowpass", checked by the caller. A lowpass cell designs its
-    filter once per sample rate, not once per clip."""
-    if kind == "awgn":
-        return lambda signal, seed: add_awgn(signal, value, seed)
-    design = cache(lambda rate: design_butterworth_lowpass(order, value, rate))
-
-    def lowpass(signal: Waveform, seed: int) -> Waveform:
-        if value >= signal.sample_rate / 2.0:
-            return signal  # at or above Nyquist, nothing to remove
-        return apply_filter(design(signal.sample_rate), signal)
-
-    return lowpass
-
-
 def robustness_sweep(
     kind: str,
     axis: Sequence[float],
@@ -352,25 +347,25 @@ def robustness_sweep(
 
     The model needs spectrogram(waveform) -> Spectrogram, predict(spectrogram)
     -> label and a bank_label string; each perturbed clip is rendered once, for
-    the prediction and the ratio. Noise seeds derive from (seed, kind, axis
-    index, clip index) so every cell is reproducible on its own.
+    the prediction and the ratio. Each sample rate's cells come from
+    ``check_axis`` before the first render. Noise seeds derive from (seed, kind,
+    axis index, clip index) so every cell is reproducible on its own.
     """
     if len(waveforms) != len(labels):
         raise ValueError("waveforms and labels disagree in length")
     if len(waveforms) == 0:
         raise ValueError("sweep needs at least one clip")
-    if kind not in SWEEP_KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected one of "
-                         f"{', '.join(SWEEP_KINDS)}")
+    cells = {rate: check_axis(kind, axis, rate, order)
+             for rate in dict.fromkeys(wf.sample_rate for wf in waveforms)}
     kind_id = SWEEP_KINDS.index(kind)
     clean_specs = [model.spectrogram(wf) for wf in waveforms]
     accuracy = np.zeros(len(axis))
     snr_out = np.zeros(len(axis))
-    for i, value in enumerate(axis):
-        perturb = _cell_perturbation(kind, float(value), order)
+    for i in range(len(axis)):
         correct = 0
         ratios = np.zeros(len(waveforms))
         for j, (wf, label) in enumerate(zip(waveforms, labels)):
+            perturb = cells[wf.sample_rate][i]
             noisy = model.spectrogram(perturb(wf, derive_seed(seed, kind_id, i, j)))
             if model.predict(noisy) == label:
                 correct += 1

@@ -124,6 +124,7 @@ def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
     product = _leading(scratch, (t, 2 * k))
     g = np.empty((int(np.max(counts)), k))
     start = 0
+    # per clip, as cache blocking: its rows stay in cache from the power through the multiply
     for row, count in zip(cotangent, counts):
         clip, out, gain = outputs[start:start + count], product[start:start + count], g[:count]
         np.divide(row, _power(clip, eps, gain, out[:, k:]), out=gain)

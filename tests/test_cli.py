@@ -1059,14 +1059,20 @@ def test_any_json_value_at_a_knob_is_typed_or_named(tmp_path_factory, data):
 
 
 def test_huge_butterworth_order_is_refused_quickly(tmp_path, capsys):
+    # refused whether the order would filter or, beside --snr-db, go unused
     wav = tmp_path / "in.wav"
     assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
-    start = time.perf_counter()
-    assert main(["perturb", "--input", str(wav), "--cutoff-hz", "1000", "--order", "3000000",
-                 "--out", str(tmp_path / "o.wav")]) == 2
-    assert time.perf_counter() - start < 5.0
-    assert "order must be at most 100, got 3000000" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+    for mode, order, message in [
+        (["--cutoff-hz", "1000"], "3000000", "order must be at most 100, got 3000000"),
+        (["--snr-db", "10"], "0", "order must be a positive integer, got 0"),
+        (["--snr-db", "10"], "100000", "order must be at most 100, got 100000"),
+    ]:
+        start = time.perf_counter()
+        assert main(["perturb", "--input", str(wav), *mode, "--order", order,
+                     "--out", str(tmp_path / "o.wav")]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -146,6 +146,7 @@ class TestCheckAxis:
         ("lowpass", [0.0], 5, "cutoff 0.0 Hz"),
         ("lowpass", [1000.0], 0, "order must be a positive integer, got 0"),
         ("lowpass", [math.nan], 5, "cutoff nan Hz"),
+        ("bandstop", [1000.0], 5, "unknown sweep kind 'bandstop'"),
     ])
     def test_refuses_a_cell_that_would_fail(self, kind, axis, order, message):
         with pytest.raises(ValueError, match=message):
@@ -315,6 +316,39 @@ class TestRobustnessSweep:
         assert [filt.cutoff_hz for filt in designs] == [1000.0, 2500.0]
         for filt in designs:
             assert filt.block_operators is filt.block_operators
+
+    @pytest.mark.parametrize("kind, axis, message", [
+        ("awgn", [10.0, -3100.0], "snr_db -3100.0 dB"),
+        ("lowpass", [1000.0, 0.0], "cutoff 0.0 Hz"),
+    ])
+    def test_a_refused_cell_fails_before_the_first_render(self, kind, axis, message):
+        clips, labels = self.make_clips()
+        model = CountingModel()
+        with pytest.raises(ValueError, match=message):
+            robustness_sweep(kind, axis, model, clips, labels, seed=5)
+        assert model.renders == 0
+
+    def test_clips_at_two_sample_rates_get_their_own_cells(self, monkeypatch):
+        # one design per (cell, rate) below that rate's Nyquist; the 8 kHz
+        # clip passes the 6 kHz cell unfiltered
+        designs, applied = [], []
+        design, apply = fbsplab.perturb.design_butterworth_lowpass, fbsplab.perturb.apply_filter
+
+        def counted_design(*args):
+            designs.append(design(*args))
+            return designs[-1]
+
+        def counted_apply(filt, signal):
+            applied.append((filt.cutoff_hz, signal.sample_rate))
+            return apply(filt, signal)
+
+        monkeypatch.setattr(fbsplab.perturb, "design_butterworth_lowpass", counted_design)
+        monkeypatch.setattr(fbsplab.perturb, "apply_filter", counted_apply)
+        clips = [sine(400.0, 0.1, 8000), sine(3000.0, 0.1, 16000)]
+        robustness_sweep("lowpass", [1000.0, 6000.0], StubModel(), clips, [0, 1], seed=5)
+        assert [(f.cutoff_hz, f.sample_rate) for f in designs] == [
+            (1000.0, 8000.0), (1000.0, 16000.0), (6000.0, 16000.0)]
+        assert applied == [(1000.0, 8000), (1000.0, 16000), (6000.0, 16000)]
 
     def test_cells_are_independently_seeded(self):
         clips, labels = self.make_clips()
