@@ -140,11 +140,9 @@ def _check_n(n_fft: int) -> None:
 
 def dft_kernel(n_fft: int) -> KernelBank:
     """Unit-norm one-sided DFT bank, N//2 + 1 rows."""
-    _check_n(n_fft)
-    k = np.arange(n_fft // 2 + 1)[:, None]
-    n = np.arange(n_fft)[None, :]
+    grid = dft_grid(n_fft)[:, None]
     scale = 1.0 / np.sqrt(n_fft)
-    weights = scale * np.exp(-2j * np.pi * (k / n_fft) * n)
+    weights = scale * np.exp(-2j * np.pi * grid * np.arange(n_fft))
     return KernelBank(weights=weights, params="dft", norm_scale=scale)
 
 

@@ -57,8 +57,8 @@ from fbsplab.perturb import (
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import (_GENERATOR_PARAMS, FrameGrid, WindowSpec, _num_samples,
-                              generate, real_number, whole_number)
+from fbsplab.signals import (_GENERATOR_PARAMS, WindowSpec, _num_samples, generate,
+                              real_number, whole_number)
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -291,9 +291,9 @@ def _cmd_gen(cfg: dict, args) -> int:
 
 
 def _resolve_bank(cfg: dict):
-    """Pick the analysis bank as (n_fft, build) and record n_fft in ``cfg``,
-    building nothing until ``build()``; a params file fixes n_fft and must not
-    clash. ``build()`` first refuses a bank too large to build."""
+    """Pick the analysis bank as (n_fft, filters, build) and record n_fft in
+    ``cfg``, building nothing until ``build()``; a params file fixes n_fft and
+    must not clash. ``build()`` first refuses a bank too large to build."""
     mode, params_file, explicit = cfg["mode"], cfg["params_file"], cfg["n_fft"]
     if mode == "fbsp" and params_file:
         params, n_fft = load_params(params_file)
@@ -314,24 +314,28 @@ def _resolve_bank(cfg: dict):
         _require_bank_memory(n_fft, filters, _physical_memory())
         return make()
 
-    return n_fft, build
+    return n_fft, filters, build
 
 
 def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
-    n_fft, build_bank = _resolve_bank(cfg)
+    n_fft, filters, build_bank = _resolve_bank(cfg)
     hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
     cfg["hop"] = hop
     wf = read_wav(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
-    spec.grid_for(len(wf))  # a clip shorter than one frame fails before the bank is built
+    # a clip shorter than one frame, then a render (the frames, two (T, 2F) workspace
+    # buffers and the (F, T) result) larger than memory, fail before the bank is built
+    frames = spec.grid_for(len(wf)).num_frames
+    _require_memory(f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop}",
+                    "render", 8 * frames * (n_fft + 5 * filters), _physical_memory())
     spectrogram_to_csv(args.out, spec.spectrogram(wf, build_bank()))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
-    n_fft, build_bank = _resolve_bank(cfg)
+    n_fft, _, build_bank = _resolve_bank(cfg)
     probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
     response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes)
@@ -378,11 +382,12 @@ def _section_spec(section: str, spec, values: dict):
 
 def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
-    large to build, a corpus whose waveforms alone exceed physical memory, and
-    a trainer working set that does, are refused before the corpus is
-    generated. The working set is the stacked frames of every clip, T rows of
-    n_fft values, and the trainer's two (rows, 2F) workspace buffers, rows at
-    most T: about 8 T (n_fft + 4F) bytes."""
+    large to build, a corpus whose waveforms alone exceed physical memory, a
+    trainer working set that does, and a clip shorter than one frame, are
+    refused before the corpus is generated. The working set is the stacked
+    frames of every clip, T rows of n_fft values (T is the clip count times
+    ``features.grid_for`` of one clip), and the trainer's two (rows, 2F)
+    workspace buffers, rows at most T: about 8 T (n_fft + 4F) bytes."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
     filters = features.n_fft // 2 + 1
     _require_bank_memory(features.n_fft, filters, _physical_memory())
@@ -393,7 +398,7 @@ def _run_inputs(cfg: dict):
     clip_samples = _num_samples(task["duration"], task["sample_rate"])
     _require_memory(f"a corpus of {clips * clip_samples} samples", "generate",
                     8 * clips * clip_samples, _physical_memory())
-    frames = clips * FrameGrid.for_length(clip_samples, features.n_fft, features.hop).num_frames
+    frames = clips * features.grid_for(clip_samples).num_frames
     _require_memory(f"a task of {clips} clips framed at features.n_fft {features.n_fft} and "
                     f"features.hop {features.hop} ({frames} frames)", "train",
                     8 * frames * (features.n_fft + 4 * filters), _physical_memory())

@@ -14,10 +14,10 @@ u. This module keeps the chain rule, dK = K * dlog on the entries of
 report. At m = 0 the envelope's log-derivatives are 0 by convention, so
 d_m = 0, the loss's limiting one-sided derivative at the unit-energy minimum
 (away from it a one-sided difference with step h grows like log h). At
-fractional m the complex log diverges where u sits on a sinc zero:
-``require_gradient_point`` raises ``SingularGradientError`` within 1e-6 of one,
-both gradients apply it to their own u, and the trainer takes no step into a
-zone. ``finite_difference_oracle``, central differences through separate
+fractional m the complex log diverges where u sits on a sinc zero: both
+gradients raise ``SingularGradientError`` within 1e-6 of one of their own u,
+and the trainer takes no step where ``loss_gradient`` raises.
+``finite_difference_oracle``, central differences through separate
 code, is the ground truth every analytic path is tested against.
 """
 
@@ -49,7 +49,6 @@ __all__ = [
     "energy_pairing",
     "finite_difference_oracle",
     "sinc_zone_clearance",
-    "require_gradient_point",
     "admissible_draw",
     "gradient_check_report",
 ]
@@ -124,15 +123,6 @@ def sinc_zone_clearance(m: float, f_b: float, n_fft: int) -> float:
     if m == 0.0:
         return math.inf
     return _zone_clearance(sinc_argument(m, f_b, centered_taps(n_fft)))
-
-
-def require_gradient_point(params: FbspParams, n_fft: int) -> None:
-    """Raise ``SingularGradientError`` where the envelope has no derivative.
-
-    That is fractional m within ``SINC_ZONE_RADIUS`` of a sinc zero; integer
-    m (m = 0 included) has limits everywhere. Both gradients apply this rule.
-    """
-    _kernel_terms(params, centered_taps(n_fft))
 
 
 def _kernel_terms(params: FbspParams, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

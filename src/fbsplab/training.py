@@ -47,7 +47,6 @@ from fbsplab.gradients import (
     fbsp_loss,
     kernel_jacobian_vector,
     loss_gradient,
-    require_gradient_point,
 )
 from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
@@ -192,8 +191,8 @@ def make_task(
     regenerated in isolation. snr_range of None keeps clips clean; a scalar
     adds noise at that level, a (lo, hi) pair draws a level per clip. A pair
     with lo > hi or an infinite width, a level or pair end that
-    ``snr_power_ratio`` refuses, and a class band reaching Nyquist, are refused
-    before any clip is drawn.
+    ``snr_power_ratio`` refuses, a class band reaching Nyquist, and a split
+    leaving either side empty, are refused before any clip is drawn.
     """
     if len(classes) < 2:
         raise ValueError("a classification task needs at least two classes")
@@ -212,6 +211,10 @@ def make_task(
         raise ValueError("need at least two samples per class")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    total = len(classes) * samples_per_class
+    n_train = int(train_fraction * total)
+    if not 0 < n_train < total:
+        raise ValueError("split leaves an empty train or validation set")
     waveforms: list[Waveform] = []
     labels: list[int] = []
     for class_idx, spec in enumerate(classes):
@@ -226,11 +229,7 @@ def make_task(
                               seed=derive_seed(seed, class_idx, example_idx, 2))
             waveforms.append(wf)
             labels.append(class_idx)
-    total = len(waveforms)
     order = np.random.default_rng(derive_seed(seed, len(classes), 0, 9)).permutation(total)
-    n_train = int(train_fraction * total)
-    if not 0 < n_train < total:
-        raise ValueError("split leaves an empty train or validation set")
     return TaskCorpus(
         waveforms=tuple(waveforms),
         labels=np.array(labels),
@@ -403,11 +402,9 @@ def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     shifted = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    rows = np.arange(len(labels))
-    log_norm = np.log(expv.sum(axis=1))
-    ce = float(np.mean(log_norm - shifted[rows, labels]))
-    return ce, probs
+    norm = expv.sum(axis=1, keepdims=True)
+    ce = float(np.mean(np.log(norm[:, 0]) - shifted[np.arange(len(labels)), labels]))
+    return ce, expv / norm
 
 
 def pipeline_loss(
@@ -494,7 +491,7 @@ def pipeline_gradients(
 def _params_valid(m: float, f_b: float, f_c: np.ndarray, n_fft: int) -> bool:
     """Whether the bank is valid there and its gradients can be evaluated."""
     try:
-        require_gradient_point(FbspParams(m=m, f_b=f_b, f_c=f_c), n_fft)
+        loss_gradient(FbspParams(m=m, f_b=f_b, f_c=f_c), n_fft)
     except ValueError:  # SingularGradientError included
         return False
     return True

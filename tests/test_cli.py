@@ -28,9 +28,11 @@ from fbsplab.bank import (
 from fbsplab.cli import build_parser, main
 from fbsplab.runio import _jsonable, write_json
 from fbsplab.signals import Waveform, WindowSpec
+from fbsplab.training import FeatureSpec
 from fbsplab.wavio import write_wav
 
-CLI = [sys.executable, "-m", "fbsplab.cli"]
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::ResourceWarning", "-m",
+       "fbsplab.cli"]
 
 SMALL_RUN_CONFIG = {
     "task": {
@@ -306,6 +308,42 @@ class TestExitCodes:
         assert code == 2
         assert "48000 samples are too few for frames of 100000" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_render_larger_than_memory_is_refused_before_the_bank(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # 3937 frames of 64 taps and 33 filters need about 7.2 MB to render; the
+        # 33 x 64 bank needs about 0.11 MB to build
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+        monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+        monkeypatch.setattr(fbsplab.cli, "dft_kernel", lambda n_fft: pytest.fail("built the bank"))
+        start = time.perf_counter()
+        code = main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert ("a spectrogram of 3937 frames at n_fft 64 and hop 1 needs about 7212584 bytes "
+                "to render, more than the 1000000 bytes of physical memory"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
+
+    # the render's one fixed cost is numpy's 64 KiB ufunc buffer, which the bound's
+    # 8 T F bytes over the measured 8 T (n_fft + 4F) cover from about 9,000 T F on
+    @pytest.mark.parametrize("n_fft, hop, samples", [(64, 32, 16000), (255, 7, 8000),
+                                                     (256, 1, 4000)])
+    def test_render_bound_covers_the_measured_render_peak(self, n_fft, hop, samples):
+        wf = Waveform(np.random.default_rng(0).standard_normal(samples), 8000)
+        spec = FeatureSpec(n_fft=n_fft, hop=hop)
+        frames = spec.grid_for(len(wf)).num_frames
+        for bank in (dft_kernel(n_fft), fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
+            bank.real_matrix  # formed once per bank, under the build bound
+            tracemalloc.start()
+            try:
+                spec.spectrogram(wf, bank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * frames * (n_fft + 5 * bank.num_filters)
 
 
 class TestGen:
@@ -1182,6 +1220,26 @@ def test_class_band_reaching_nyquist_is_refused_before_any_clip(tmp_path, capsys
     assert run_with_config(tmp_path, "train", {"task": {"classes": [edge, HIGH], "seed": seed}}) == 2
     assert ("class 'edge' high_hz 4100.0 Hz is at or above Nyquist (4000.0 Hz)"
             in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("task, message", [
+    # 0.01 s at 8 kHz is 80 samples, under the default features.n_fft of 256
+    ({"duration": 0.01}, "80 samples are too few for frames of 256"),
+    # 0.005 of the default 120 clips trains on none
+    ({"train_fraction": 0.005}, "split leaves an empty train or validation set"),
+], ids=["duration", "train_fraction"])
+def test_short_clip_and_empty_split_are_refused_before_any_clip(tmp_path, capsys, monkeypatch,
+                                                                 command, task, message):
+    # each drew all 120 clips before it was refused
+    monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"task": task}))
+    outputs = (["--out-params", str(tmp_path / "p.json"), "--out-log", str(tmp_path / "l.csv")]
+               if command == "train" else ["--out", str(tmp_path / "out")])
+    assert main([command, "--config", str(path)] + outputs) == 2
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 

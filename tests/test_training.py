@@ -97,6 +97,12 @@ class TestMakeTask:
             make_task(TWO_TONES, 5, snr_range=snr_range)
         assert message in str(err.value)
 
+    def test_split_is_checked_before_any_clip(self, monkeypatch):
+        # 0.1 of 4 clips trains on none; all 4 were drawn before the refusal
+        monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
+        with pytest.raises(ValueError, match="split leaves an empty train or validation set"):
+            make_task(TWO_TONES, 2, train_fraction=0.1)
+
 
 class TestPipelineGradients:
     def setup_method(self):
