@@ -57,8 +57,8 @@ from fbsplab.perturb import (
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
-from fbsplab.signals import (_GENERATOR_PARAMS, WindowSpec, _num_samples, generate,
-                              real_number, whole_number)
+from fbsplab.signals import (_GEN_PEAK_FACTOR, _GENERATOR_PARAMS, WindowSpec, _num_samples,
+                              generate, real_number, whole_number)
 from fbsplab.training import (
     ClassSpec,
     FeatureSpec,
@@ -284,6 +284,9 @@ def _resolve(args) -> dict:
 
 def _cmd_gen(cfg: dict, args) -> int:
     kind = cfg["kind"]
+    samples = _num_samples(cfg["duration"], cfg["sample_rate"])
+    _require_memory(f"a {kind} clip of {samples} samples", "generate",
+                    _GEN_PEAK_FACTOR * 8 * samples, _physical_memory())
     params = {key: cfg[key] for key in sorted(_GENERATOR_PARAMS[kind])}
     wf = generate(kind, params, cfg["duration"], cfg["sample_rate"], seed=cfg["seed"])
     write_wav(args.out, wf, encoding=cfg["encoding"])
@@ -326,11 +329,16 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
     wf = read_wav(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
     # a clip shorter than one frame, then a render (the frames, two (T, 2F) workspace
-    # buffers and the (F, T) result) larger than memory, fail before the bank is built
+    # buffers and the (F, T) result) larger than memory, fail before the bank is built;
+    # after it, the render together with the bank's weights and real_matrix, 32 F N bytes
     frames = spec.grid_for(len(wf)).num_frames
-    _require_memory(f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop}",
-                    "render", 8 * frames * (n_fft + 5 * filters), _physical_memory())
-    spectrogram_to_csv(args.out, spec.spectrogram(wf, build_bank()))
+    subject = f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop}"
+    render = 8 * frames * (n_fft + 5 * filters)
+    _require_memory(subject, "render", render, _physical_memory())
+    bank = build_bank()
+    _require_memory(f"{subject} with its {filters} x {n_fft} bank", "render",
+                    render + 32 * filters * n_fft, _physical_memory())
+    spectrogram_to_csv(args.out, spec.spectrogram(wf, bank))
     return 0
 
 

@@ -19,9 +19,9 @@ separate reference they are tested against.
 its (T, 2F) product [Re X | Im X]; ``backward`` recomputes the power from it
 through ``_power``, the helper ``forward`` uses, so the bits agree. Neither
 owns its memory: callers pass a ``workspace`` of two C-contiguous (rows, 2F)
-buffers (outputs, scratch), rows >= T. ``forward`` writes the product into
-the leading rows of ``outputs`` and the power and log-power into the two
-leading (T, F) halves of ``scratch``, where ``backward`` writes its product.
+buffers (outputs, scratch), rows >= T, and both use the first T rows of each:
+``forward`` writes the product into ``outputs`` and the power and log-power
+into the two (T, F) halves of ``scratch``, where ``backward`` writes its product.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def _power(outputs: np.ndarray, eps: float, out: np.ndarray, spare: np.ndarray) 
     return out
 
 
-def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The first prod(shape) values of a C-contiguous buffer, as one contiguous array."""
-    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
 def workspace(rows: int, filters: int) -> tuple[np.ndarray, np.ndarray]:
     """(outputs, scratch): two C-contiguous (rows, 2F) buffers for ``forward`` and ``backward``."""
     return np.empty((rows, 2 * filters)), np.empty((rows, 2 * filters))
@@ -104,8 +99,8 @@ def forward(bank: KernelBank, frames: np.ndarray, eps: float,
     ``buffers`` is a ``workspace`` of at least T rows; the returned rows and
     the cache are views of it, valid until it is written again."""
     t, k = len(frames), bank.num_filters
-    outputs = _leading(buffers[0], (t, 2 * k))
-    power, logp = _leading(buffers[1], (2, t, k))
+    outputs = buffers[0][:t]
+    power, logp = buffers[1][:t].reshape(2, t, k)
     np.matmul(frames, bank.real_matrix, out=outputs)
     return np.log(_power(outputs, eps, power, logp), out=logp), (frames, outputs, eps)
 
@@ -117,11 +112,11 @@ def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
     the next ``counts[c]`` rows and g_t = cotangent[c] / (|X_t|^2 + eps) on
     each of them; it pairs as 2 Re sum C dK.
 
-    The (T, 2F) product [Re X g | Im X g] goes into the leading values of
+    The (T, 2F) product [Re X g | Im X g] goes into the first T rows of
     ``scratch``, a ``workspace``'s second buffer; the cache can be passed again."""
     frames, outputs, eps = cache
     t, k = len(frames), outputs.shape[1] // 2
-    product = _leading(scratch, (t, 2 * k))
+    product = scratch[:t]
     g = np.empty((int(np.max(counts)), k))
     start = 0
     # per clip, as cache blocking: its rows stay in cache from the power through the multiply

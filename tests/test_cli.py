@@ -27,12 +27,12 @@ from fbsplab.bank import (
 )
 from fbsplab.cli import build_parser, main
 from fbsplab.runio import _jsonable, write_json
-from fbsplab.signals import Waveform, WindowSpec
+from fbsplab.signals import _GEN_PEAK_FACTOR, _GENERATOR_PARAMS, Waveform, WindowSpec, generate
 from fbsplab.training import FeatureSpec
 from fbsplab.wavio import write_wav
 
-CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::ResourceWarning", "-m",
-       "fbsplab.cli"]
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::ResourceWarning",
+       "-W", "error::DeprecationWarning", "-W", "error::FutureWarning", "-m", "fbsplab.cli"]
 
 SMALL_RUN_CONFIG = {
     "task": {
@@ -344,6 +344,77 @@ class TestExitCodes:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * frames * (n_fft + 5 * bank.num_filters)
+
+    def test_render_beside_its_bank_is_refused_after_the_build(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # 40 frames of 64 taps: the 33 x 64 build (109,824 B) and the render (73,280 B)
+        # each fit in 120,000 B, but not the render beside the bank it holds (140,864 B)
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--duration", "0.164", "--out", str(wav)]) == 0
+        builds = []
+        monkeypatch.setattr(fbsplab.cli, "dft_kernel", lambda n_fft: builds.append(n_fft)
+                            or dft_kernel(n_fft))
+        monkeypatch.setattr(FeatureSpec, "spectrogram", lambda *a: pytest.fail("rendered"))
+        monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 120_000)
+        start = time.perf_counter()
+        code = main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "32",
+                     "--out", str(tmp_path / "s.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert builds == [64]
+        assert ("a spectrogram of 40 frames at n_fft 64 and hop 32 with its 33 x 64 bank needs "
+                "about 140864 bytes to render, more than the 120000 bytes of physical memory"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
+
+    # from before the bank build through the render; the bound leaves out numpy's fixed
+    # 64 KiB ufunc buffer, so 40 frames at (64, 32) peak at 145,424 B against 140,864 B
+    @pytest.mark.parametrize("n_fft, hop", [(512, 256), (1024, 512)])
+    def test_render_and_bank_bound_covers_the_measured_peak(self, n_fft, hop):
+        wf = Waveform(np.random.default_rng(0).standard_normal(80000), 16000)
+        spec = FeatureSpec(n_fft=n_fft, hop=hop)
+        frames, filters = spec.grid_for(len(wf)).num_frames, n_fft // 2 + 1
+        for build in (lambda: dft_kernel(n_fft),
+                      lambda: fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
+            tracemalloc.start()
+            try:
+                spec.spectrogram(wf, build())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * filters * n_fft + 8 * frames * (n_fft + 5 * filters)
+
+    def test_gen_larger_than_memory_is_refused_before_any_sample(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+        monkeypatch.setattr(fbsplab.cli, "generate", lambda *a, **k: pytest.fail("generated"))
+        out = tmp_path / "big.wav"
+        start = time.perf_counter()
+        code = main(["gen", "--duration", "5", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert ("a sine clip of 40000 samples needs about 1920000 bytes to generate, more than "
+                "the 1000000 bytes of physical memory" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(fbsplab.cli, "generate", generate)
+        assert main(["gen", "--duration", "0.1", "--out", str(out)]) == 0
+
+    # per sample, after one untraced call: numpy.fft's first use in a process costs about
+    # 0.9 MB once, which the bound's margin over band_noise's 5.7 covers from 400,000 samples on
+    @pytest.mark.parametrize("kind", sorted(_GENERATOR_PARAMS))
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_gen_bound_covers_the_measured_peak(self, tmp_path, kind, encoding):
+        defaults = {key: default for key, _flag, _kind, default, _help in fbsplab.cli._GEN_KNOBS}
+        params = {key: defaults[key] for key in _GENERATOR_PARAMS[kind]}
+        path, samples = str(tmp_path / "x.wav"), 16000
+        write_wav(path, generate(kind, params, 2.0, 8000), encoding)
+        tracemalloc.start()
+        try:
+            write_wav(path, generate(kind, params, 2.0, 8000), encoding)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _GEN_PEAK_FACTOR * 8 * samples
 
 
 class TestGen:

@@ -164,6 +164,24 @@ class TestGenerators:
         b = generate("band_noise", {"low_hz": 300.0, "high_hz": 600.0}, 0.1, 8000, seed=2)
         assert not np.array_equal(a.samples, b.samples)
 
+    def test_generate_takes_defaults_from_the_generator_signature(self, monkeypatch):
+        monkeypatch.setattr(sine, "__defaults__", (0.5, 0.25))
+        wf = generate("sine", {"frequency": 440.0}, 0.01, 8000)
+        expected = sine(440.0, 0.01, 8000, amplitude=0.5, phase=0.25)
+        assert np.array_equal(wf.samples, expected.samples)
+
+    @pytest.mark.parametrize("kind, params, direct", [
+        ("sine", {"frequency": 440.0}, lambda: sine(440.0, 0.05, 8000)),
+        ("chirp", {"f_start": 300.0, "f_end": 3000.0}, lambda: chirp(300.0, 3000.0, 0.05, 8000)),
+        ("band_noise", {"low_hz": 500.0, "high_hz": 2000.0},
+         lambda: band_noise(500.0, 2000.0, 0.05, 8000, seed=7)),
+        ("silence", {}, lambda: silence(0.05, 8000)),
+    ])
+    def test_generate_with_required_keys_equals_the_generator(self, kind, params, direct):
+        wf = generate(kind, params, 0.05, 8000, seed=7)
+        assert wf.sample_rate == 8000
+        assert np.array_equal(wf.samples, direct().samples)
+
 
 class TestFrame:
     def test_matches_index_formula(self):
