@@ -26,7 +26,6 @@ origin), and magnitudes of any transform built on it match the STFT exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -252,27 +251,6 @@ _BUILD_PEAK_FACTOR = 3.25
 RESPONSE_PEAK_FACTOR = 3.0
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _require_memory(subject: str, verb: str, needed: float, available: int) -> None:
-    """Refuse, with a MemoryError, work whose peak of ``needed`` bytes exceeds
-    the ``available`` bytes of physical memory."""
-    needed = int(needed)
-    if needed > available:
-        raise MemoryError(
-            f"{subject} needs about {needed} bytes to {verb}, "
-            f"more than the {available} bytes of physical memory")
-
-
-def _require_bank_memory(n_fft: int, filters: int, available: int) -> None:
-    """Refuse, before allocating, a (filters, n_fft) bank whose build would
-    exceed ``available`` bytes."""
-    _require_memory(f"a bank of n_fft {n_fft}", "build",
-                    _BUILD_PEAK_FACTOR * 16 * filters * n_fft, available)
-
-
 def frequency_response(
     bank: KernelBank,
     window: WindowSpec,
@@ -291,9 +269,6 @@ def frequency_response(
     physical (real-signal) frequency regardless of the bank's exponent sign
     convention, and it is invariant under a global phase rotation of a row.
     ``max_gain_curve[j]`` is the maximum over filters at each probe.
-
-    A response whose peak would exceed physical memory is refused with a
-    MemoryError before anything is allocated.
     """
     if num_probes < 2:
         raise ValueError(f"need at least 2 probe frequencies, got {num_probes}")
@@ -301,10 +276,6 @@ def frequency_response(
         raise ValueError(
             f"window length {window.length} does not match bank tap count {bank.num_taps}"
         )
-    filters, taps = bank.weights.shape
-    _require_memory(f"the response of n_fft {taps} at num_probes {num_probes}", "compute",
-                    RESPONSE_PEAK_FACTOR * 16 * (filters * taps + (taps + filters) * num_probes),
-                    _physical_memory())
     probes = np.linspace(0.0, 0.5, num_probes)
     n = np.arange(bank.num_taps)
     tones = np.exp(2j * np.pi * np.outer(n, probes))  # (N, M)

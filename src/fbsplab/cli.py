@@ -18,24 +18,23 @@ config: train and sweep configs have task, features and train sections, and
 sweep adds a sweep section. The features and train rows are made from the
 fields of ``FeatureSpec`` and ``TrainConfig``.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input or config (running
-out of memory included), 3 numerical failure (singular gradient,
-divergence, failed check).
+Exit codes: 0 success, 1 usage error, 2 invalid input or config (out of memory
+included; ``_require_memory`` alone reads physical memory and refuses work above
+it), 3 numerical failure (singular gradient, divergence, failed check).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import MISSING, fields, replace
 from typing import Sequence, get_origin, get_type_hints
 
-from fbsplab.bank import (  # the build bound comes with its peak factor
+from fbsplab.bank import (  # the build and response bounds come with their peak factors
     _BUILD_PEAK_FACTOR,
-    _physical_memory,
-    _require_bank_memory,
-    _require_memory,
+    RESPONSE_PEAK_FACTOR,
     dft_kernel,
     fbsp_kernel,
     frequency_response,
@@ -54,6 +53,7 @@ from fbsplab.perturb import (
     default_axis,
     design_butterworth_lowpass,
     robustness_sweep,
+    snr_power_ratio,
     sweep_to_csv,
 )
 from fbsplab.runio import read_json, write_json
@@ -68,7 +68,7 @@ from fbsplab.training import (
     train,
 )
 from fbsplab.transform import DEFAULT_EPS, spectrogram_to_csv
-from fbsplab.wavio import read_wav, write_wav
+from fbsplab.wavio import _READ_PEAK_FACTOR, read_wav, write_wav
 
 
 class _UsageError(Exception):
@@ -282,11 +282,35 @@ def _resolve(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(subject: str, verb: str, needed: float) -> None:
+    """Refuse, with a MemoryError, work whose peak of ``needed`` bytes exceeds physical memory."""
+    needed, available = int(needed), _physical_memory()
+    if needed > available:
+        raise MemoryError(f"{subject} needs about {needed} bytes to {verb}, "
+                          f"more than the {available} bytes of physical memory")
+
+
+def _require_bank_memory(n_fft: int, filters: int) -> None:
+    """Refuse, before allocating, a (filters, n_fft) bank too large to build."""
+    _require_memory(f"a bank of n_fft {n_fft}", "build", _BUILD_PEAK_FACTOR * 16 * filters * n_fft)
+
+
+def _read_input(path: str):
+    """``read_wav(path)``, refused first if the WAV is too large to read and process."""
+    size = os.path.getsize(path)
+    _require_memory(f"the input WAV of {size} bytes", "read", _READ_PEAK_FACTOR * size)
+    return read_wav(path)
+
+
 def _cmd_gen(cfg: dict, args) -> int:
     kind = cfg["kind"]
     samples = _num_samples(cfg["duration"], cfg["sample_rate"])
     _require_memory(f"a {kind} clip of {samples} samples", "generate",
-                    _GEN_PEAK_FACTOR * 8 * samples, _physical_memory())
+                    _GEN_PEAK_FACTOR * 8 * samples)
     params = {key: cfg[key] for key in sorted(_GENERATOR_PARAMS[kind])}
     wf = generate(kind, params, cfg["duration"], cfg["sample_rate"], seed=cfg["seed"])
     write_wav(args.out, wf, encoding=cfg["encoding"])
@@ -314,7 +338,7 @@ def _resolve_bank(cfg: dict):
     cfg["n_fft"] = n_fft
 
     def build():
-        _require_bank_memory(n_fft, filters, _physical_memory())
+        _require_bank_memory(n_fft, filters)
         return make()
 
     return n_fft, filters, build
@@ -324,9 +348,8 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
     n_fft, filters, build_bank = _resolve_bank(cfg)
-    hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
-    cfg["hop"] = hop
-    wf = read_wav(cfg["input"])
+    cfg["hop"] = hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
+    wf = _read_input(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
     # a clip shorter than one frame, then a render (the frames, two (T, 2F) workspace
     # buffers and the (F, T) result) larger than memory, fail before the bank is built;
@@ -334,19 +357,22 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
     frames = spec.grid_for(len(wf)).num_frames
     subject = f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop}"
     render = 8 * frames * (n_fft + 5 * filters)
-    _require_memory(subject, "render", render, _physical_memory())
+    _require_memory(subject, "render", render)
     bank = build_bank()
     _require_memory(f"{subject} with its {filters} x {n_fft} bank", "render",
-                    render + 32 * filters * n_fft, _physical_memory())
+                    render + 32 * filters * n_fft)
     spectrogram_to_csv(args.out, spec.spectrogram(wf, bank))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
-    n_fft, _, build_bank = _resolve_bank(cfg)
+    n_fft, filters, build_bank = _resolve_bank(cfg)
     probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
-    response = frequency_response(build_bank(), WindowSpec(cfg["window"], n_fft), probes)
+    bank = build_bank()
+    _require_memory(f"the response of n_fft {n_fft} at num_probes {probes}", "compute",
+                    RESPONSE_PEAK_FACTOR * 16 * (filters * n_fft + (n_fft + filters) * probes))
+    response = frequency_response(bank, WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
     return 0
 
@@ -364,14 +390,14 @@ def _cmd_perturb(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("perturb needs an input wav (--input)")
     has_snr = cfg["snr_db"] is not None
-    has_cutoff = cfg["cutoff_hz"] is not None
-    if has_snr == has_cutoff:
+    if has_snr == (cfg["cutoff_hz"] is not None):
         raise ValueError("choose exactly one of --snr-db or --cutoff-hz")
     _check_order(cfg["order"], "order")  # for either mode, used or not
-    wf = read_wav(cfg["input"])
-    if has_snr:
-        out = add_awgn(wf, real_number(cfg["snr_db"], "snr_db"), seed=cfg["seed"])
+    if has_snr:  # add_awgn's own rule, checked before the read
+        snr_power_ratio(snr_db := real_number(cfg["snr_db"], "snr_db"))
+        out = add_awgn(_read_input(cfg["input"]), snr_db, seed=cfg["seed"])
     else:
+        wf = _read_input(cfg["input"])
         out = apply_filter(
             design_butterworth_lowpass(cfg["order"], cfg["cutoff_hz"], wf.sample_rate), wf)
     write_wav(args.out, out, encoding=cfg["encoding"])
@@ -398,18 +424,18 @@ def _run_inputs(cfg: dict):
     workspace buffers, rows at most T: about 8 T (n_fft + 4F) bytes."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
     filters = features.n_fft // 2 + 1
-    _require_bank_memory(features.n_fft, filters, _physical_memory())
+    _require_bank_memory(features.n_fft, filters)
     train_cfg = _section_spec("train", TrainConfig, cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]
     clips = task["samples_per_class"] * len(classes)
     clip_samples = _num_samples(task["duration"], task["sample_rate"])
     _require_memory(f"a corpus of {clips * clip_samples} samples", "generate",
-                    8 * clips * clip_samples, _physical_memory())
+                    8 * clips * clip_samples)
     frames = clips * features.grid_for(clip_samples).num_frames
     _require_memory(f"a task of {clips} clips framed at features.n_fft {features.n_fft} and "
                     f"features.hop {features.hop} ({frames} frames)", "train",
-                    8 * frames * (features.n_fft + 4 * filters), _physical_memory())
+                    8 * frames * (features.n_fft + 4 * filters))
     return make_task(classes, **task), features, train_cfg
 
 

@@ -29,6 +29,9 @@ _SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # (format tag, bits per sample) -> little-endian sample dtype
 _SAMPLE_DTYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4", (_IEEE_FLOAT, 64): "<f8"}
 _U32_MAX = 0xFFFFFFFF
+# Peak bytes per byte of a mono WAV, pcm16 / float32 (tracemalloc, 160,000 samples on, warm):
+# read_wav 12.5 / 6.3; perturb 16.2 / 6.4 adding noise, 20.2 / 8.3 low-passing (input held).
+_READ_PEAK_FACTOR = 21
 
 
 def _parse_fmt(body: bytes) -> tuple[str, int, int]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fbsplab.bank
 import fbsplab.cli
 import fbsplab.gradients
 import fbsplab.training
@@ -29,7 +29,7 @@ from fbsplab.cli import build_parser, main
 from fbsplab.runio import _jsonable, write_json
 from fbsplab.signals import _GEN_PEAK_FACTOR, _GENERATOR_PARAMS, Waveform, WindowSpec, generate
 from fbsplab.training import FeatureSpec
-from fbsplab.wavio import write_wav
+from fbsplab.wavio import read_wav, write_wav
 
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::ResourceWarning",
        "-W", "error::DeprecationWarning", "-W", "error::FutureWarning", "-m", "fbsplab.cli"]
@@ -59,10 +59,12 @@ def read_csv_matrix(path):
 
 
 def test_import_loads_no_scipy():
+    # nor any other package outside the standard library and numpy
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fbsplab.cli; "
-         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"],
+         "import sys; before = set(sys.modules); import fbsplab.cli; "
+         "print(sorted({name.split('.')[0] for name in set(sys.modules) - before}"
+         " - set(sys.stdlib_module_names) - {'numpy', 'fbsplab'}))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -175,8 +177,7 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 7.28 PiB")
 
         monkeypatch.setattr(fbsplab.cli, "frequency_response", exhausted)
-        code = main(["freq-response", "--num-probes", "1000000000000000",
-                     "--out", str(tmp_path / "r.csv")])
+        code = main(["freq-response", "--num-probes", "3", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert "out of memory" in err and "7.28 PiB" in err
@@ -415,6 +416,47 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak <= _GEN_PEAK_FACTOR * 8 * samples
+
+    @pytest.mark.parametrize("command", [["perturb", "--snr-db", "10"],
+                                         ["spectrogram", "--n-fft", "64", "--hop", "64"]])
+    def test_input_wav_larger_than_memory_is_refused_before_the_read(
+            self, tmp_path, monkeypatch, capsys, command):
+        # a 4 s PCM16 clip at 8 kHz is a 64,044-byte WAV, 1,344,924 bytes at the read
+        # bound's 21 per byte; a 2 s one is 32,044 bytes, 672,924 at 21
+        wav = tmp_path / "x.wav"
+        assert main(["gen", "--duration", "4", "--out", str(wav)]) == 0
+        monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(fbsplab.cli, "read_wav", lambda path: pytest.fail("read the WAV"))
+            start = time.perf_counter()
+            code = main([*command, "--input", str(wav), "--out", str(out)])
+            assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert ("the input WAV of 64044 bytes needs about 1344924 bytes to read, more than "
+                "the 1000000 bytes of physical memory" in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
+        assert main(["gen", "--duration", "2", "--out", str(wav)]) == 0
+        assert main([*command, "--input", str(wav), "--out", str(out)]) == 0
+
+    # per byte of the file, after one untraced call: spectrogram reads before its render
+    # bound, and perturb holds the clip it read while it low-passes and writes
+    @pytest.mark.parametrize("step", [[], ["--snr-db", "10"], ["--cutoff-hz", "1000"]],
+                             ids=["read", "awgn", "lowpass"])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_wav_read_bound_covers_the_measured_peak(self, tmp_path, step, encoding):
+        wav, out = str(tmp_path / "x.wav"), str(tmp_path / "y.wav")
+        write_wav(wav, Waveform(0.5 * np.sin(0.3 * np.arange(160000)), 8000), encoding)
+        argv = ["perturb", "--input", wav, *step, "--encoding", encoding, "--out", out]
+        work = (lambda: main(argv)) if step else (lambda: read_wav(wav))
+        work()
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fbsplab.cli._READ_PEAK_FACTOR * os.path.getsize(wav)
 
 
 class TestGen:
@@ -897,6 +939,22 @@ def test_snr_level_outside_float_range_is_input_error(tmp_path, capsys, level):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
 
 
+@pytest.mark.parametrize("level, message", [
+    ("foo", "snr_db must be a number, got 'foo'"),
+    ("-4000", "snr_db -4000.0 dB puts the noise level outside float range"),
+])
+def test_bad_snr_level_is_refused_before_the_read(tmp_path, monkeypatch, capsys, level, message):
+    wav = tmp_path / "in.wav"
+    assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+    monkeypatch.setattr(fbsplab.cli, "read_wav", lambda path: pytest.fail("read the WAV"))
+    start = time.perf_counter()
+    assert main(["perturb", "--input", str(wav), f"--snr-db={level}",
+                 "--out", str(tmp_path / "p.wav")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+
+
 @pytest.mark.parametrize("argv", [["gen", "--amplitude", "1e39"], ["perturb", "--snr-db=-800"]])
 def test_float32_output_beyond_its_range_is_input_error(tmp_path, capsys, argv):
     wav = tmp_path / "in.wav"
@@ -954,10 +1012,8 @@ def test_response_bound_covers_the_measured_peak(n_fft, default_probes):
 def test_response_larger_than_memory_is_refused_after_the_build_check(
         tmp_path, monkeypatch, capsys):
     # at n_fft 64 the bound is about 0.11 MB for the build, 0.26 MB for the
-    # response at the default 33 probes and 0.12 MB at 3 probes; the build
-    # bound reads memory through cli, the response bound inside bank
-    for module in (fbsplab.cli, fbsplab.bank):
-        monkeypatch.setattr(module, "_physical_memory", lambda: 200_000)
+    # response at the default 33 probes and 0.12 MB at 3 probes
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 200_000)
     out = tmp_path / "r.csv"
     assert main(["freq-response", "--n-fft", "64", "--out", str(out)]) == 2
     assert "the response of n_fft 64 at num_probes 33 needs about" in capsys.readouterr().err
