@@ -318,9 +318,9 @@ def _cmd_gen(cfg: dict, args) -> int:
 
 
 def _resolve_bank(cfg: dict):
-    """Pick the analysis bank as (n_fft, filters, build) and record n_fft in
-    ``cfg``, building nothing until ``build()``; a params file fixes n_fft and
-    must not clash. ``build()`` first refuses a bank too large to build."""
+    """Pick the analysis bank as (n_fft, filters, make) and record n_fft in
+    ``cfg``, building nothing until ``make()``; a params file fixes n_fft and
+    must not clash."""
     mode, params_file, explicit = cfg["mode"], cfg["params_file"], cfg["n_fft"]
     if mode == "fbsp" and params_file:
         params, n_fft = load_params(params_file)
@@ -336,43 +336,36 @@ def _resolve_bank(cfg: dict):
         make = ((lambda: fbsp_kernel(init_params(n_fft), n_fft)) if mode == "fbsp"
                 else (lambda: dft_kernel(n_fft)))
     cfg["n_fft"] = n_fft
-
-    def build():
-        _require_bank_memory(n_fft, filters)
-        return make()
-
-    return n_fft, filters, build
+    return n_fft, filters, make
 
 
 def _cmd_spectrogram(cfg: dict, args) -> int:
     if not cfg["input"]:
         raise ValueError("spectrogram needs an input wav (--input)")
-    n_fft, filters, build_bank = _resolve_bank(cfg)
+    n_fft, filters, make_bank = _resolve_bank(cfg)
     cfg["hop"] = hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
     wf = _read_input(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
-    # a clip shorter than one frame, then a render (the frames, two (T, 2F) workspace
-    # buffers and the (F, T) result) larger than memory, fail before the bank is built;
-    # after it, the render together with the bank's weights and real_matrix, 32 F N bytes
+    # a clip shorter than one frame, a bank too large to build, and a render (the frames,
+    # two (T, 2F) workspace buffers and the (F, T) result) beside the bank's weights and
+    # real_matrix (32 F N bytes) larger than memory, each fail before the bank is built
     frames = spec.grid_for(len(wf)).num_frames
-    subject = f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop}"
-    render = 8 * frames * (n_fft + 5 * filters)
-    _require_memory(subject, "render", render)
-    bank = build_bank()
-    _require_memory(f"{subject} with its {filters} x {n_fft} bank", "render",
-                    render + 32 * filters * n_fft)
-    spectrogram_to_csv(args.out, spec.spectrogram(wf, bank))
+    _require_bank_memory(n_fft, filters)
+    _require_memory(f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop} with its "
+                    f"{filters} x {n_fft} bank", "render",
+                    8 * frames * (n_fft + 5 * filters) + 32 * filters * n_fft)
+    spectrogram_to_csv(args.out, spec.spectrogram(wf, make_bank()))
     return 0
 
 
 def _cmd_freq_response(cfg: dict, args) -> int:
-    n_fft, filters, build_bank = _resolve_bank(cfg)
+    n_fft, filters, make_bank = _resolve_bank(cfg)
     probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
-    bank = build_bank()
+    _require_bank_memory(n_fft, filters)
     _require_memory(f"the response of n_fft {n_fft} at num_probes {probes}", "compute",
                     RESPONSE_PEAK_FACTOR * 16 * (filters * n_fft + (n_fft + filters) * probes))
-    response = frequency_response(bank, WindowSpec(cfg["window"], n_fft), probes)
+    response = frequency_response(make_bank(), WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
     return 0
 
@@ -400,6 +393,7 @@ def _cmd_perturb(cfg: dict, args) -> int:
         wf = _read_input(cfg["input"])
         out = apply_filter(
             design_butterworth_lowpass(cfg["order"], cfg["cutoff_hz"], wf.sample_rate), wf)
+        del wf  # not held through the write, as the read bound's factor assumes
     write_wav(args.out, out, encoding=cfg["encoding"])
     return 0
 

@@ -314,16 +314,18 @@ def gradient_check_report(
     suite covers the loss gradient at a fixed point and at random admitted
     draws (m and f_b against central differences, f_c against exact zero),
     plus the cotangent pullback against differences of the pairing scalar.
-    Raises ValueError, before any draw, for a negative ``draws``; a ``step``
-    that is not finite, positive and below 1/(2 n_fft), at which a one-sided
-    stencil from f_c[0] = 0 would reach f_c[1]; a ``point`` whose f_b the
-    step cannot resolve or whose row energy exceeds ``MAX_CHECK_ENERGY``; and
-    a point at m = 0 whose one-sided m-probe at m = step puts the sinc
-    argument above 2**52. It raises for n_fft above ``MAX_CHECK_N_FFT`` after
-    the draws.
+    Raises ValueError, before any draw, for a negative ``draws``; an n_fft
+    above ``MAX_CHECK_N_FFT``; a ``step`` that is not finite, positive and
+    below 1/(2 n_fft), at which a one-sided stencil from f_c[0] = 0 would
+    reach f_c[1]; a ``point`` whose f_b the step cannot resolve or whose row
+    energy exceeds ``MAX_CHECK_ENERGY``; and a point at m = 0 whose one-sided
+    m-probe at m = step puts the sinc argument above 2**52.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
+    if n_fft > MAX_CHECK_N_FFT:
+        raise ValueError(f"a gradient check needs n_fft at most {MAX_CHECK_N_FFT}, "
+                         f"got n_fft {n_fft}")
     grid = dft_grid(n_fft)  # refuses an n_fft below 2
     if not 0.0 < step < 0.5 / n_fft:  # NaN included
         raise ValueError(f"step must be positive and below 1/(2 n_fft) = {0.5 / n_fft} "
@@ -365,9 +367,6 @@ def gradient_check_report(
                              ) from None
     rng = np.random.default_rng(seed)
     points = [fixed] + [admissible_draw(rng, n_fft, step=step) for _ in range(draws)]
-    if n_fft > MAX_CHECK_N_FFT:
-        raise ValueError(f"a gradient check needs n_fft at most {MAX_CHECK_N_FFT}, "
-                         f"got n_fft {n_fft}")
 
     for i, params in enumerate(points):
         tag = "point" if i == 0 else f"draw{i - 1}"

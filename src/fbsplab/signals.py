@@ -8,6 +8,7 @@ be rebuilt bit-identically and shared across threads without locks.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Literal
 
@@ -278,12 +279,9 @@ def silence(duration: float, sample_rate: int) -> Waveform:
 
 
 _GENERATORS = {"sine": sine, "chirp": chirp, "band_noise": band_noise, "silence": silence}
-_GENERATOR_PARAMS = {
-    "sine": {"frequency", "amplitude", "phase"},
-    "chirp": {"f_start", "f_end", "amplitude"},
-    "band_noise": {"low_hz", "high_hz", "amplitude"},
-    "silence": set(),
-}
+_GENERATOR_PARAMS = {  # each generator's keys but those ``generate`` passes itself
+    kind: set(inspect.signature(make).parameters) - {"duration", "sample_rate", "seed"}
+    for kind, make in _GENERATORS.items()}
 
 
 def generate(

@@ -136,13 +136,13 @@ class TestExitCodes:
         assert proc.returncode == 3
 
     def test_gradcheck_without_admissible_draw_ends_in_numeric_error(self, tmp_path):
-        # no draw is admissible at n_fft 4096, so the rejection loop must give up
+        # no draw is admissible at odd n_fft from 91 on, so the rejection loop must give up
         start = time.perf_counter()
-        proc = subprocess.run(CLI + ["gradcheck", "--n-fft", "4096", "--draws", "1",
+        proc = subprocess.run(CLI + ["gradcheck", "--n-fft", "91", "--draws", "1",
                                      "--out", str(tmp_path / "r.json")],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3
-        assert "n_fft 4096" in proc.stderr
+        assert "n_fft 91" in proc.stderr
         assert time.perf_counter() - start < 30.0
 
     def test_negative_draw_count_is_input_error(self, tmp_path, capsys):
@@ -164,6 +164,18 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "n_fft 2048" in err and "1024" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gradcheck_above_n_fft_cap_is_refused_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fbsplab.gradients, "admissible_draw",
+                            lambda *a, **k: pytest.fail("drew a point"))
+        start = time.perf_counter()
+        code = main(["gradcheck", "--n-fft", "4096", "--draws", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "needs n_fft at most 1024, got n_fft 4096" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_fractional_sample_rate_is_input_error(self, tmp_path, capsys):
@@ -323,8 +335,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s.csv")])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert ("a spectrogram of 3937 frames at n_fft 64 and hop 1 needs about 7212584 bytes "
-                "to render, more than the 1000000 bytes of physical memory"
+        assert ("a spectrogram of 3937 frames at n_fft 64 and hop 1 with its 33 x 64 bank needs "
+                "about 7280168 bytes to render, more than the 1000000 bytes of physical memory"
                 in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
 
@@ -346,8 +358,8 @@ class TestExitCodes:
                 tracemalloc.stop()
             assert peak <= 8 * frames * (n_fft + 5 * bank.num_filters)
 
-    def test_render_beside_its_bank_is_refused_after_the_build(self, tmp_path, monkeypatch,
-                                                              capsys):
+    def test_render_beside_its_bank_is_refused_before_the_build(self, tmp_path, monkeypatch,
+                                                               capsys):
         # 40 frames of 64 taps: the 33 x 64 build (109,824 B) and the render (73,280 B)
         # each fit in 120,000 B, but not the render beside the bank it holds (140,864 B)
         wav = tmp_path / "x.wav"
@@ -362,7 +374,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s.csv")])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert builds == [64]
+        assert builds == []
         assert ("a spectrogram of 40 frames at n_fft 64 and hop 32 with its 33 x 64 bank needs "
                 "about 140864 bytes to render, more than the 120000 bytes of physical memory"
                 in capsys.readouterr().err)
@@ -421,8 +433,8 @@ class TestExitCodes:
                                          ["spectrogram", "--n-fft", "64", "--hop", "64"]])
     def test_input_wav_larger_than_memory_is_refused_before_the_read(
             self, tmp_path, monkeypatch, capsys, command):
-        # a 4 s PCM16 clip at 8 kHz is a 64,044-byte WAV, 1,344,924 bytes at the read
-        # bound's 21 per byte; a 2 s one is 32,044 bytes, 672,924 at 21
+        # a 4 s PCM16 clip at 8 kHz is a 64,044-byte WAV, 1,088,748 bytes at the read
+        # bound's 17 per byte; a 2 s one is 32,044 bytes, 544,748 at 17
         wav = tmp_path / "x.wav"
         assert main(["gen", "--duration", "4", "--out", str(wav)]) == 0
         monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
@@ -433,14 +445,14 @@ class TestExitCodes:
             code = main([*command, "--input", str(wav), "--out", str(out)])
             assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert ("the input WAV of 64044 bytes needs about 1344924 bytes to read, more than "
+        assert ("the input WAV of 64044 bytes needs about 1088748 bytes to read, more than "
                 "the 1000000 bytes of physical memory" in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
         assert main(["gen", "--duration", "2", "--out", str(wav)]) == 0
         assert main([*command, "--input", str(wav), "--out", str(out)]) == 0
 
     # per byte of the file, after one untraced call: spectrogram reads before its render
-    # bound, and perturb holds the clip it read while it low-passes and writes
+    # bound, and perturb holds the clip it read while it adds noise or low-passes
     @pytest.mark.parametrize("step", [[], ["--snr-db", "10"], ["--cutoff-hz", "1000"]],
                              ids=["read", "awgn", "lowpass"])
     @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
@@ -1019,6 +1031,18 @@ def test_response_larger_than_memory_is_refused_after_the_build_check(
     assert "the response of n_fft 64 at num_probes 33 needs about" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert main(["freq-response", "--n-fft", "64", "--num-probes", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["stft", "fbsp"])
+def test_response_larger_than_memory_is_refused_before_the_build(
+        tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 200_000)
+    for kernel in ("dft_kernel", "fbsp_kernel"):
+        monkeypatch.setattr(fbsplab.cli, kernel, lambda *a: pytest.fail("built the bank"))
+    out = tmp_path / "r.csv"
+    assert main(["freq-response", "--mode", mode, "--n-fft", "64", "--out", str(out)]) == 2
+    assert "the response of n_fft 64 at num_probes 33" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
