@@ -414,8 +414,10 @@ def _run_inputs(cfg: dict):
     trainer working set that does, and a clip shorter than one frame, are
     refused before the corpus is generated. The working set is the stacked
     frames of every clip, T rows of n_fft values (T is the clip count times
-    ``features.grid_for`` of one clip), and the trainer's two (rows, 2F)
-    workspace buffers, rows at most T: about 8 T (n_fft + 4F) bytes."""
+    ``features.grid_for`` of one clip), and two (T, 2F) buffers: about
+    8 T (n_fft + 4F) bytes. Of the trainer's two workspace buffers only the
+    outputs have up to T rows; its scratch holds one ``transform.clip_groups``
+    group, so the formula over-counts by about one (T, 2F) buffer."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
     filters = features.n_fft // 2 + 1
     _require_bank_memory(features.n_fft, filters)

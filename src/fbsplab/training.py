@@ -17,14 +17,17 @@ per run while the bank is frozen. The freeze only decides whether an epoch
 runs the bank gradient: ``transform.backward`` on the per-clip cotangent of
 the features, and the analytic cotangent pullback.
 
-Every caller passes ``forward`` a ``transform.workspace`` sized to its frames;
-``train``'s lasts the run: two (rows, 2F) buffers, rows the larger split's
-frame count. ``forward`` writes its product into the first, the validation
-split's into its leading rows and then the train split's over it, and the
-cache keeps that product: (frames, outputs, eps), views of the stacked train
-frames and of that buffer. The second is scratch: ``forward``'s power and
-log-power, then ``backward``'s product. So an epoch allocates no array of the
-frames' size.
+Every caller passes ``forward`` a ``transform.workspace``; ``train``'s lasts
+the run: outputs of (rows, 2F), rows the larger split's frame count, and a
+scratch of the largest ``transform.clip_groups`` group's rows in either split.
+``_clip_features`` runs one ``forward`` per group into that group's rows of
+outputs, the validation split's and then the train split's over them, and the
+cache keeps the train product: (frames, outputs, eps), views of the stacked
+train frames and of outputs. The scratch holds one group at a time:
+``forward``'s power and log-power, then ``backward``'s product. So an epoch
+allocates no array of the frames' size, and only the stacked frames and outputs
+grow with the corpus, about 8 T (n_fft + 2F) bytes: the ``cli`` working-set
+bound, 8 T (n_fft + 4F), over-counts them by one (T, 2F) buffer.
 
 Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
 center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between
@@ -52,7 +55,8 @@ from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
 from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
                              derive_seed, frame, frozen_field, sine)
-from fbsplab.transform import DEFAULT_EPS, Spectrogram, backward, forward, workspace
+from fbsplab.transform import (DEFAULT_EPS, Spectrogram, backward, clip_groups, forward,
+                               workspace)
 
 __all__ = [
     "FeatureSpec",
@@ -384,12 +388,17 @@ def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
 
 def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float,
                    buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
-    """(clips, filters) time-averaged log-power rows from one ``forward`` of a
-    ``_stack_frames`` split, with its cache; ``buffers`` are ``forward``'s."""
-    frames, counts = split
-    logp, cache = forward(bank, frames, eps, buffers)
-    starts = np.cumsum(counts) - counts
-    return np.add.reduceat(logp, starts, axis=0) / counts[:, None], cache
+    """(clips, filters) time-averaged log-power rows of a ``_stack_frames`` split,
+    one ``forward`` per ``clip_groups`` group into its rows of the first buffer,
+    and the cache of the whole split; ``buffers`` is a workspace of at least the
+    split's rows of outputs and its largest group's rows of scratch."""
+    (frames, counts), (outputs, scratch) = split, buffers
+    feats = np.empty((len(counts), bank.num_filters))
+    for clips, rows in clip_groups(counts):
+        logp = forward(bank, frames[rows], eps, (outputs[rows], scratch))[0]
+        np.add.reduceat(logp, np.cumsum(counts[clips]) - counts[clips], axis=0, out=feats[clips])
+    feats /= counts[:, None]
+    return feats, (frames, outputs[:len(frames)], eps)
 
 
 def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
@@ -533,7 +542,9 @@ def train(
     val_labels = corpus.labels[corpus.val_indices]
     del frames_all  # the stacked splits hold every frame
 
-    buffers = workspace(max(len(train_split[0]), len(val_split[0])), params.num_filters)
+    buffers = workspace(max(len(train_split[0]), len(val_split[0])), params.num_filters,
+                        max(rows.stop - rows.start for split in (train_split, val_split)
+                            for _, rows in clip_groups(split[1])))
 
     def render(params: FbspParams) -> tuple[float, np.ndarray, np.ndarray, tuple]:
         """Bank loss, val and train features, train cache; val first, so the cache survives."""

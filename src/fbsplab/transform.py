@@ -18,10 +18,15 @@ separate reference they are tested against.
 ``forward``'s cache is (frames, outputs, eps): the frames it was given and
 its (T, 2F) product [Re X | Im X]; ``backward`` recomputes the power from it
 through ``_power``, the helper ``forward`` uses, so the bits agree. Neither
-owns its memory: callers pass a ``workspace`` of two C-contiguous (rows, 2F)
-buffers (outputs, scratch), rows >= T, and both use the first T rows of each:
-``forward`` writes the product into ``outputs`` and the power and log-power
-into the two (T, F) halves of ``scratch``, where ``backward`` writes its product.
+owns its memory: callers pass a ``workspace`` of two C-contiguous buffers
+(outputs, scratch) of 2F columns. ``forward`` writes the product into the first
+T rows of ``outputs`` and the power and log-power into the two (T, F) halves of
+the first T rows of ``scratch``. ``backward`` works a ``clip_groups`` group at a
+time, runs of whole clips of at most GROUP_ROWS rows, and writes each group's
+product into the leading rows of ``scratch``. So a caller that also runs
+``forward`` a group at a time, as the trainer does, needs a scratch of only the
+largest group's rows; the trainer bound in ``cli._run_inputs`` still counts a
+(T, 2F) scratch.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "Spectrogram",
     "analyze",
     "workspace",
+    "clip_groups",
     "forward",
     "backward",
     "log_power",
@@ -48,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-10
+GROUP_ROWS = 1024  # frame rows of one clip group: the rows of the trainer's scratch
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,25 @@ def _power(outputs: np.ndarray, eps: float, out: np.ndarray, spare: np.ndarray) 
     return out
 
 
-def workspace(rows: int, filters: int) -> tuple[np.ndarray, np.ndarray]:
-    """(outputs, scratch): two C-contiguous (rows, 2F) buffers for ``forward`` and ``backward``."""
-    return np.empty((rows, 2 * filters)), np.empty((rows, 2 * filters))
+def workspace(rows: int, filters: int,
+              scratch_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(outputs, scratch): C-contiguous (rows, 2F) and (scratch_rows, 2F) buffers
+    for ``forward`` and ``backward``; scratch_rows defaults to rows."""
+    return np.empty((rows, 2 * filters)), np.empty((scratch_rows or rows, 2 * filters))
+
+
+def clip_groups(counts: np.ndarray) -> list[tuple[slice, slice]]:
+    """(clips, rows) slices of each group: a run of consecutive whole clips, clip c
+    owning the next ``counts[c]`` rows, whose rows add up to at most GROUP_ROWS;
+    a clip longer than that is a group of its own."""
+    groups, first, start, rows = [], 0, 0, 0
+    for clip, count in enumerate(counts.tolist()):
+        if rows and rows + count > GROUP_ROWS:
+            groups.append((slice(first, clip), slice(start, start + rows)))
+            first, start, rows = clip, start + rows, 0
+        rows += count
+    groups.append((slice(first, len(counts)), slice(start, start + rows)))
+    return groups
 
 
 def forward(bank: KernelBank, frames: np.ndarray, eps: float,
@@ -112,20 +135,22 @@ def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
     the next ``counts[c]`` rows and g_t = cotangent[c] / (|X_t|^2 + eps) on
     each of them; it pairs as 2 Re sum C dK.
 
-    The (T, 2F) product [Re X g | Im X g] goes into the first T rows of
-    ``scratch``, a ``workspace``'s second buffer; the cache can be passed again."""
+    Each ``clip_groups`` group's product [Re X g | Im X g] goes into the leading
+    rows of ``scratch``, a ``workspace``'s second buffer of at least the largest
+    group's rows, and adds its frames' share to C; the cache can be passed again."""
     frames, outputs, eps = cache
-    t, k = len(frames), outputs.shape[1] // 2
-    product = scratch[:t]
+    k = outputs.shape[1] // 2
+    paired = np.zeros((2 * k, frames.shape[1]))
     g = np.empty((int(np.max(counts)), k))
-    start = 0
-    # per clip, as cache blocking: its rows stay in cache from the power through the multiply
-    for row, count in zip(cotangent, counts):
-        clip, out, gain = outputs[start:start + count], product[start:start + count], g[:count]
-        np.divide(row, _power(clip, eps, gain, out[:, k:]), out=gain)
-        np.multiply(clip.reshape(count, 2, k), gain[:, None, :], out=out.reshape(count, 2, k))
-        start += count
-    paired = product.T @ frames
+    for clips, rows in clip_groups(counts):
+        group, product, start = outputs[rows], scratch[:rows.stop - rows.start], 0
+        # per clip, as cache blocking: its rows stay in cache from the power through the multiply
+        for row, count in zip(cotangent[clips], counts[clips]):
+            clip, out, gain = group[start:start + count], product[start:start + count], g[:count]
+            np.divide(row, _power(clip, eps, gain, out[:, k:]), out=gain)
+            np.multiply(clip.reshape(count, 2, k), gain[:, None, :], out=out.reshape(count, 2, k))
+            start += count
+        paired += product.T @ frames[rows]
     return paired[:k] - 1j * paired[k:]
 
 

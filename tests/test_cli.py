@@ -1103,6 +1103,30 @@ def test_working_set_larger_than_memory_is_refused_before_the_corpus(
     assert run_with_config(tmp_path, command, {}) == 0
 
 
+# The stacked frames and the (T, 2F) outputs grow with T; the scratch holds one clip group
+# of at most transform.GROUP_ROWS rows and does not, so the peak grows by less than
+# 8 dT (n_fft + 2F). The slack covers the (clips, F) features and cotangents, which grow
+# with the clip count by about 1.6 KB a clip here, 128 KB over the 80 added clips.
+def test_train_bound_covers_the_measured_peak():
+    features = FeatureSpec(n_fft=64, hop=32)
+    filters, slack = 33, 256 * 1024
+    classes = [fbsplab.training.ClassSpec("low", "tone", 300.0, 600.0),
+               fbsplab.training.ClassSpec("high", "band_noise", 1500.0, 3000.0)]
+    rows, peaks = [], []
+    for samples_per_class in (40, 80):  # T = 3920 and 7840 frames
+        corpus = fbsplab.training.make_task(classes, samples_per_class, duration=0.2)
+        rows.append(len(corpus) * features.grid_for(1600).num_frames)
+        tracemalloc.start()
+        try:
+            fbsplab.training.train(corpus, fbsplab.training.TrainConfig(epochs=2, freeze_epochs=1),
+                                   features)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 8 * rows[-1] * (features.n_fft + 4 * filters)
+    assert peaks[1] - peaks[0] < 8 * (rows[1] - rows[0]) * (features.n_fft + 2 * filters) + slack
+
+
 # ---------------------------------------------------------------------------
 # config merging property
 # ---------------------------------------------------------------------------

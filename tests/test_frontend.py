@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbsplab.training as training
+import fbsplab.transform as transform
 from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params
 from fbsplab.gradients import fbsp_loss
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
@@ -26,7 +27,7 @@ from fbsplab.training import (
     prepare_frames,
     train,
 )
-from fbsplab.transform import analyze, backward, forward, log_power, workspace
+from fbsplab.transform import analyze, backward, clip_groups, forward, log_power, workspace
 
 FEATURES = FeatureSpec(n_fft=64, hop=32)
 # (1.7, 0.9) keeps every tap 1/34 away from the nearest sinc zero
@@ -175,6 +176,25 @@ def test_backward_leaves_frames_and_outputs_unchanged():
     assert np.array_equal(backward(cache, cotangent, counts, buffers[1]), first)
 
 
+@pytest.mark.parametrize("budget, clips", [(2, [1, 1, 1, 1, 1, 1]), (10, [2, 1, 1, 1, 1])])
+def test_groups_below_the_frame_count_keep_features_and_cotangent(monkeypatch, budget, clips):
+    # uneven_clips' 35 rows: at 10, the groups are 1 + 5, 9, 2, 15 (alone, over the
+    # budget) and 3 rows; at 2 every clip is a group of its own
+    frames, counts, bank, cotangent, (outputs, scratch) = stacked_case()
+    whole, cache = training._clip_features(bank, (frames, counts), FEATURES.eps,
+                                           (outputs, scratch))
+    expected = backward(cache, cotangent, counts, scratch)
+    monkeypatch.setattr(transform, "GROUP_ROWS", budget)
+    groups = clip_groups(counts)
+    assert [group.stop - group.start for group, _ in groups] == clips
+    small = np.full((max(rows.stop - rows.start for _, rows in groups), scratch.shape[1]), np.nan)
+    feats, cache = training._clip_features(bank, (frames, counts), FEATURES.eps,
+                                           (np.full_like(outputs, np.nan), small))
+    assert relative_error(feats, whole) <= 1e-14
+    assert relative_error(backward(cache, cotangent, counts, small), expected) <= 1e-14
+    test_bank_cotangent_matches_per_clip_reference(monkeypatch)
+
+
 @pytest.mark.parametrize("freeze_epochs", [0, 2, 5])
 def test_frozen_epochs_skip_the_pullback(monkeypatch, freeze_epochs):
     calls = []
@@ -284,6 +304,18 @@ def test_train_equals_the_reference_loop(freeze_epochs):
         assert np.array_equal(getattr(result.head, name), getattr(head, name))
     # the bank moved, so the comparison covers re-rendered points
     assert (params is starts[0]) == (freeze_epochs == TRAINER_EPOCHS)
+
+
+@pytest.mark.parametrize("freeze_epochs", [0, TRAINER_EPOCHS])
+def test_train_equals_the_reference_loop_over_several_groups(monkeypatch, freeze_epochs):
+    # the trainer case's clips have 49 frames each, so 100 rows hold two of them:
+    # its 9 train clips make 5 groups and its 3 validation clips 2
+    monkeypatch.setattr(transform, "GROUP_ROWS", 100)
+    corpus, _ = trainer_case(freeze_epochs)
+    frames = prepare_frames(corpus, FEATURES)
+    assert [len(clip_groups(np.array([len(frames[i]) for i in indices])))
+            for indices in (corpus.train_indices, corpus.val_indices)] == [5, 2]
+    test_train_equals_the_reference_loop(freeze_epochs)
 
 
 @pytest.mark.parametrize("freeze_epochs", [0, 2, TRAINER_EPOCHS])
