@@ -67,7 +67,7 @@ from fbsplab.training import (
     make_task,
     train,
 )
-from fbsplab.transform import DEFAULT_EPS, spectrogram_to_csv
+from fbsplab.transform import DEFAULT_EPS, GROUP_ROWS, spectrogram_to_csv
 from fbsplab.wavio import _READ_PEAK_FACTOR, read_wav, write_wav
 
 
@@ -348,12 +348,13 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
     # a clip shorter than one frame, a bank too large to build, and a render (the frames,
     # two (T, 2F) workspace buffers and the (F, T) result) beside the bank's weights and
-    # real_matrix (32 F N bytes) larger than memory, each fail before the bank is built
+    # matrix (32 F N bytes) and the clip it holds (8 bytes a sample) larger than memory,
+    # each fail before the bank is built
     frames = spec.grid_for(len(wf)).num_frames
     _require_bank_memory(n_fft, filters)
     _require_memory(f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop} with its "
                     f"{filters} x {n_fft} bank", "render",
-                    8 * frames * (n_fft + 5 * filters) + 32 * filters * n_fft)
+                    8 * frames * (n_fft + 5 * filters) + 32 * filters * n_fft + 8 * len(wf))
     spectrogram_to_csv(args.out, spec.spectrogram(wf, make_bank()))
     return 0
 
@@ -412,12 +413,13 @@ def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
     large to build, a corpus whose waveforms alone exceed physical memory, a
     trainer working set that does, and a clip shorter than one frame, are
-    refused before the corpus is generated. The working set is the stacked
-    frames of every clip, T rows of n_fft values (T is the clip count times
-    ``features.grid_for`` of one clip), and two (T, 2F) buffers: about
-    8 T (n_fft + 4F) bytes. Of the trainer's two workspace buffers only the
-    outputs have up to T rows; its scratch holds one ``transform.clip_groups``
-    group, so the formula over-counts by about one (T, 2F) buffer."""
+    refused before the corpus is generated. The working set is the folded frames
+    of every clip, T rows of n_fft values (T is the clip count times
+    ``features.grid_for`` of one clip), the (T, 2F) outputs and a (G, 2F)
+    scratch of one ``transform.clip_groups`` group, G at most the larger of
+    GROUP_ROWS and one clip's frames: 8 T n_fft + 16 F (T + G) bytes. The
+    outputs hold the larger split's rows, so counting T leaves the smaller
+    split's share for the bank and the per-clip arrays."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
     filters = features.n_fft // 2 + 1
     _require_bank_memory(features.n_fft, filters)
@@ -428,10 +430,11 @@ def _run_inputs(cfg: dict):
     clip_samples = _num_samples(task["duration"], task["sample_rate"])
     _require_memory(f"a corpus of {clips * clip_samples} samples", "generate",
                     8 * clips * clip_samples)
-    frames = clips * features.grid_for(clip_samples).num_frames
+    clip_frames = features.grid_for(clip_samples).num_frames
+    frames, group = clips * clip_frames, min(clips * clip_frames, max(GROUP_ROWS, clip_frames))
     _require_memory(f"a task of {clips} clips framed at features.n_fft {features.n_fft} and "
                     f"features.hop {features.hop} ({frames} frames)", "train",
-                    8 * frames * (features.n_fft + 4 * filters))
+                    8 * frames * features.n_fft + 16 * filters * (frames + group))
     return make_task(classes, **task), features, train_cfg
 
 

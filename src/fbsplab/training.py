@@ -9,25 +9,29 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-Each split's frames are stacked into one array once per run. What the
-trainer derives from the bank (the kernel, one ``transform.forward`` over
-each split's stack, the regularizer loss) depends on the parameters alone,
-so it is rendered once per parameter value an epoch starts from, and once
-per run while the bank is frozen. The freeze only decides whether an epoch
-runs the bank gradient: ``transform.backward`` on the per-clip cotangent of
-the features, and the analytic cotangent pullback.
+Each split's frames are framed and ``transform.fold``ed straight into one
+stack once per run, one clip at a time (``_frame_split``), so no more than one
+clip's frames exist beside the stacks. What the trainer derives from the bank
+(the kernel, one ``transform.forward`` over each split's stack, the regularizer
+loss) depends on the parameters alone, so it is rendered once per parameter
+value an epoch starts from, and once per run while the bank is frozen. The
+freeze only decides whether an epoch runs the bank gradient:
+``transform.backward`` on the per-clip cotangent of the features, and the
+analytic cotangent pullback. While m is 0 the bank is symmetric, so both run
+its two half-size ``folded_blocks``.
 
 Every caller passes ``forward`` a ``transform.workspace``; ``train``'s lasts
 the run: outputs of (rows, 2F), rows the larger split's frame count, and a
 scratch of the largest ``transform.clip_groups`` group's rows in either split.
 ``_clip_features`` runs one ``forward`` per group into that group's rows of
 outputs, the validation split's and then the train split's over them, and the
-cache keeps the train product: (frames, outputs, eps), views of the stacked
-train frames and of outputs. The scratch holds one group at a time:
-``forward``'s power and log-power, then ``backward``'s product. So an epoch
-allocates no array of the frames' size, and only the stacked frames and outputs
-grow with the corpus, about 8 T (n_fft + 2F) bytes: the ``cli`` working-set
-bound, 8 T (n_fft + 4F), over-counts them by one (T, 2F) buffer.
+cache keeps the train split's: (frames, Y, blocks), views of the folded train
+stack and of outputs, which hold Y = X / (|X|^2 + eps), and the bank's blocks.
+The scratch holds one group at a time: ``forward``'s power and log-power, then
+``backward``'s product. So an epoch allocates no array of the frames' size, and
+the working set is the folded stacks, the outputs and one group's scratch,
+8 T n_fft + 16 F (T_max + G) bytes for T_max the larger split's rows and G the
+largest group's, which the ``cli`` working-set bound counts with T for T_max.
 
 Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
 center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between
@@ -55,7 +59,7 @@ from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
 from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
                              derive_seed, frame, frozen_field, sine)
-from fbsplab.transform import (DEFAULT_EPS, Spectrogram, backward, clip_groups, forward,
+from fbsplab.transform import (DEFAULT_EPS, Spectrogram, backward, clip_groups, fold, forward,
                                workspace)
 
 __all__ = [
@@ -106,7 +110,7 @@ class FeatureSpec:
         if bank.num_taps != self.n_fft:
             raise ValueError(f"bank has {bank.num_taps} taps but frames are {self.n_fft} samples")
         grid = self.grid_for(len(signal))
-        frames = frame(signal, grid, WindowSpec(self.window, self.n_fft))
+        frames = fold(frame(signal, grid, WindowSpec(self.window, self.n_fft)))
         logp = forward(bank, frames, self.eps, workspace(len(frames), bank.num_filters))[0]
         return Spectrogram(values=logp.T, grid=grid, bank_descriptor=bank.params, eps=self.eps)
 
@@ -378,12 +382,26 @@ def prepare_frames(corpus: TaskCorpus, features: FeatureSpec) -> list[np.ndarray
 
 
 def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every clip's frames stacked into one (frames, N) array, and the clips'
-    frame counts."""
+    """Every clip's frames stacked into one (frames, N) array and ``fold``ed, and
+    the clips' frame counts."""
     counts = np.array([len(frames) for frames in frames_list])
     if np.any(counts < 1):
         raise ValueError("every clip needs at least one frame")
-    return np.concatenate(frames_list), counts
+    return fold(np.concatenate(frames_list)), counts
+
+
+def _frame_split(waveforms: Sequence[Waveform],
+                 features: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``_stack_frames`` of the clips' ``prepare_frames``, framed and folded
+    straight into the stack one clip at a time, so no more than one clip's
+    frames exist beside it."""
+    window = WindowSpec(features.window, features.n_fft)
+    grids = [features.grid_for(len(wf)) for wf in waveforms]
+    counts = np.array([grid.num_frames for grid in grids])
+    frames = np.empty((int(counts.sum()), features.n_fft))
+    for wf, grid, end in zip(waveforms, grids, np.cumsum(counts).tolist()):
+        fold(frame(wf, grid, window), out=frames[end - grid.num_frames:end])
+    return frames, counts
 
 
 def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float,
@@ -398,7 +416,7 @@ def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: 
         logp = forward(bank, frames[rows], eps, (outputs[rows], scratch))[0]
         np.add.reduceat(logp, np.cumsum(counts[clips]) - counts[clips], axis=0, out=feats[clips])
     feats /= counts[:, None]
-    return feats, (frames, outputs[:len(frames)], eps)
+    return feats, (frames, outputs[:len(frames)], bank.folded_blocks)
 
 
 def feature_matrix(params: FbspParams, frames_list: Sequence[np.ndarray],
@@ -535,12 +553,10 @@ def train(
     when the objective leaves the reals.
     """
     params = init if init is not None else init_params(features.n_fft)
-    frames_all = prepare_frames(corpus, features)
-    train_split = _stack_frames([frames_all[i] for i in corpus.train_indices])
+    train_split, val_split = (_frame_split([corpus.waveforms[i] for i in indices], features)
+                              for indices in (corpus.train_indices, corpus.val_indices))
     train_labels = corpus.labels[corpus.train_indices]
-    val_split = _stack_frames([frames_all[i] for i in corpus.val_indices])
     val_labels = corpus.labels[corpus.val_indices]
-    del frames_all  # the stacked splits hold every frame
 
     buffers = workspace(max(len(train_split[0]), len(val_split[0])), params.num_filters,
                         max(rows.stop - rows.start for split in (train_split, val_split)

@@ -7,26 +7,35 @@ The transform correlates every windowed frame with every bank row:
 and the spectrogram is log(|X|^2 + eps) with a small positive eps keeping
 the log finite on silent frames.
 
-``forward`` computes X for real (frames, N) frames as one real product
-with the (N, 2F) matrix [Re K; Im K]^T, the bank's cached ``real_matrix``,
-and returns log-power rows; ``backward`` turns a per-clip cotangent on the
-sums of each clip's rows into the (F, N) bank cotangent that
+``forward`` computes X for real (frames, N) frames in folded coordinates,
+``fold``'s [E | O] about the center tap: E_n = x_n + x_{N-1-n} for n < N // 2,
+then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}. Callers fold
+their frames once (``FeatureSpec.spectrogram`` in place, the trainer straight
+into its stack, one clip at a time). ``forward`` runs the bank's
+``folded_blocks``: on a symmetric bank (Re K even and Im K odd about the center
+tap, every fbsp bank whose envelope is real, so every bank the trainer visits
+at m = 0) two half-size products, E through Re K and O through Im K; on any
+other bank one (N, 2F) product with the same flops as unfolded frames. It
+returns log-power rows; ``backward`` turns a per-clip cotangent on the sums of
+each clip's rows into the (F, N) bank cotangent that
 ``gradients.kernel_jacobian_vector`` pulls back. Training and inference go
-through this one pair; ``analyze``, the complex product K @ frames^T, is the
-separate reference they are tested against.
+through this one pair; ``analyze``, the complex product K @ frames^T of
+unfolded frames, is the separate reference they are tested against.
 
-``forward``'s cache is (frames, outputs, eps): the frames it was given and
-its (T, 2F) product [Re X | Im X]; ``backward`` recomputes the power from it
-through ``_power``, the helper ``forward`` uses, so the bits agree. Neither
-owns its memory: callers pass a ``workspace`` of two C-contiguous buffers
-(outputs, scratch) of 2F columns. ``forward`` writes the product into the first
-T rows of ``outputs`` and the power and log-power into the two (T, F) halves of
-the first T rows of ``scratch``. ``backward`` works a ``clip_groups`` group at a
-time, runs of whole clips of at most GROUP_ROWS rows, and writes each group's
-product into the leading rows of ``scratch``. So a caller that also runs
-``forward`` a group at a time, as the trainer does, needs a scratch of only the
-largest group's rows; the trainer bound in ``cli._run_inputs`` still counts a
-(T, 2F) scratch.
+``forward``'s cache is (frames, Y, blocks): the folded frames it was given,
+Y = X / (|X|^2 + eps) as (T, 2F) rows [Re Y | Im Y], and the bank's blocks, so
+the power is formed once per render and ``backward`` multiplies each clip's
+rows of Y by its cotangent row. ``backward`` runs the blocks' products in
+folded coordinates and unfolds the (2F, N) result to taps: for a symmetric bank
+that is the symmetric part of C, which pairs with every dK of the family as C
+does, and for any other bank the full C. Neither owns its memory: callers pass
+a ``workspace`` of two C-contiguous buffers (outputs, scratch) of 2F columns.
+``forward`` writes Y into the first T rows of ``outputs`` and the power and
+log-power into the two (T, F) halves of the first T rows of ``scratch``.
+``backward`` works a ``clip_groups`` group at a time, runs of whole clips of at
+most GROUP_ROWS rows, and writes each group's product into the leading rows of
+``scratch``. So a caller that also runs ``forward`` a group at a time, as the
+trainer does, needs a scratch of only the largest group's rows.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame, frozen_field
 __all__ = [
     "Spectrogram",
     "analyze",
+    "fold",
     "workspace",
     "clip_groups",
     "forward",
@@ -55,6 +65,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-10
 GROUP_ROWS = 1024  # frame rows of one clip group: the rows of the trainer's scratch
+FOLD_VALUES = 4096  # values an in-place ``fold`` copies at a time
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,36 @@ class Spectrogram:
         object.__setattr__(self, "eps", float(self.eps))
 
 
-def _power(outputs: np.ndarray, eps: float, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """|X|^2 + eps, Re^2 + Im^2 + eps, of (T, 2F) rows [Re X | Im X], written
-    into the (T, F) ``out``; ``spare``, of the same shape, is overwritten."""
-    k = out.shape[1]
-    np.square(outputs[:, :k], out=out)
-    out += np.square(outputs[:, k:], out=spare)
-    out += eps
+def fold(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(T, N) frames folded about the center tap, [E | O]: E_n = x_n + x_{N-1-n}
+    for n < N // 2, then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}.
+    Written into ``out``, or in place when it is None, a few rows at a time
+    through a copy of at most FOLD_VALUES values, so no frame-sized temporary."""
+    if out is None:
+        step = max(1, FOLD_VALUES // frames.shape[1])
+        for start in range(0, len(frames), step):
+            rows = frames[start:start + step]
+            fold(rows.copy(), out=rows)
+        return frames
+    half, middle = frames.shape[1] // 2, (frames.shape[1] + 1) // 2
+    near, far = frames[:, :half], frames[:, ::-1][:, :half]
+    np.add(near, far, out=out[:, :half])
+    out[:, half:middle] = frames[:, half:middle]
+    np.subtract(near, far, out=out[:, middle:])
     return out
+
+
+def _unfold(folded: np.ndarray) -> np.ndarray:
+    """The (rows, N) tap-domain matrix of a product with folded frames:
+    ``_unfold(z @ fold(x)) == z @ x``, (a_n + b_n) / 2 at tap n and
+    (a_n - b_n) / 2 at tap N-1-n for E and O coefficients a and b."""
+    half, middle = folded.shape[1] // 2, (folded.shape[1] + 1) // 2
+    near, far = 0.5 * folded[:, :half], 0.5 * folded[:, middle:]
+    taps = np.empty_like(folded)
+    np.add(near, far, out=taps[:, :half])
+    taps[:, half:middle] = folded[:, half:middle]
+    np.subtract(near, far, out=taps[:, ::-1][:, :half])
+    return taps
 
 
 def workspace(rows: int, filters: int,
@@ -115,17 +148,25 @@ def clip_groups(counts: np.ndarray) -> list[tuple[slice, slice]]:
 
 def forward(bank: KernelBank, frames: np.ndarray, eps: float,
             buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
-    """log(|X|^2 + eps) of real (T, N) frames, shape (T, F), and the cache
-    ``backward`` needs; Re X and Im X sit side by side in one (T, 2F) product
-    with the bank's cached ``real_matrix``.
+    """log(|X|^2 + eps) of (T, N) ``fold``ed frames, shape (T, F), and the cache
+    ``backward`` needs; X comes from the bank's ``folded_blocks``, whose products
+    fill the Re X and Im X halves of one (T, 2F) array, which then holds
+    Y = X / (|X|^2 + eps).
 
     ``buffers`` is a ``workspace`` of at least T rows; the returned rows and
     the cache are views of it, valid until it is written again."""
-    t, k = len(frames), bank.num_filters
+    t, k, blocks = len(frames), bank.num_filters, bank.folded_blocks
     outputs = buffers[0][:t]
     power, logp = buffers[1][:t].reshape(2, t, k)
-    np.matmul(frames, bank.real_matrix, out=outputs)
-    return np.log(_power(outputs, eps, power, logp), out=logp), (frames, outputs, eps)
+    for cols, outs, matrix in blocks:
+        np.matmul(frames[:, cols], matrix, out=outputs[:, outs])
+    np.square(outputs[:, :k], out=power)
+    power += np.square(outputs[:, k:], out=logp)
+    power += eps
+    np.log(power, out=logp)
+    halves = outputs.reshape(t, 2, k)
+    np.divide(halves, power[:, None, :], out=halves)
+    return logp, (frames, outputs, blocks)
 
 
 def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
@@ -133,24 +174,26 @@ def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
     """(F, N) bank cotangent C = sum_t g_t conj(X_t) frame_t of a (clips, F)
     cotangent on the per-clip sums of ``forward``'s rows, where clip c owns
     the next ``counts[c]`` rows and g_t = cotangent[c] / (|X_t|^2 + eps) on
-    each of them; it pairs as 2 Re sum C dK.
+    each of them; it pairs as 2 Re sum C dK. For a symmetric bank it is the
+    symmetric part of C (Re C even, Im C odd about the center tap), which pairs
+    with each dK of the family, symmetric as the bank is, as C does.
 
-    Each ``clip_groups`` group's product [Re X g | Im X g] goes into the leading
+    Each ``clip_groups`` group's product [Re Y g | Im Y g] goes into the leading
     rows of ``scratch``, a ``workspace``'s second buffer of at least the largest
-    group's rows, and adds its frames' share to C; the cache can be passed again."""
-    frames, outputs, eps = cache
+    group's rows, and each block adds its frames' share to the folded C; the
+    cache can be passed again."""
+    frames, outputs, blocks = cache
     k = outputs.shape[1] // 2
     paired = np.zeros((2 * k, frames.shape[1]))
-    g = np.empty((int(np.max(counts)), k))
     for clips, rows in clip_groups(counts):
         group, product, start = outputs[rows], scratch[:rows.stop - rows.start], 0
-        # per clip, as cache blocking: its rows stay in cache from the power through the multiply
         for row, count in zip(cotangent[clips], counts[clips]):
-            clip, out, gain = group[start:start + count], product[start:start + count], g[:count]
-            np.divide(row, _power(clip, eps, gain, out[:, k:]), out=gain)
-            np.multiply(clip.reshape(count, 2, k), gain[:, None, :], out=out.reshape(count, 2, k))
+            np.multiply(group[start:start + count].reshape(count, 2, k), row,
+                        out=product[start:start + count].reshape(count, 2, k))
             start += count
-        paired += product.T @ frames[rows]
+        for cols, outs, _ in blocks:
+            paired[outs, cols] += product[:, outs].T @ frames[rows, cols]
+    paired = _unfold(paired)
     return paired[:k] - 1j * paired[k:]
 
 

@@ -324,8 +324,8 @@ class TestExitCodes:
 
     def test_render_larger_than_memory_is_refused_before_the_bank(self, tmp_path, monkeypatch,
                                                                   capsys):
-        # 3937 frames of 64 taps and 33 filters need about 7.2 MB to render; the
-        # 33 x 64 bank needs about 0.11 MB to build
+        # 3937 frames of 64 taps and 33 filters from a 4000-sample clip need about
+        # 7.3 MB to render; the 33 x 64 bank needs about 0.11 MB to build
         wav = tmp_path / "x.wav"
         assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
         monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
@@ -336,7 +336,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert ("a spectrogram of 3937 frames at n_fft 64 and hop 1 with its 33 x 64 bank needs "
-                "about 7280168 bytes to render, more than the 1000000 bytes of physical memory"
+                "about 7312168 bytes to render, more than the 1000000 bytes of physical memory"
                 in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
 
@@ -360,8 +360,9 @@ class TestExitCodes:
 
     def test_render_beside_its_bank_is_refused_before_the_build(self, tmp_path, monkeypatch,
                                                                capsys):
-        # 40 frames of 64 taps: the 33 x 64 build (109,824 B) and the render (73,280 B)
-        # each fit in 120,000 B, but not the render beside the bank it holds (140,864 B)
+        # 40 frames of 64 taps from 1312 samples: the 33 x 64 build (109,824 B) and the
+        # render with its clip (83,776 B) each fit in 120,000 B, but not the render beside
+        # the bank and the clip it holds (151,360 B)
         wav = tmp_path / "x.wav"
         assert main(["gen", "--duration", "0.164", "--out", str(wav)]) == 0
         builds = []
@@ -376,7 +377,7 @@ class TestExitCodes:
         assert code == 2
         assert builds == []
         assert ("a spectrogram of 40 frames at n_fft 64 and hop 32 with its 33 x 64 bank needs "
-                "about 140864 bytes to render, more than the 120000 bytes of physical memory"
+                "about 151360 bytes to render, more than the 120000 bytes of physical memory"
                 in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.wav", "x.wav.run.json"]
 
@@ -396,6 +397,26 @@ class TestExitCodes:
             finally:
                 tracemalloc.stop()
             assert peak <= 32 * filters * n_fft + 8 * frames * (n_fft + 5 * filters)
+
+    # the whole command after one untraced call: the WAV read, the bank build, the render
+    # and the CSV writer; without the 8 bytes a sample of the clip that stays alive through
+    # the render, the command peaked at 1.14 x the render bound here
+    def test_render_bound_covers_the_command_holding_its_clip(self, tmp_path, monkeypatch):
+        wav, out = str(tmp_path / "x.wav"), str(tmp_path / "s.csv")
+        assert main(["gen", "--duration", "30", "--sample-rate", "16000", "--out", wav]) == 0
+        argv = ["spectrogram", "--input", wav, "--n-fft", "256", "--hop", "256", "--out", out]
+        bounds = []
+        check = fbsplab.cli._require_memory
+        monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
+                            bounds.append((verb, needed)) or check(subject, verb, needed))
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dict(bounds)["render"]
 
     def test_gen_larger_than_memory_is_refused_before_any_sample(self, tmp_path, monkeypatch,
                                                                  capsys):
@@ -1090,14 +1111,15 @@ def test_working_set_larger_than_memory_is_refused_before_the_corpus(
         raise AssertionError("generated the corpus before the working-set bound")
 
     # the small task's 8 clips of 1600 samples stack 392 frames of 64 taps at
-    # hop 32, about 0.6 MB with the trainer's two (T, 66) buffers, but 12,296 at
-    # hop 1, about 19 MB; its bank and its corpus need about 0.1 MB each
+    # hop 32, about 0.6 MB with the trainer's (T, 66) outputs and one group's
+    # scratch, but 12,296 at hop 1, about 13.6 MB; its bank and its corpus need
+    # about 0.1 MB each
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     with monkeypatch.context() as patch:
         patch.setattr(fbsplab.cli, "make_task", no_corpus)
         assert run_with_config(tmp_path, command, {"features": {"hop": 1}}) == 2
     assert ("a task of 8 clips framed at features.n_fft 64 and features.hop 1 "
-            "(12296 frames) needs about 19280128 bytes to train, more than the 1000000 "
+            "(12296 frames) needs about 13599376 bytes to train, more than the 1000000 "
             "bytes of physical memory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     assert run_with_config(tmp_path, command, {}) == 0
@@ -1125,6 +1147,32 @@ def test_train_bound_covers_the_measured_peak():
             tracemalloc.stop()
         assert peaks[-1] <= 8 * rows[-1] * (features.n_fft + 4 * filters)
     assert peaks[1] - peaks[0] < 8 * (rows[1] - rows[0]) * (features.n_fft + 2 * filters) + slack
+
+
+# _run_inputs' trainer bound, 8 T n_fft + 16 F (T + G), against train on the task it admits:
+# the folded stacks, the outputs and one group's scratch are most of the peak, so the bound
+# neither under- nor much over-counts it
+@pytest.mark.parametrize("samples_per_class", [40, 80])  # T = 3920 and 7840 frames
+def test_train_bound_is_the_measured_working_set(monkeypatch, samples_per_class):
+    classes = [{"name": "low", "kind": "tone", "low_hz": 300.0, "high_hz": 600.0},
+               {"name": "high", "kind": "band_noise", "low_hz": 1500.0, "high_hz": 3000.0}]
+    cfg = {"task": {"classes": classes, "samples_per_class": samples_per_class,
+                    "duration": 0.2, "sample_rate": 8000.0},
+           "features": {"n_fft": 64, "hop": 32}, "train": {"epochs": 2, "freeze_epochs": 1}}
+    bounds = []
+    check = fbsplab.cli._require_memory
+    monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
+                        bounds.append((verb, needed)) or check(subject, verb, needed))
+    corpus, features, config = fbsplab.cli._run_inputs(cfg)
+    bound = dict(bounds)["train"]
+    assert bound == 8 * len(corpus) * 49 * 64 + 16 * 33 * (len(corpus) * 49 + 1024)
+    tracemalloc.start()
+    try:
+        fbsplab.training.train(corpus, config, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * bound <= peak <= bound
 
 
 # ---------------------------------------------------------------------------

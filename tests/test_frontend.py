@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fbsplab.training as training
 import fbsplab.transform as transform
 from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params
-from fbsplab.gradients import fbsp_loss
+from fbsplab.gradients import fbsp_loss, kernel_jacobian_vector
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 from fbsplab.training import (
     ClassSpec,
@@ -138,6 +138,58 @@ def test_bank_cotangent_matches_per_clip_reference(monkeypatch):
     pipeline_gradients(PARAMS, head, clips, labels, FEATURES)
     assert len(captured) == 1
     assert relative_error(captured[0], expected) <= 1e-12
+
+
+@st.composite
+def symmetric_cases(draw):
+    """Frames of uneven clips, a per-clip cotangent and a bank whose envelope is
+    real, so that it is symmetric about the center tap: m = 0 with off-grid
+    centers and any f_b, or a main-lobe envelope, m / f_b >= N, where every
+    |f_b t / m| < 1."""
+    n_fft = draw(st.integers(2, 48))
+    low = draw(st.floats(0.0, 0.25))
+    f_c = np.linspace(low, draw(st.floats(low + 0.01, 0.5)), draw(st.integers(1, 8)))
+    f_b = draw(st.floats(0.2, 2.0))
+    m = draw(st.sampled_from([0.0, f_b * n_fft * draw(st.floats(1.0, 4.0))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clips = [rng.standard_normal((count, n_fft))
+             for count in draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))]
+    cotangent = rng.uniform(0.5, 1.5, (len(clips), f_c.size))
+    return FbspParams(m=m, f_b=f_b, f_c=f_c), n_fft, clips, cotangent
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(symmetric_cases())
+def test_symmetric_banks_run_half_size_blocks_against_the_reference(case):
+    params, n_fft, clips, cotangent = case
+    # the comparison is conditioned so that 1e-12 separates a fault from rounding: eps
+    # 1e-3 bounds the gain 1 / (|X|^2 + eps) (at 1e-10 a frame whose X cancels to near
+    # sqrt(eps) left the per-clip reference itself 3.6e-12 from an extended-precision one,
+    # in about one example in 10^4), and a positive cotangent keeps d_fb from cancelling
+    # (a signed one cancelled it to 2e-2 against terms near 5, and the two pairings then
+    # rounded 1.4e-12 apart)
+    bank, features = fbsp_kernel(params, n_fft), FeatureSpec(n_fft=n_fft, hop=n_fft, eps=1e-3)
+    # the outermost tap at sinc argument 1.5, where a fractional power is complex
+    lobed = FbspParams(m=1.5, f_b=1.5 * 1.5 / ((n_fft - 1) / 2), f_c=params.f_c)
+    assert len(bank.folded_blocks) == 2
+    assert len(dft_kernel(n_fft).folded_blocks) == len(
+        fbsp_kernel(lobed, n_fft).folded_blocks) == 1
+
+    outputs = [bank.weights @ frames.T.astype(np.complex128) for frames in clips]
+    expected = np.array([np.mean(np.log(np.abs(x) ** 2 + features.eps), axis=1)
+                         for x in outputs])
+    counts = np.array([len(frames) for frames in clips])
+    buffers = workspace(int(counts.sum()), bank.num_filters)
+    feats, cache = training._clip_features(bank, training._stack_frames(clips), features.eps,
+                                           buffers)
+    assert relative_error(feats, expected) <= 1e-12
+
+    full = sum((c[:, None] / (np.abs(x) ** 2 + features.eps) * np.conj(x)) @ frames
+               for frames, x, c in zip(clips, outputs, cotangent))
+    pulled, reference = (kernel_jacobian_vector(params, n_fft, c) for c in (
+        backward(cache, cotangent, counts, buffers[1]), full))
+    assert relative_error(np.r_[pulled.d_m, pulled.d_fb, pulled.d_fc],
+                          np.r_[reference.d_m, reference.d_fb, reference.d_fc]) <= 1e-12
 
 
 def stacked_case():

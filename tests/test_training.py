@@ -417,6 +417,25 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < bound
 
+    @pytest.mark.parametrize("samples", [40, 80])  # T = 3920 and 7840 frames
+    def test_stacking_holds_one_clip_beside_the_stacks(self, monkeypatch, samples):
+        # the traced peak up to the workspace allocation, after both splits are stacked;
+        # the slack covers numpy's fixed ufunc buffers (about 51 KB for the framing
+        # multiply) and the per-clip grids. Stacking every clip's frames first, as
+        # before framing went straight into the stacks, peaks at about 16 T n_fft
+        corpus = small_task(samples=samples)
+        rows, clip = len(corpus) * 49, 8 * 49 * FAST_FEATURES.n_fft
+        marks = []
+        workspace = training.workspace
+        monkeypatch.setattr(training, "workspace", lambda *args: marks.append(
+            tracemalloc.get_traced_memory()[1]) or workspace(*args))
+        tracemalloc.start()
+        try:
+            train(corpus, TrainConfig(epochs=1, freeze_epochs=1), FAST_FEATURES)
+        finally:
+            tracemalloc.stop()
+        assert marks[0] <= 8 * rows * FAST_FEATURES.n_fft + clip + 128 * 1024
+
     def test_standardization_uses_init_train_stats(self):
         corpus = small_task()
         config = TrainConfig(epochs=1, lr=0.1, freeze_epochs=1)
