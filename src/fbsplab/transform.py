@@ -65,7 +65,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-10
 GROUP_ROWS = 1024  # frame rows of one clip group: the rows of the trainer's scratch
-FOLD_VALUES = 4096  # values an in-place ``fold`` copies at a time
+FOLD_VALUES = 2 ** 16  # values an in-place ``fold`` copies at a time (512 KiB)
 
 
 @dataclass(frozen=True)
