@@ -112,43 +112,32 @@ class KernelBank:
         return int(self.weights.shape[1])
 
     @cached_property
-    def real_matrix(self) -> np.ndarray:
-        """The read-only (N, 2F) real matrix [Re W; Im W]^T that
-        ``transform.forward`` multiplies frames by, built on first use (so a
-        bank that is never run through ``forward`` never holds it)."""
-        matrix = np.concatenate([self.weights.real, self.weights.imag]).T
-        matrix.setflags(write=False)
-        return matrix
-
-    @cached_property
     def folded_blocks(self) -> tuple[tuple[slice, slice, np.ndarray], ...]:
         """The products ``transform.forward`` runs on ``transform.fold``ed
         frames, as (frame columns, output columns, matrix): each block's
         frames[:, cols] @ matrix fills outputs[:, outs] of [Re X | Im X].
 
-        A symmetric bank, whose Re W equals its mirror about the center tap and
-        whose Im W equals minus its mirror, exactly, has two half-size blocks,
-        views of ``real_matrix``: E through Re W and O through Im W. Any other
-        bank has one block, ``real_matrix`` in folded coordinates, built in its
-        place (so ``real_matrix`` is not formed for it)."""
+        The bank holds one read-only (N, 2F) matrix, [Re W; Im W]^T in folded
+        coordinates, built on first use. Where both of its cross quadrants, O
+        through Re W and E through Im W, are zero (every fbsp bank whose
+        envelope is real: Re W even and Im W odd about the center tap), the
+        full product is exactly two half-size ones, views of the other two
+        quadrants: E through Re W and O through Im W. Else it is one block."""
         from fbsplab.transform import fold  # the layout is the transform's
 
         k, n, w = self.num_filters, self.num_taps, self.weights
         half, middle = n // 2, (n + 1) // 2
-        mirror = w[:, ::-1]
-        if (np.array_equal(w.real[:, :half], mirror.real[:, :half])
-                and np.array_equal(w.imag[:, :middle], -mirror.imag[:, :middle])):
-            matrix = self.real_matrix
-            return ((slice(0, middle), slice(0, k), matrix[:middle, :k]),
-                    (slice(middle, n), slice(k, 2 * k), matrix[:half, k:]))
         matrix = np.empty((2 * k, n))
         fold(w.real, out=matrix[:k])
         fold(w.imag, out=matrix[k:])
-        matrix[:, :half] *= 0.5  # frames @ real_matrix == fold(frames) @ this
+        matrix[:, :half] *= 0.5  # frames @ [Re W; Im W]^T == fold(frames) @ this
         matrix[:, middle:] *= 0.5
         matrix = matrix.T
         matrix.setflags(write=False)
-        return ((slice(0, n), slice(0, 2 * k), matrix),)
+        if matrix[middle:, :k].any() or matrix[:middle, k:].any():
+            return ((slice(0, n), slice(0, 2 * k), matrix),)
+        return ((slice(0, middle), slice(0, k), matrix[:middle, :k]),
+                (slice(middle, n), slice(k, 2 * k), matrix[middle:, k:]))
 
 
 def dft_grid(n_fft: int) -> np.ndarray:

@@ -12,10 +12,11 @@ the log finite on silent frames.
 then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}. Callers fold
 their frames once (``FeatureSpec.spectrogram`` in place, the trainer straight
 into its stack, one clip at a time). ``forward`` runs the bank's
-``folded_blocks``: on a symmetric bank (Re K even and Im K odd about the center
-tap, every fbsp bank whose envelope is real, so every bank the trainer visits
-at m = 0) two half-size products, E through Re K and O through Im K; on any
-other bank one (N, 2F) product with the same flops as unfolded frames. It
+``folded_blocks``, views of one folded (N, 2F) matrix: where its cross
+quadrants (O through Re K, E through Im K) are zero, as on every fbsp bank
+whose envelope is real, so every bank the trainer visits at m = 0, two
+half-size products, E through Re K and O through Im K; on any other bank the
+one (N, 2F) product, with the same flops as unfolded frames. It
 returns log-power rows; ``backward`` turns a per-clip cotangent on the sums of
 each clip's rows into the (F, N) bank cotangent that
 ``gradients.kernel_jacobian_vector`` pulls back. Training and inference go

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fbsplab.training as training
 import fbsplab.transform as transform
-from fbsplab.bank import FbspParams, dft_grid, dft_kernel, fbsp_kernel, init_params
+from fbsplab.bank import FbspParams, KernelBank, dft_grid, dft_kernel, fbsp_kernel, init_params
 from fbsplab.gradients import fbsp_loss, kernel_jacobian_vector
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame
 from fbsplab.training import (
@@ -190,6 +190,31 @@ def test_symmetric_banks_run_half_size_blocks_against_the_reference(case):
         backward(cache, cotangent, counts, buffers[1]), full))
     assert relative_error(np.r_[pulled.d_m, pulled.d_fb, pulled.d_fc],
                           np.r_[reference.d_m, reference.d_fb, reference.d_fc]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_fft", [7, 8])
+def test_blocks_split_exactly_where_the_cross_quadrants_are_zero(n_fft):
+    # an m = 0 bank with off-grid centers is symmetric, so both cross quadrants of its
+    # folded matrix are zero and its two blocks are views of that one matrix; one ulp
+    # off the symmetry, or a subnormal Im on the odd middle tap, leaves one block
+    bank = fbsp_kernel(FbspParams(m=0.0, f_b=0.8, f_c=np.array([0.03, 0.17, 0.31, 0.44])),
+                       n_fft)
+    (*_, even), (*_, odd) = bank.folded_blocks
+    assert even.base is odd.base and even.base.shape == (2 * bank.num_filters, n_fft)
+    assert not (even.flags.writeable or odd.flags.writeable)
+
+    def nudged(tap, value):
+        weights = bank.weights.copy()
+        weights[0, tap] = value
+        return KernelBank(weights, bank.params, bank.norm_scale)
+
+    w = bank.weights[0, 0]
+    perturbed = [nudged(0, complex(np.nextafter(w.real, np.inf), w.imag)),
+                 nudged(0, complex(w.real, np.nextafter(w.imag, np.inf)))]
+    if n_fft % 2:
+        perturbed.append(nudged(n_fft // 2, complex(bank.weights[0, n_fft // 2].real, 5e-324)))
+    for other in perturbed:
+        assert len(other.folded_blocks) == 1
 
 
 def stacked_case():

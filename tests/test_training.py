@@ -154,10 +154,9 @@ class TestPipelineGradients:
                                                  buffers[1]) for _ in range(2))
         assert (first.d_m, first.d_fb) == (second.d_m, second.d_fb)
         assert np.array_equal(first.d_fc, second.d_fc)
-        matrix = bank.real_matrix
-        assert matrix is bank.real_matrix
-        assert np.array_equal(matrix, np.concatenate([bank.weights.real, bank.weights.imag]).T)
-        assert not matrix.flags.writeable
+        blocks = bank.folded_blocks
+        assert blocks is bank.folded_blocks
+        assert not any(m.flags.writeable for *_, m in blocks)
 
     def test_head_gradients_match_differences(self):
         lam, wd = 2.0, 1e-3
