@@ -118,18 +118,16 @@ class KernelBank:
         frames[:, cols] @ matrix fills outputs[:, outs] of [Re X | Im X].
 
         The bank holds one read-only (N, 2F) matrix, [Re W; Im W]^T in folded
-        coordinates, built on first use. Where both of its cross quadrants, O
-        through Re W and E through Im W, are zero (every fbsp bank whose
-        envelope is real: Re W even and Im W odd about the center tap), the
-        full product is exactly two half-size ones, views of the other two
-        quadrants: E through Re W and O through Im W. Else it is one block."""
+        coordinates, built on first use by folding [Re W; Im W] in place. Where
+        both of its cross quadrants, O through Re W and E through Im W, are zero
+        (every fbsp bank whose envelope is real: Re W even and Im W odd about the
+        center tap), the full product is exactly two half-size ones, views of the
+        other two quadrants: E through Re W and O through Im W. Else it is one block."""
         from fbsplab.transform import fold  # the layout is the transform's
 
         k, n, w = self.num_filters, self.num_taps, self.weights
         half, middle = n // 2, (n + 1) // 2
-        matrix = np.empty((2 * k, n))
-        fold(w.real, out=matrix[:k])
-        fold(w.imag, out=matrix[k:])
+        matrix = fold(np.concatenate([w.real, w.imag]))
         matrix[:, :half] *= 0.5  # frames @ [Re W; Im W]^T == fold(frames) @ this
         matrix[:, middle:] *= 0.5
         matrix = matrix.T

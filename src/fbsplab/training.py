@@ -9,9 +9,9 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-Each split's frames are framed and ``transform.fold``ed straight into one
-stack once per run, one clip at a time (``_frame_split``), so no more than one
-clip's frames exist beside the stacks. What the trainer derives from the bank
+Each split is framed into one stack once per run, one clip at a time, each clip
+``transform.fold``ed in place in its own rows (``_frame_split``), so no more than
+one clip's frames exist beside the stacks. What the trainer derives from the bank
 (the kernel, one ``transform.forward`` over each split's stack, the regularizer
 loss) depends on the parameters alone, so it is rendered once per parameter
 value an epoch starts from, and once per run while the bank is frozen. The
@@ -376,7 +376,8 @@ class TrainedModel:
 
 
 def prepare_frames(corpus: TaskCorpus, features: FeatureSpec) -> list[np.ndarray]:
-    """Window and frame every clip once; training reuses these arrays."""
+    """Every clip's windowed frames, unfolded, for ``feature_matrix`` and the tests;
+    ``train`` frames each split straight into its folded stack (``_frame_split``)."""
     window = WindowSpec(features.window, features.n_fft)
     return [frame(wf, features.grid_for(len(wf)), window) for wf in corpus.waveforms]
 
@@ -392,15 +393,16 @@ def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
 
 def _frame_split(waveforms: Sequence[Waveform],
                  features: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_frames`` of the clips' ``prepare_frames``, framed and folded
-    straight into the stack one clip at a time, so no more than one clip's
-    frames exist beside it."""
+    """``_stack_frames`` of the clips' ``prepare_frames``: each clip is framed into
+    its own rows of the stack and folded there, so no more than one clip's frames
+    exist beside the stack."""
     window = WindowSpec(features.window, features.n_fft)
     grids = [features.grid_for(len(wf)) for wf in waveforms]
     counts = np.array([grid.num_frames for grid in grids])
     frames = np.empty((int(counts.sum()), features.n_fft))
-    for wf, grid, end in zip(waveforms, grids, np.cumsum(counts).tolist()):
-        fold(frame(wf, grid, window), out=frames[end - grid.num_frames:end])
+    for wf, grid, rows in zip(waveforms, grids, np.split(frames, np.cumsum(counts)[:-1])):
+        rows[:] = frame(wf, grid, window)
+        fold(rows)
     return frames, counts
 
 

@@ -9,9 +9,10 @@ the log finite on silent frames.
 
 ``forward`` computes X for real (frames, N) frames in folded coordinates,
 ``fold``'s [E | O] about the center tap: E_n = x_n + x_{N-1-n} for n < N // 2,
-then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}. Callers fold
-their frames once (``FeatureSpec.spectrogram`` in place, the trainer straight
-into its stack, one clip at a time). ``forward`` runs the bank's
+then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}. ``fold`` and
+``_unfold`` work in place, in the array the caller keeps: a render its frames,
+the trainer each clip's rows of its stack, a bank its matrix and ``backward``
+its product. ``forward`` runs the bank's
 ``folded_blocks``, views of one folded (N, 2F) matrix: where its cross
 quadrants (O through Re K, E through Im K) are zero, as on every fbsp bank
 whose envelope is real, so every bank the trainer visits at m = 0, two
@@ -66,7 +67,7 @@ __all__ = [
 
 DEFAULT_EPS = 1e-10
 GROUP_ROWS = 1024  # frame rows of one clip group: the rows of the trainer's scratch
-FOLD_VALUES = 2 ** 16  # values an in-place ``fold`` copies at a time (512 KiB)
+FOLD_VALUES = 2 ** 14  # values ``fold`` copies at a time (128 KiB)
 
 
 @dataclass(frozen=True)
@@ -94,36 +95,30 @@ class Spectrogram:
         object.__setattr__(self, "eps", float(self.eps))
 
 
-def fold(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(T, N) frames folded about the center tap, [E | O]: E_n = x_n + x_{N-1-n}
-    for n < N // 2, then the middle tap alone at odd N, and O_n = x_n - x_{N-1-n}.
-    Written into ``out``, or in place when it is None, a few rows at a time
-    through a copy of at most FOLD_VALUES values, so no frame-sized temporary."""
-    if out is None:
-        step = max(1, FOLD_VALUES // frames.shape[1])
-        for start in range(0, len(frames), step):
-            rows = frames[start:start + step]
-            fold(rows.copy(), out=rows)
-        return frames
+def fold(frames: np.ndarray) -> np.ndarray:
+    """(T, N) frames folded in place to [E | O] and returned: E_n = x_n + x_{N-1-n}
+    for n < N // 2, the middle tap at odd N, O_n = x_n - x_{N-1-n}. A few rows at a
+    time through a copy of at most FOLD_VALUES values, or of one row if it is longer."""
     half, middle = frames.shape[1] // 2, (frames.shape[1] + 1) // 2
-    near, far = frames[:, :half], frames[:, ::-1][:, :half]
-    np.add(near, far, out=out[:, :half])
-    out[:, half:middle] = frames[:, half:middle]
-    np.subtract(near, far, out=out[:, middle:])
-    return out
+    step = max(1, FOLD_VALUES // frames.shape[1])
+    for start in range(0, len(frames), step):
+        rows = frames[start:start + step]
+        taps = rows.copy()
+        near, far = taps[:, :half], taps[:, ::-1][:, :half]
+        np.add(near, far, out=rows[:, :half])
+        np.subtract(near, far, out=rows[:, middle:])
+    return frames
 
 
 def _unfold(folded: np.ndarray) -> np.ndarray:
-    """The (rows, N) tap-domain matrix of a product with folded frames:
-    ``_unfold(z @ fold(x)) == z @ x``, (a_n + b_n) / 2 at tap n and
+    """The (rows, N) product with folded frames unfolded to taps in place, and
+    returned: ``_unfold(z @ fold(x)) == z @ x``, (a_n + b_n) / 2 at tap n and
     (a_n - b_n) / 2 at tap N-1-n for E and O coefficients a and b."""
     half, middle = folded.shape[1] // 2, (folded.shape[1] + 1) // 2
     near, far = 0.5 * folded[:, :half], 0.5 * folded[:, middle:]
-    taps = np.empty_like(folded)
-    np.add(near, far, out=taps[:, :half])
-    taps[:, half:middle] = folded[:, half:middle]
-    np.subtract(near, far, out=taps[:, ::-1][:, :half])
-    return taps
+    np.add(near, far, out=folded[:, :half])
+    np.subtract(near, far, out=folded[:, ::-1][:, :half])
+    return folded
 
 
 def workspace(rows: int, filters: int,
@@ -194,7 +189,7 @@ def backward(cache: tuple, cotangent: np.ndarray, counts: np.ndarray,
             start += count
         for cols, outs, _ in blocks:
             paired[outs, cols] += product[:, outs].T @ frames[rows, cols]
-    paired = _unfold(paired)
+    _unfold(paired)
     return paired[:k] - 1j * paired[k:]
 
 

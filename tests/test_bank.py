@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 
@@ -197,6 +198,12 @@ class TestParamsFile:
         del doc["extra"], doc["m"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_a_file_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([0.0, 1.0, [0.25], 8]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON object$"):
             load_params(path)
 
     @pytest.mark.parametrize("key, value, named", [

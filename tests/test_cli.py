@@ -244,6 +244,30 @@ class TestExitCodes:
         neither = run("perturb", "--input", str(wav), "--out", str(tmp_path / "y.wav"))
         assert neither.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrogram", "--out", "{out}.csv"], "spectrogram needs an input wav (--input)"),
+        (["perturb", "--snr-db", "10", "--out", "{out}.wav"],
+         "perturb needs an input wav (--input)"),
+        (["perturb", "--input", "{wav}", "--snr-db", "10", "--cutoff-hz", "1000",
+          "--out", "{out}.wav"], "choose exactly one of --snr-db or --cutoff-hz"),
+        (["perturb", "--input", "{wav}", "--out", "{out}.wav"],
+         "choose exactly one of --snr-db or --cutoff-hz"),
+        (["spectrogram", "--input", "{wav}", "--mode", "stft", "--params", "{params}",
+          "--out", "{out}.csv"], "a params file only applies to --mode fbsp"),
+        (["spectrogram", "--input", "{wav}", "--mode", "fbsp", "--params", "{params}",
+          "--n-fft", "64", "--out", "{out}.csv"], "n_fft 64 conflicts with {params} (n_fft 32)"),
+    ])
+    def test_refusal_names_its_cause_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        paths = {"wav": str(tmp_path / "x.wav"), "params": str(tmp_path / "p.json"),
+                 "out": str(tmp_path / "y")}
+        assert main(["gen", "--duration", "0.2", "--out", paths["wav"]]) == 0
+        save_params(paths["params"], init_params(32), 32)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_non_finite_duration_is_input_error(self, tmp_path, capsys, duration):
         wav = tmp_path / "a.wav"

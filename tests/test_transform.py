@@ -1,16 +1,22 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fbsplab.transform as transform
 from fbsplab.bank import KernelBank, dft_kernel, fbsp_kernel, init_params
 from fbsplab.signals import FrameGrid, Waveform, WindowSpec, frame, sine
 from fbsplab.transform import (
     DEFAULT_EPS,
     Spectrogram,
+    _unfold,
     analyze,
     bank_energy_ratio,
+    fold,
     log_power,
     spectrogram_to_csv,
 )
@@ -85,6 +91,49 @@ class TestAnalyze:
                              for k in range(bank.num_filters)])
         monkeypatch.setattr("fbsplab.transform.forward", no_forward)
         assert np.allclose(analyze(x, bank, grid, win), expected, atol=1e-12)
+
+
+def butterfly(x):
+    """[E | O] of (T, N) frames, built apart from ``fold``."""
+    half, middle = x.shape[1] // 2, (x.shape[1] + 1) // 2
+    mirrored = x[:, ::-1]
+    return np.concatenate([x[:, :half] + mirrored[:, :half], x[:, half:middle],
+                           x[:, :half] - mirrored[:, :half]], axis=1)
+
+
+class TestFold:
+    # chunks of FOLD_VALUES = n_fft - 1 values are one row each; the others span
+    # whole rows and leave a shorter last chunk
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(n_fft=st.integers(2, 80), rows=st.integers(1, 40),
+           chunk=st.sampled_from([lambda n: n - 1, lambda n: n, lambda n: 2 * n + 1,
+                                  lambda n: 7 * n - 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fold_and_unfold_work_in_place_at_any_chunk(self, n_fft, rows, chunk, seed):
+        rng = np.random.default_rng(seed)
+        x, z = rng.standard_normal((rows, n_fft)), rng.standard_normal((5, rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "FOLD_VALUES", max(1, chunk(n_fft)))
+            folded = x.copy()
+            assert fold(folded) is folded
+            assert folded.tobytes() == butterfly(x).tobytes()
+            product = z @ fold(x.copy())
+            assert _unfold(product) is product
+        np.testing.assert_allclose(product, z @ x, rtol=0, atol=1e-12)
+
+    # one FOLD_VALUES chunk and numpy's ufunc buffers; the spectrogram render bound
+    # has no room for a frame-sized temporary
+    @pytest.mark.parametrize("n_fft", [2, 64, 255, 1024, transform.FOLD_VALUES])
+    def test_fold_holds_no_frame_sized_temporary(self, n_fft):
+        frames = np.random.default_rng(0).standard_normal(
+            (5 * transform.FOLD_VALUES // (2 * n_fft) + 1, n_fft))
+        tracemalloc.start()
+        try:
+            fold(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * transform.FOLD_VALUES + 256 * 1024
 
 
 class TestLogPower:

@@ -140,6 +140,8 @@ _PCM16 = _riff(_fmt(1, 1, 8000, 16), _chunk(b"data", bytes(16)))
 
 @pytest.mark.parametrize("content, cause", [
     (_PCM16[:30], "file ends inside its fmt chunk"),
+    (_riff(_chunk(b"fmt ", _fmt(1, 1, 8000, 16)[8:22]), _chunk(b"data", bytes(8))),
+     "fmt chunk is 14 bytes, fewer than 16"),
     (_PCM16[:22] + b"\x00\x00" + _PCM16[24:], "fmt chunk declares 0 channels"),
     (_PCM16[:-4], "data chunk holds 12 bytes, its header claims 16"),
     (b"RIFX" + _PCM16[4:], "RIFX files are not supported"),
