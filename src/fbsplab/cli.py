@@ -20,7 +20,8 @@ fields of ``FeatureSpec`` and ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (out of memory
 included; ``_require_memory`` alone reads physical memory and refuses work above
-it), 3 numerical failure (singular gradient, divergence, failed check).
+it, for train and sweep once, on the whole run's peak, before the corpus is drawn),
+3 numerical failure (singular gradient, divergence, failed check).
 """
 
 from __future__ import annotations
@@ -410,31 +411,28 @@ def _section_spec(section: str, spec, values: dict):
 
 
 def _run_inputs(cfg: dict):
-    """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A bank too
-    large to build, a corpus whose waveforms alone exceed physical memory, a
-    trainer working set that does, and a clip shorter than one frame, are
-    refused before the corpus is generated. The working set is the folded frames
-    of every clip, T rows of n_fft values (T is the clip count times
-    ``features.grid_for`` of one clip), the (T, 2F) outputs and a (G, 2F)
-    scratch of one ``transform.clip_groups`` group, G at most the larger of
-    GROUP_ROWS and one clip's frames: 8 T n_fft + 16 F (T + G) bytes. The
-    outputs hold the larger split's rows, so counting T leaves the smaller
-    split's share for the bank and the per-clip arrays."""
+    """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A clip shorter
+    than one frame, then a run whose peak exceeds physical memory, is refused before
+    the corpus is generated. For T the clip count times ``features.grid_for`` of one clip
+    and G one ``transform.clip_groups`` group's rows (at most the larger of GROUP_ROWS and
+    one clip's frames), the peak is the corpus, 8 bytes a sample, beside the folded stacks,
+    8 T n_fft, the outputs and scratch, 16 F (T + G), and the bank at its gradient: the
+    folded matrix with ``backward``'s (2F, N) product and the two complex (F, N) arrays made
+    of it, or with the pullback's cotangent, entries and product, four arrays of 16 F N
+    bytes, counted as five for numpy's buffers and the (clips, F) head arrays."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
-    filters = features.n_fft // 2 + 1
-    _require_bank_memory(features.n_fft, filters)
     train_cfg = _section_spec("train", TrainConfig, cfg["train"])
     task = dict(cfg["task"])
     classes = [ClassSpec(**entry) for entry in task.pop("classes")]
     clips = task["samples_per_class"] * len(classes)
     clip_samples = _num_samples(task["duration"], task["sample_rate"])
-    _require_memory(f"a corpus of {clips * clip_samples} samples", "generate",
-                    8 * clips * clip_samples)
     clip_frames = features.grid_for(clip_samples).num_frames
     frames, group = clips * clip_frames, min(clips * clip_frames, max(GROUP_ROWS, clip_frames))
-    _require_memory(f"a task of {clips} clips framed at features.n_fft {features.n_fft} and "
+    n_fft, filters = features.n_fft, features.n_fft // 2 + 1
+    _require_memory(f"a task of {clips} clips framed at features.n_fft {n_fft} and "
                     f"features.hop {features.hop} ({frames} frames)", "train",
-                    8 * frames * features.n_fft + 16 * filters * (frames + group))
+                    8 * clips * clip_samples + 8 * frames * n_fft
+                    + 16 * filters * (frames + group + 5 * n_fft))
     return make_task(classes, **task), features, train_cfg
 
 

@@ -167,10 +167,12 @@ def design_butterworth_lowpass(
         a1 = -z
         g = (1.0 + a1) / 2.0
         rows.append([g, g, 0.0, a1, 0.0])
-    return ButterworthFilter(
-        sections=np.array(rows), order=order,
-        cutoff_hz=float(cutoff_hz), sample_rate=float(sample_rate),
-    )
+    try:  # near 0 or Nyquist, 1 + a1 + a2 or 1 - a1 + a2 rounds to 0: a pole on the circle
+        return ButterworthFilter(sections=np.array(rows), order=order,
+                                 cutoff_hz=float(cutoff_hz), sample_rate=float(sample_rate))
+    except ValueError as err:
+        raise ValueError(f"cutoff_hz {cutoff_hz} at sample rate {float(sample_rate)} Hz and "
+                         f"order {order} has no stable float64 Butterworth filter ({err})") from None
 
 
 def magnitude_response_db(

@@ -31,7 +31,7 @@ The scratch holds one group at a time: ``forward``'s power and log-power, then
 ``backward``'s product. So an epoch allocates no array of the frames' size, and
 the working set is the folded stacks, the outputs and one group's scratch,
 8 T n_fft + 16 F (T_max + G) bytes for T_max the larger split's rows and G the
-largest group's, which the ``cli`` working-set bound counts with T for T_max.
+largest group's; ``cli``'s run bound counts it, T for T_max, with the corpus and bank.
 
 Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
 center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between

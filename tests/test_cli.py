@@ -1095,13 +1095,15 @@ def test_run_bank_larger_than_memory_is_refused_before_the_corpus(
     def no_corpus(*args, **kwargs):
         raise AssertionError("generated the corpus before the bank bound")
 
-    # a 513 x 1024 bank needs about 27 MB to build, a 33 x 64 one about 0.11 MB
+    # a 513 x 1024 bank needs about 27 MB to build and 42 MB at its gradient, a 33 x 64
+    # one about 0.11 MB and 0.17 MB; the run bound counts the gradient
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     with monkeypatch.context() as patch:
         patch.setattr(fbsplab.cli, "make_task", no_corpus)
         code = run_with_config(tmp_path, command, {"features": {"n_fft": 1024, "hop": 512}})
     assert code == 2
-    assert "a bank of n_fft 1024 needs about" in capsys.readouterr().err
+    assert ("a task of 8 clips framed at features.n_fft 1024 and features.hop 512 (16 frames) "
+            "needs about") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     if command == "train":
         assert run_with_config(tmp_path, "train", {}) == 0
@@ -1114,7 +1116,7 @@ def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
         raise AssertionError("generated the corpus before the corpus bound")
 
     # the default task is 3 classes x 40 clips x 0.75 s at 8 kHz, 720,000 float64
-    # samples; a 17 x 32 bank needs about 28 KB to build
+    # samples, 5.76 MB of the run bound's 29.8 MB; a 17 x 32 bank needs about 28 KB to build
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     monkeypatch.setattr(fbsplab.cli, "make_task", no_corpus)
     path = tmp_path / "c.json"
@@ -1122,8 +1124,9 @@ def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
     outputs = (["--out-params", str(tmp_path / "p.json"), "--out-log", str(tmp_path / "l.csv")]
                if command == "train" else ["--out", str(tmp_path / "out")])
     assert main([command, "--config", str(path)] + outputs) == 2
-    assert ("a corpus of 720000 samples needs about 5760000 bytes to generate, "
-            "more than the 1000000 bytes of physical memory") in capsys.readouterr().err
+    assert ("a task of 120 clips framed at features.n_fft 32 and features.hop 16 (44880 frames) "
+            "needs about 29778688 bytes to train, more than the 1000000 bytes of physical "
+            "memory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -1134,15 +1137,14 @@ def test_working_set_larger_than_memory_is_refused_before_the_corpus(
         raise AssertionError("generated the corpus before the working-set bound")
 
     # the small task's 8 clips of 1600 samples stack 392 frames of 64 taps at
-    # hop 32, about 0.6 MB with the trainer's (T, 66) outputs and one group's
-    # scratch, but 12,296 at hop 1, about 13.6 MB; its bank and its corpus need
-    # about 0.1 MB each
+    # hop 32, about 0.89 MB with the corpus, the trainer's (T, 66) outputs, one
+    # group's scratch and the bank at its gradient, but 12,296 at hop 1, about 13.9 MB
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     with monkeypatch.context() as patch:
         patch.setattr(fbsplab.cli, "make_task", no_corpus)
         assert run_with_config(tmp_path, command, {"features": {"hop": 1}}) == 2
     assert ("a task of 8 clips framed at features.n_fft 64 and features.hop 1 "
-            "(12296 frames) needs about 13599376 bytes to train, more than the 1000000 "
+            "(12296 frames) needs about 13870736 bytes to train, more than the 1000000 "
             "bytes of physical memory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     assert run_with_config(tmp_path, command, {}) == 0
@@ -1172,9 +1174,10 @@ def test_train_bound_covers_the_measured_peak():
     assert peaks[1] - peaks[0] < 8 * (rows[1] - rows[0]) * (features.n_fft + 2 * filters) + slack
 
 
-# _run_inputs' trainer bound, 8 T n_fft + 16 F (T + G), against train on the task it admits:
-# the folded stacks, the outputs and one group's scratch are most of the peak, so the bound
-# neither under- nor much over-counts it
+# _run_inputs' run bound, 8 clips samples + 8 T n_fft + 16 F (T + G + 5 n_fft), against
+# generating the corpus and training on it: the corpus, the folded stacks, the outputs and
+# one group's scratch are most of the peak at n_fft 64, so the bound neither under- nor
+# much over-counts it
 @pytest.mark.parametrize("samples_per_class", [40, 80])  # T = 3920 and 7840 frames
 def test_train_bound_is_the_measured_working_set(monkeypatch, samples_per_class):
     classes = [{"name": "low", "kind": "tone", "low_hz": 300.0, "high_hz": 600.0},
@@ -1182,20 +1185,46 @@ def test_train_bound_is_the_measured_working_set(monkeypatch, samples_per_class)
     cfg = {"task": {"classes": classes, "samples_per_class": samples_per_class,
                     "duration": 0.2, "sample_rate": 8000.0},
            "features": {"n_fft": 64, "hop": 32}, "train": {"epochs": 2, "freeze_epochs": 1}}
+    fbsplab.cli._run_inputs(cfg)  # first-use imports and caches stay out of the trace
     bounds = []
     check = fbsplab.cli._require_memory
     monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
                         bounds.append((verb, needed)) or check(subject, verb, needed))
-    corpus, features, config = fbsplab.cli._run_inputs(cfg)
-    bound = dict(bounds)["train"]
-    assert bound == 8 * len(corpus) * 49 * 64 + 16 * 33 * (len(corpus) * 49 + 1024)
     tracemalloc.start()
     try:
+        corpus, features, config = fbsplab.cli._run_inputs(cfg)
         fbsplab.training.train(corpus, config, features)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    [(verb, bound)] = bounds
+    assert verb == "train"
+    assert bound == (8 * len(corpus) * 1600 + 8 * len(corpus) * 49 * 64
+                     + 16 * 33 * (len(corpus) * 49 + 1024 + 5 * 64))
     assert 0.8 * bound <= peak <= bound
+
+
+# The whole command on 8 clips of the default 0.75 s, traced after a warm run: at n_fft 1024
+# the bank at its gradient is most of the peak, at n_fft 64 the corpus and the trainer's
+# working set are. The bound leaves out the parser and configs main holds, about 80 KB,
+# which fill the slack on the 0.2 s clips of the small task at n_fft 64.
+@pytest.mark.parametrize("command, n_fft", [("train", 64), ("train", 256), ("train", 1024),
+                                            ("sweep", 256)])
+def test_run_bound_covers_the_measured_command_peak(tmp_path, monkeypatch, command, n_fft):
+    config = {"task": {"duration": 0.75}, "features": {"n_fft": n_fft, "hop": n_fft // 2}}
+    assert run_with_config(tmp_path, "train", config) == 0
+    bounds = []
+    check = fbsplab.cli._require_memory
+    monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
+                        bounds.append(needed) or check(subject, verb, needed))
+    tracemalloc.start()
+    try:
+        assert run_with_config(tmp_path, command, config) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = max(bounds)
+    assert peak <= bound <= 1.3 * peak
 
 
 # ---------------------------------------------------------------------------
@@ -1357,6 +1386,28 @@ def test_huge_butterworth_order_is_refused_quickly(tmp_path, capsys):
         assert time.perf_counter() - start < 5.0
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
+
+
+# at 1e-6 Hz 1 + a1 + a2 rounds to 0 in float64, and 1 - a1 + a2 does 1e-7 Hz below Nyquist
+@pytest.mark.parametrize("cutoff", ["1e-6", "3999.9999999"])
+def test_cutoff_without_a_stable_filter_is_refused_naming_it(tmp_path, capsys, monkeypatch,
+                                                             cutoff):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generated the corpus or trained before the cutoff was checked")
+
+    message = (f"cutoff_hz {float(cutoff)} at sample rate 8000.0 Hz and order 2 has no stable "
+               "float64 Butterworth filter")
+    wav = tmp_path / "in.wav"
+    assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
+    assert main(["perturb", "--input", str(wav), "--cutoff-hz", cutoff, "--order", "2",
+                 "--out", str(tmp_path / "o.wav")]) == 2
+    assert message in capsys.readouterr().err
+    monkeypatch.setattr(fbsplab.cli, "make_task", no_work)
+    monkeypatch.setattr(fbsplab.cli, "train", no_work)
+    assert main(["sweep", "--kind", "lowpass", "--axis", cutoff, "--order", "2",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "in.wav.run.json"]
 
 
 @pytest.mark.parametrize("argv, message", [
