@@ -20,7 +20,8 @@ fields of ``FeatureSpec`` and ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (out of memory
 included; ``_require_memory`` alone reads physical memory and refuses work above
-it, for train and sweep once, on the whole run's peak, before the corpus is drawn),
+it, for train and sweep once, on the whole run's peak, before ``make_task``; no run
+holds the corpus, since ``train`` draws each clip from its seeds as it frames it),
 3 numerical failure (singular gradient, divergence, failed check).
 """
 
@@ -400,6 +401,12 @@ def _cmd_perturb(cfg: dict, args) -> int:
     return 0
 
 
+# What ``main`` holds through a train or sweep run before it starts: the parser of every
+# subcommand, the parsed arguments and the resolved config. tracemalloc read 91-94 KB of
+# them built after a warm run, and 55-70 KB held at ``make_task``'s entry of a warm main.
+_MAIN_HELD_BYTES = 96 * 1024
+
+
 def _section_spec(section: str, spec, values: dict):
     """``spec(**values)``; a refusal names each of its fields as the config key
     ``section.field``."""
@@ -413,13 +420,15 @@ def _section_spec(section: str, spec, values: dict):
 def _run_inputs(cfg: dict):
     """(corpus, FeatureSpec, TrainConfig) of a train or sweep config. A clip shorter
     than one frame, then a run whose peak exceeds physical memory, is refused before
-    the corpus is generated. For T the clip count times ``features.grid_for`` of one clip
-    and G one ``transform.clip_groups`` group's rows (at most the larger of GROUP_ROWS and
-    one clip's frames), the peak is the corpus, 8 bytes a sample, beside the folded stacks,
-    8 T n_fft, the outputs and scratch, 16 F (T + G), and the bank at its gradient: the
-    folded matrix with ``backward``'s (2F, N) product and the two complex (F, N) arrays made
-    of it, or with the pullback's cotangent, entries and product, four arrays of 16 F N
-    bytes, counted as five for numpy's buffers and the (clips, F) head arrays."""
+    ``make_task``. For T the clip count times ``features.grid_for`` of one clip and G one
+    ``transform.clip_groups`` group's rows (at most the larger of GROUP_ROWS and one clip's
+    frames), the peak is what ``main`` holds before the run, _MAIN_HELD_BYTES, beside the
+    folded stacks, 8 T n_fft, the outputs and scratch, 16 F (T + G), and the bank at its
+    gradient: the folded matrix with ``backward``'s (2F, N) product and the two complex
+    (F, N) arrays made of it, or with the pullback's cotangent, entries and product, four
+    arrays of 16 F N bytes, counted as five for numpy's buffers and the (clips, F) head
+    arrays. The corpus is not counted: ``make_task`` draws no clip, and ``train`` holds
+    one clip at a time, while it frames it."""
     features = _section_spec("features", FeatureSpec, cfg["features"])
     train_cfg = _section_spec("train", TrainConfig, cfg["train"])
     task = dict(cfg["task"])
@@ -431,7 +440,7 @@ def _run_inputs(cfg: dict):
     n_fft, filters = features.n_fft, features.n_fft // 2 + 1
     _require_memory(f"a task of {clips} clips framed at features.n_fft {n_fft} and "
                     f"features.hop {features.hop} ({frames} frames)", "train",
-                    8 * clips * clip_samples + 8 * frames * n_fft
+                    _MAIN_HELD_BYTES + 8 * frames * n_fft
                     + 16 * filters * (frames + group + 5 * n_fft))
     return make_task(classes, **task), features, train_cfg
 

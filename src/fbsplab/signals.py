@@ -199,6 +199,17 @@ def _check_band(frequency: float, sample_rate: int, what: str) -> None:
         )
 
 
+def _band_bins(low_hz: float, high_hz: float, sample_rate: int, n: int) -> np.ndarray:
+    """Which rfft bins of ``n`` samples lie in [low_hz, high_hz]; a band holding none
+    is refused."""
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    keep = (freqs >= low_hz) & (freqs <= high_hz)
+    if not np.any(keep):
+        raise ValueError(f"band [{low_hz}, {high_hz}] Hz contains no FFT bin at {sample_rate} Hz "
+                         f"over {n} samples")
+    return keep
+
+
 def _check_finite(value: float, what: str) -> None:
     if not -np.inf < value < np.inf:
         raise ValueError(f"{what} must be finite, got {value}")
@@ -255,16 +266,8 @@ def band_noise(
     if not 0 <= low_hz < high_hz:
         raise ValueError(f"need 0 <= low_hz < high_hz, got [{low_hz}, {high_hz}]")
     n = _num_samples(duration, sample_rate)
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    keep = (freqs >= low_hz) & (freqs <= high_hz)
-    if not np.any(keep):
-        raise ValueError(
-            f"band [{low_hz}, {high_hz}] Hz contains no FFT bin at {sample_rate} Hz "
-            f"over {n} samples"
-        )
+    keep = _band_bins(low_hz, high_hz, sample_rate, n)
+    spectrum = np.fft.rfft(np.random.default_rng(seed).standard_normal(n))
     spectrum[~keep] = 0.0
     shaped = np.fft.irfft(spectrum, n=n)
     peak = np.max(np.abs(shaped))

@@ -9,9 +9,11 @@ and the config. The bank starts at the STFT-equivalent point; freezing it
 for the whole run therefore yields the fixed-STFT baseline through the
 identical code path.
 
-Each split is framed into one stack once per run, one clip at a time, each clip
-``transform.fold``ed in place in its own rows (``_frame_split``), so no more than
-one clip's frames exist beside the stacks. What the trainer derives from the bank
+Each split is framed into one stack once per run, sized from the clips' lengths,
+one clip at a time (``_frame_split``): a clip is read, which for a ``make_task``
+corpus draws it from its seeds, just before it is framed into its own rows and
+``transform.fold``ed there, so no more than one clip and its frames exist beside
+the stacks, and no run holds the corpus. What the trainer derives from the bank
 (the kernel, one ``transform.forward`` over each split's stack, the regularizer
 loss) depends on the parameters alone, so it is rendered once per parameter
 value an epoch starts from, and once per run while the bank is frozen. The
@@ -31,7 +33,7 @@ The scratch holds one group at a time: ``forward``'s power and log-power, then
 ``backward``'s product. So an epoch allocates no array of the frames' size, and
 the working set is the folded stacks, the outputs and one group's scratch,
 8 T n_fft + 16 F (T_max + G) bytes for T_max the larger split's rows and G the
-largest group's; ``cli``'s run bound counts it, T for T_max, with the corpus and bank.
+largest group's; ``cli``'s run bound counts it, T for T_max, with the bank.
 
 Each unfrozen epoch proposes one bank step (``_bank_step``), scaled to move no
 center more than MAX_CENTER_STEP bins and taken on m, f_b and the gaps between
@@ -57,8 +59,9 @@ from fbsplab.gradients import (
 )
 from fbsplab.perturb import add_awgn, snr_power_ratio
 from fbsplab.runio import write_csv
-from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _check_band, band_noise, chirp,
-                             derive_seed, frame, frozen_field, sine)
+from fbsplab.signals import (FrameGrid, Waveform, WindowSpec, _band_bins, _check_band, _num_samples,
+                             band_noise, chirp, derive_seed, frame, frozen_field, sine,
+                             whole_number)
 from fbsplab.transform import (DEFAULT_EPS, Spectrogram, backward, clip_groups, fold, forward,
                                workspace)
 
@@ -143,9 +146,10 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class TaskCorpus:
-    """Generated clips with labels and a fixed train/validation split."""
+    """Clips with labels and a fixed train/validation split. ``make_task``'s
+    ``waveforms`` hold no samples: each clip is drawn from its seeds when it is read."""
 
-    waveforms: tuple[Waveform, ...]
+    waveforms: Sequence[Waveform]
     labels: np.ndarray
     train_indices: np.ndarray
     val_indices: np.ndarray
@@ -168,6 +172,11 @@ class TaskCorpus:
     def __len__(self) -> int:
         return len(self.waveforms)
 
+    def num_samples(self, index: int) -> int:
+        """Clip ``index``'s length; a ``make_task`` corpus gives it without drawing the clip."""
+        clips = self.waveforms
+        return clips.num_samples if isinstance(clips, _SeededClips) else len(clips[index])
+
 
 def _draw_example(spec: ClassSpec, rng: np.random.Generator, duration: float,
                   sample_rate: float, noise_seed: int) -> Waveform:
@@ -183,6 +192,34 @@ def _draw_example(spec: ClassSpec, rng: np.random.Generator, duration: float,
     return band_noise(spec.low_hz, spec.high_hz, duration, sample_rate, noise_seed, amplitude)
 
 
+@dataclass(frozen=True)
+class _SeededClips(Sequence[Waveform]):
+    """``make_task``'s clips, a read-only sequence that stores no samples: clip i is
+    example i % per_class of class i // per_class, drawn from its own seeds on each read."""
+
+    classes: tuple[ClassSpec, ...]
+    per_class: int
+    duration: float
+    sample_rate: float
+    seed: int
+    snr_range: float | tuple[float, float] | None
+    num_samples: int
+
+    def __len__(self) -> int:
+        return len(self.classes) * self.per_class
+
+    def __getitem__(self, index: int) -> Waveform:
+        class_idx, example_idx = divmod(range(len(self))[index], self.per_class)
+        rng = np.random.default_rng(derive_seed(self.seed, class_idx, example_idx))
+        wf = _draw_example(self.classes[class_idx], rng, self.duration, self.sample_rate,
+                           noise_seed=derive_seed(self.seed, class_idx, example_idx, 1))
+        if self.snr_range is None:
+            return wf
+        level = (float(rng.uniform(*self.snr_range))
+                 if isinstance(self.snr_range, tuple) else float(self.snr_range))
+        return add_awgn(wf, level, seed=derive_seed(self.seed, class_idx, example_idx, 2))
+
+
 def make_task(
     classes: Sequence[ClassSpec],
     samples_per_class: int,
@@ -192,15 +229,17 @@ def make_task(
     snr_range: float | tuple[float, float] | None = None,
     train_fraction: float = 0.8,
 ) -> TaskCorpus:
-    """Generate a labeled corpus with a seeded 80/20 split.
+    """A labeled corpus with a seeded 80/20 split, drawing no clip.
 
     Every example draws from its own generator seeded by (seed, class index,
-    example index), so corpora are reproducible and individual clips can be
-    regenerated in isolation. snr_range of None keeps clips clean; a scalar
-    adds noise at that level, a (lo, hi) pair draws a level per clip. A pair
-    with lo > hi or an infinite width, a level or pair end that
-    ``snr_power_ratio`` refuses, a class band reaching Nyquist, and a split
-    leaving either side empty, are refused before any clip is drawn.
+    example index), so its ``waveforms`` hold no samples and draw a clip on
+    each read, the same clip every time. snr_range of None keeps clips clean; a
+    scalar adds noise at that level, a (lo, hi) pair draws a level per clip. A
+    pair with lo > hi or an infinite width, a level or pair end that
+    ``snr_power_ratio`` refuses, a clip length ``signals`` refuses, a sample
+    rate that is not a whole number, a class band reaching Nyquist or, for
+    band_noise, holding no FFT bin, and a split leaving either side empty, are
+    refused here, not when a clip is read.
     """
     if len(classes) < 2:
         raise ValueError("a classification task needs at least two classes")
@@ -213,8 +252,12 @@ def make_task(
             snr_power_ratio(level)
         except ValueError as err:  # its message names snr_db, the parameter of a single level
             raise ValueError(str(err).replace("snr_db", f"snr_range {given}:", 1)) from None
+    num_samples = _num_samples(duration, sample_rate)
+    whole_number(sample_rate, "sample_rate")
     for spec in classes:
         _check_band(spec.high_hz, sample_rate, f"class {spec.name!r} high_hz")
+        if spec.kind == "band_noise":
+            _band_bins(spec.low_hz, spec.high_hz, sample_rate, num_samples)
     if samples_per_class < 2:
         raise ValueError("need at least two samples per class")
     if not 0.0 < train_fraction < 1.0:
@@ -223,24 +266,11 @@ def make_task(
     n_train = int(train_fraction * total)
     if not 0 < n_train < total:
         raise ValueError("split leaves an empty train or validation set")
-    waveforms: list[Waveform] = []
-    labels: list[int] = []
-    for class_idx, spec in enumerate(classes):
-        for example_idx in range(samples_per_class):
-            rng = np.random.default_rng(derive_seed(seed, class_idx, example_idx))
-            wf = _draw_example(spec, rng, duration, sample_rate,
-                               noise_seed=derive_seed(seed, class_idx, example_idx, 1))
-            if snr_range is not None:
-                level = (float(rng.uniform(*snr_range))
-                         if isinstance(snr_range, tuple) else float(snr_range))
-                wf = add_awgn(wf, level,
-                              seed=derive_seed(seed, class_idx, example_idx, 2))
-            waveforms.append(wf)
-            labels.append(class_idx)
     order = np.random.default_rng(derive_seed(seed, len(classes), 0, 9)).permutation(total)
     return TaskCorpus(
-        waveforms=tuple(waveforms),
-        labels=np.array(labels),
+        waveforms=_SeededClips(tuple(classes), samples_per_class, duration, sample_rate, seed,
+                               snr_range, num_samples),
+        labels=np.repeat(np.arange(len(classes)), samples_per_class),
         train_indices=order[:n_train],
         val_indices=order[n_train:],
         class_names=tuple(spec.name for spec in classes),
@@ -391,17 +421,18 @@ def _stack_frames(frames_list: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
     return fold(np.concatenate(frames_list)), counts
 
 
-def _frame_split(waveforms: Sequence[Waveform],
+def _frame_split(corpus: TaskCorpus, indices: np.ndarray,
                  features: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_frames`` of the clips' ``prepare_frames``: each clip is framed into
-    its own rows of the stack and folded there, so no more than one clip's frames
-    exist beside the stack."""
+    """``_stack_frames`` of clips ``indices``' ``prepare_frames``, sized from the
+    clips' lengths: each clip is read just before it is framed into its own rows of
+    the stack and folded there, so no more than one clip and its frames exist beside
+    the stack."""
     window = WindowSpec(features.window, features.n_fft)
-    grids = [features.grid_for(len(wf)) for wf in waveforms]
+    grids = [features.grid_for(corpus.num_samples(i)) for i in indices]
     counts = np.array([grid.num_frames for grid in grids])
     frames = np.empty((int(counts.sum()), features.n_fft))
-    for wf, grid, rows in zip(waveforms, grids, np.split(frames, np.cumsum(counts)[:-1])):
-        rows[:] = frame(wf, grid, window)
+    for i, grid, rows in zip(indices, grids, np.split(frames, np.cumsum(counts)[:-1])):
+        rows[:] = frame(corpus.waveforms[i], grid, window)
         fold(rows)
     return frames, counts
 
@@ -555,7 +586,7 @@ def train(
     when the objective leaves the reals.
     """
     params = init if init is not None else init_params(features.n_fft)
-    train_split, val_split = (_frame_split([corpus.waveforms[i] for i in indices], features)
+    train_split, val_split = (_frame_split(corpus, indices, features)
                               for indices in (corpus.train_indices, corpus.val_indices))
     train_labels = corpus.labels[corpus.train_indices]
     val_labels = corpus.labels[corpus.val_indices]

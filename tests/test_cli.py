@@ -1115,8 +1115,9 @@ def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
     def no_corpus(*args, **kwargs):
         raise AssertionError("generated the corpus before the corpus bound")
 
-    # the default task is 3 classes x 40 clips x 0.75 s at 8 kHz, 720,000 float64
-    # samples, 5.76 MB of the run bound's 29.8 MB; a 17 x 32 bank needs about 28 KB to build
+    # the default task is 3 classes x 40 clips x 0.75 s at 8 kHz, 44,880 frames of 32 taps
+    # at hop 16; the run bound counts no corpus, since no run holds it, and comes to 24.1 MB;
+    # a 17 x 32 bank needs about 28 KB to build
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     monkeypatch.setattr(fbsplab.cli, "make_task", no_corpus)
     path = tmp_path / "c.json"
@@ -1125,7 +1126,7 @@ def test_corpus_larger_than_memory_is_refused_before_it_is_generated(
                if command == "train" else ["--out", str(tmp_path / "out")])
     assert main([command, "--config", str(path)] + outputs) == 2
     assert ("a task of 120 clips framed at features.n_fft 32 and features.hop 16 (44880 frames) "
-            "needs about 29778688 bytes to train, more than the 1000000 bytes of physical "
+            "needs about 24116992 bytes to train, more than the 1000000 bytes of physical "
             "memory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
@@ -1137,14 +1138,14 @@ def test_working_set_larger_than_memory_is_refused_before_the_corpus(
         raise AssertionError("generated the corpus before the working-set bound")
 
     # the small task's 8 clips of 1600 samples stack 392 frames of 64 taps at
-    # hop 32, about 0.89 MB with the corpus, the trainer's (T, 66) outputs, one
+    # hop 32, about 0.88 MB with what main holds, the trainer's (T, 66) outputs, one
     # group's scratch and the bank at its gradient, but 12,296 at hop 1, about 13.9 MB
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
     with monkeypatch.context() as patch:
         patch.setattr(fbsplab.cli, "make_task", no_corpus)
         assert run_with_config(tmp_path, command, {"features": {"hop": 1}}) == 2
     assert ("a task of 8 clips framed at features.n_fft 64 and features.hop 1 "
-            "(12296 frames) needs about 13870736 bytes to train, more than the 1000000 "
+            "(12296 frames) needs about 13866640 bytes to train, more than the 1000000 "
             "bytes of physical memory") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
     assert run_with_config(tmp_path, command, {}) == 0
@@ -1174,10 +1175,10 @@ def test_train_bound_covers_the_measured_peak():
     assert peaks[1] - peaks[0] < 8 * (rows[1] - rows[0]) * (features.n_fft + 2 * filters) + slack
 
 
-# _run_inputs' run bound, 8 clips samples + 8 T n_fft + 16 F (T + G + 5 n_fft), against
-# generating the corpus and training on it: the corpus, the folded stacks, the outputs and
-# one group's scratch are most of the peak at n_fft 64, so the bound neither under- nor
-# much over-counts it
+# _run_inputs' run bound, what main holds + 8 T n_fft + 16 F (T + G + 5 n_fft), against
+# making the task and training on it: the folded stacks, the outputs and one group's
+# scratch are most of the peak at n_fft 64, and no clip is held but the one being framed,
+# so the bound neither under- nor much over-counts it
 @pytest.mark.parametrize("samples_per_class", [40, 80])  # T = 3920 and 7840 frames
 def test_train_bound_is_the_measured_working_set(monkeypatch, samples_per_class):
     classes = [{"name": "low", "kind": "tone", "low_hz": 300.0, "high_hz": 600.0},
@@ -1199,15 +1200,14 @@ def test_train_bound_is_the_measured_working_set(monkeypatch, samples_per_class)
         tracemalloc.stop()
     [(verb, bound)] = bounds
     assert verb == "train"
-    assert bound == (8 * len(corpus) * 1600 + 8 * len(corpus) * 49 * 64
+    assert bound == (fbsplab.cli._MAIN_HELD_BYTES + 8 * len(corpus) * 49 * 64
                      + 16 * 33 * (len(corpus) * 49 + 1024 + 5 * 64))
     assert 0.8 * bound <= peak <= bound
 
 
 # The whole command on 8 clips of the default 0.75 s, traced after a warm run: at n_fft 1024
-# the bank at its gradient is most of the peak, at n_fft 64 the corpus and the trainer's
-# working set are. The bound leaves out the parser and configs main holds, about 80 KB,
-# which fill the slack on the 0.2 s clips of the small task at n_fft 64.
+# the bank at its gradient is most of the peak, at n_fft 64 the trainer's working set and
+# the parser and config main holds are. No run holds the corpus.
 @pytest.mark.parametrize("command, n_fft", [("train", 64), ("train", 256), ("train", 1024),
                                             ("sweep", 256)])
 def test_run_bound_covers_the_measured_command_peak(tmp_path, monkeypatch, command, n_fft):
@@ -1516,6 +1516,19 @@ def test_class_band_reaching_nyquist_is_refused_before_any_clip(tmp_path, capsys
     monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
     assert run_with_config(tmp_path, "train", {"task": {"classes": [edge, HIGH], "seed": seed}}) == 2
     assert ("class 'edge' high_hz 4100.0 Hz is at or above Nyquist (4000.0 Hz)"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_band_without_an_fft_bin_is_refused_before_any_clip(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # 0.2 s at 8 kHz has a bin every 5 Hz, none in [1001, 1004]; this failed at the first
+    # draw of the class, after the clips before it
+    narrow = {"name": "narrow", "kind": "band_noise", "low_hz": 1001.0, "high_hz": 1004.0}
+    monkeypatch.setattr(fbsplab.training, "_draw_example", no_clip)
+    assert run_with_config(tmp_path, command, {"task": {"classes": [LOW, narrow]}}) == 2
+    assert ("band [1001.0, 1004.0] Hz contains no FFT bin at 8000.0 Hz over 1600 samples"
             in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import fbsplab.training as training
 from fbsplab.bank import FbspParams, dft_grid, init_params
 from fbsplab.gradients import finite_difference_oracle, sinc_zone_clearance
+from fbsplab.perturb import add_awgn
+from fbsplab.signals import derive_seed
+from fbsplab.transform import GROUP_ROWS
 from fbsplab.training import (
     ClassSpec,
     EpochRecord,
@@ -102,6 +105,57 @@ class TestMakeTask:
         monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
         with pytest.raises(ValueError, match="split leaves an empty train or validation set"):
             make_task(TWO_TONES, 2, train_fraction=0.1)
+
+    @pytest.mark.parametrize("classes, task, message", [
+        (TWO_TONES, {"duration": 1e-5}, "duration 1e-05 s is shorter than one sample"),
+        (TWO_TONES, {"duration": 1e15}, "float64 samples numpy can allocate"),
+        (TWO_TONES, {"sample_rate": 8000.5}, "sample_rate must be a whole number"),
+        # 0.2 s at 8 kHz has a bin every 5 Hz, none in [1001, 1004]
+        ([TWO_TONES[0], ClassSpec("narrow", "band_noise", 1001.0, 1004.0)], {"duration": 0.2},
+         "band [1001.0, 1004.0] Hz contains no FFT bin at 8000.0 Hz over 1600 samples"),
+    ], ids=["under_one_sample", "over_numpy_limit", "fractional_rate", "band_without_a_bin"])
+    def test_a_clip_that_cannot_be_drawn_is_refused_before_any_clip(self, monkeypatch, classes,
+                                                                     task, message):
+        # each was refused at the first draw of the class, after the clips before it
+        monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
+        with pytest.raises(ValueError) as err:
+            make_task(classes, 4, **task)
+        assert message in str(err.value)
+
+    def test_makes_the_task_without_drawing_a_clip(self, monkeypatch):
+        def no_clip(*args, **kwargs):
+            raise RuntimeError("drew a clip")
+
+        monkeypatch.setattr(training, "_draw_example", no_clip)
+        corpus = make_task(THREE_WAY, 5, duration=0.2, seed=1, snr_range=(0.0, 12.0))
+        assert len(corpus) == 15 and corpus.num_samples(0) == 1600
+        with pytest.raises(RuntimeError, match="drew a clip"):
+            corpus.waveforms[0]
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           snr_range=st.one_of(st.none(), st.floats(-10.0, 40.0),
+                               st.tuples(st.floats(-10.0, 20.0), st.floats(0.0, 20.0)).map(
+                                   lambda pair: (pair[0], pair[0] + pair[1]))),
+           reads=st.lists(st.integers(0, 8), min_size=1, max_size=12))
+    def test_a_clip_is_drawn_from_its_own_seeds_on_every_read(self, seed, snr_range, reads):
+        # read in the drawn order and back, so each clip is read twice, before and after
+        # any others
+        corpus = make_task(THREE_WAY, 3, duration=0.05, seed=seed, snr_range=snr_range)
+        first = {}
+        for i in reads + reads[::-1]:
+            samples = corpus.waveforms[i].samples.tobytes()
+            assert first.setdefault(i, samples) == samples
+        for i, samples in first.items():
+            class_idx, example_idx = divmod(i, 3)
+            rng = np.random.default_rng(derive_seed(seed, class_idx, example_idx))
+            wf = training._draw_example(THREE_WAY[class_idx], rng, 0.05, 8000.0,
+                                        derive_seed(seed, class_idx, example_idx, 1))
+            if snr_range is not None:
+                level = (float(rng.uniform(*snr_range)) if isinstance(snr_range, tuple)
+                         else snr_range)
+                wf = add_awgn(wf, level, seed=derive_seed(seed, class_idx, example_idx, 2))
+            assert wf.samples.tobytes() == samples
 
 
 class TestPipelineGradients:
@@ -434,6 +488,28 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert marks[0] <= 8 * rows * FAST_FEATURES.n_fft + clip + 128 * 1024
+
+    def test_no_run_holds_the_corpus(self):
+        # 8 clips of 2 s at hop = n_fft: the corpus, 1.02 MB, is as large as the folded
+        # stacks. The peak of making the task and training on it stays within the working set
+        # (stacks, outputs, one group's scratch, the bank at its gradient) and a few clips'
+        # bytes; drawing every clip first, as make_task did, holds the whole corpus beside it
+        features, seconds = FeatureSpec(n_fft=64, hop=64), 2.0
+        config = TrainConfig(epochs=2, freeze_epochs=1)
+        train(make_task(TWO_TONES, 4, duration=0.2), config, features)  # first-use caches
+        tracemalloc.start()
+        try:
+            corpus = make_task(TWO_TONES, 4, duration=seconds)
+            train(corpus, config, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        clip, per_clip, filters = 8 * 16000, 250, 33
+        rows, largest = len(corpus) * per_clip, len(corpus.train_indices) * per_clip
+        group = min(largest, max(GROUP_ROWS, per_clip))
+        working_set = (8 * rows * features.n_fft + 16 * filters * (largest + group)
+                       + 5 * 16 * filters * features.n_fft)
+        assert peak <= working_set + 3 * clip
 
     def test_standardization_uses_init_train_stats(self):
         corpus = small_task()
