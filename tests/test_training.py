@@ -117,7 +117,8 @@ class TestMakeTask:
     def test_a_clip_that_cannot_be_drawn_is_refused_before_any_clip(self, monkeypatch, classes,
                                                                      task, message):
         # each was refused at the first draw of the class, after the clips before it
-        monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
+        monkeypatch.setattr(training, "_draw_example",
+                            lambda *args, **kwargs: pytest.fail("drew a clip"))
         with pytest.raises(ValueError) as err:
             make_task(classes, 4, **task)
         assert message in str(err.value)
