@@ -473,15 +473,13 @@ def _cmd_sweep(cfg: dict, args) -> int:
         train(corpus, train_cfg, features),
     ]
     val_wfs = [corpus.waveforms[i] for i in corpus.val_indices]
-    val_labels = [int(v) for v in corpus.labels[corpus.val_indices]]
+    results = robustness_sweep(sweep_cfg["kind"], sweep_cfg["axis"], models, val_wfs,
+                               corpus.labels[corpus.val_indices], seed=sweep_cfg["seed"],
+                               order=sweep_cfg["order"])
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-    written = []
-    for model in models:
-        result = robustness_sweep(sweep_cfg["kind"], sweep_cfg["axis"], model, val_wfs,
-                                  val_labels, seed=sweep_cfg["seed"], order=sweep_cfg["order"])
-        path = f"{stem}_{model.bank_label}.csv"
+    written = [f"{stem}_{result.bank_label}.csv" for result in results]
+    for path, result in zip(written, results):
         sweep_to_csv(path, result)
-        written.append(path)
     print("sweep wrote: " + ", ".join(written))
     return 0
 

@@ -300,7 +300,8 @@ def check_axis(kind: str, axis: Sequence[float], sample_rate: float, order: int)
     """A sweep's cells at ``sample_rate``, one (clip, seed) -> clip per axis
     value, built before any work: an awgn cell adds noise at a level
     ``snr_power_ratio`` accepts; a lowpass cell below Nyquist runs the filter of
-    ``order`` designed here, once, and one at or above it returns its clip. An
+    ``order`` designed here, once. A cell that leaves its clip as it is (awgn at
+    ``inf``, a cutoff at or above Nyquist) returns the clip object itself. An
     unknown kind, a refused level and a refused filter raise ValueError."""
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; expected one of "
@@ -339,46 +340,45 @@ class SweepResult:
 def robustness_sweep(
     kind: str,
     axis: Sequence[float],
-    model,
+    models: Sequence,
     waveforms: Sequence[Waveform],
     labels: Sequence[int],
     seed: int = 0,
     order: int = 5,
-) -> SweepResult:
-    """Measure accuracy and mean bank-energy ratio along a perturbation axis.
+) -> list[SweepResult]:
+    """Measure each model's accuracy and mean bank-energy ratio along a
+    perturbation axis: one ``SweepResult`` per model, in order.
 
-    The model needs spectrogram(waveform) -> Spectrogram, predict(spectrogram)
-    -> label and a bank_label string; each perturbed clip is rendered once, for
-    the prediction and the ratio. Each sample rate's cells come from
-    ``check_axis`` before the first render. Noise seeds derive from (seed, kind,
-    axis index, clip index) so every cell is reproducible on its own.
+    A model needs spectrogram(waveform) -> Spectrogram, predict(spectrogram)
+    -> label and a bank_label string. Each sample rate's cells come from
+    ``check_axis`` before the first render. Each perturbed clip is made once and
+    rendered once by every model, for its prediction and its ratio, so all models
+    face the same clips; a cell that returns its clip itself reuses the clean
+    renderings. Noise seeds derive from (seed, kind, axis index, clip index) so
+    every cell is reproducible on its own.
     """
     if len(waveforms) != len(labels):
         raise ValueError("waveforms and labels disagree in length")
-    if len(waveforms) == 0:
-        raise ValueError("sweep needs at least one clip")
+    if len(waveforms) == 0 or len(models) == 0:
+        raise ValueError("sweep needs at least one clip and one model")
     cells = {rate: check_axis(kind, axis, rate, order)
              for rate in dict.fromkeys(wf.sample_rate for wf in waveforms)}
     kind_id = SWEEP_KINDS.index(kind)
-    clean_specs = [model.spectrogram(wf) for wf in waveforms]
-    accuracy = np.zeros(len(axis))
-    snr_out = np.zeros(len(axis))
+    clean_specs = [[model.spectrogram(wf) for wf in waveforms] for model in models]
+    correct = np.zeros((len(models), len(axis)))
+    ratios = np.zeros((len(models), len(axis), len(waveforms)))
     for i in range(len(axis)):
-        correct = 0
-        ratios = np.zeros(len(waveforms))
         for j, (wf, label) in enumerate(zip(waveforms, labels)):
-            perturb = cells[wf.sample_rate][i]
-            noisy = model.spectrogram(perturb(wf, derive_seed(seed, kind_id, i, j)))
-            if model.predict(noisy) == label:
-                correct += 1
-            ratios[j] = bank_energy_ratio(clean_specs[j], noisy)
-        accuracy[i] = correct / len(waveforms)
-        snr_out[i] = float(np.mean(ratios))
-    return SweepResult(
-        kind=kind, axis=np.asarray(axis, dtype=np.float64),
-        accuracy=accuracy, spectro_snr_db=snr_out,
-        bank_label=str(model.bank_label), num_clips=len(waveforms),
-    )
+            perturbed = cells[wf.sample_rate][i](wf, derive_seed(seed, kind_id, i, j))
+            for k, (model, clean) in enumerate(zip(models, clean_specs)):
+                noisy = clean[j] if perturbed is wf else model.spectrogram(perturbed)
+                correct[k, i] += model.predict(noisy) == label
+                ratios[k, i, j] = bank_energy_ratio(clean[j], noisy)
+    accuracy, snr = correct / len(waveforms), ratios.mean(axis=2)
+    return [SweepResult(kind=kind, axis=np.asarray(axis, dtype=np.float64),
+                        accuracy=accuracy[k], spectro_snr_db=snr[k],
+                        bank_label=str(model.bank_label), num_clips=len(waveforms))
+            for k, model in enumerate(models)]
 
 
 def sweep_to_csv(path: str, result: SweepResult) -> None:

@@ -242,9 +242,9 @@ def test_trained_bank_noise_robustness(trained_demo, record_property):
     stft_model = TrainedModel(params=init_params(DEMO_FEATURES.n_fft), head=result.head,
                               features=DEMO_FEATURES, class_names=result.class_names,
                               bank_label="stft")
-    # same sweep seed, so both banks face bit-identical noise per cell
-    fbsp_sweep = robustness_sweep("awgn", [0.0], fbsp_model, clips, labels, seed=8)
-    stft_sweep = robustness_sweep("awgn", [0.0], stft_model, clips, labels, seed=8)
+    # one paired sweep, so both banks face the same noisy clips
+    fbsp_sweep, stft_sweep = robustness_sweep("awgn", [0.0], [fbsp_model, stft_model],
+                                              clips, labels, seed=8)
     assert fbsp_sweep.spectro_snr_db[0] > stft_sweep.spectro_snr_db[0]
 
 

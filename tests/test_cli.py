@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fbsplab.cli
 import fbsplab.gradients
+import fbsplab.perturb
 import fbsplab.training
 from fbsplab.bank import (
     RESPONSE_PEAK_FACTOR,
@@ -940,6 +941,28 @@ def test_mistyped_config_value_is_input_error(tmp_path, capsys, command, config,
     assert run_with_config(tmp_path, command, config) == 2
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_a_sweep_builds_its_cells_twice_and_sweeps_once(tmp_path, monkeypatch):
+    # the early check, then one paired pass that scores both legs; each builds
+    # the cells of the task's one sample rate
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fbsplab.cli, "check_axis", counted("check_axis", fbsplab.cli.check_axis))
+    monkeypatch.setattr(fbsplab.perturb, "check_axis",
+                        counted("check_axis", fbsplab.perturb.check_axis))
+    monkeypatch.setattr(fbsplab.cli, "robustness_sweep",
+                        counted("robustness_sweep", fbsplab.cli.robustness_sweep))
+    assert run_with_config(tmp_path, "sweep", {"sweep": {"kind": "lowpass"}}) == 0
+    assert calls == ["check_axis", "robustness_sweep", "check_axis"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "out.run.json", "out_fbsp.csv", "out_stft.csv"]
 
 
 def test_empty_sweep_axis_fails_before_the_corpus(tmp_path, capsys, monkeypatch):

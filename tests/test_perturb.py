@@ -262,8 +262,8 @@ class TestRobustnessSweep:
 
     def test_awgn_sweep_shapes_and_control_arm(self):
         clips, labels = self.make_clips()
-        result = robustness_sweep("awgn", [math.inf, 10.0, -20.0],
-                                  StubModel(), clips, labels, seed=5)
+        [result] = robustness_sweep("awgn", [math.inf, 10.0, -20.0],
+                                    [StubModel()], clips, labels, seed=5)
         assert result.kind == "awgn"
         assert result.bank_label == "stub"
         assert result.num_clips == 4
@@ -282,8 +282,8 @@ class TestRobustnessSweep:
 
         clips = [sine(400.0, 0.1, 8000), two_tone(), sine(600.0, 0.1, 8000)]
         labels = [0, 1, 0]
-        result = robustness_sweep("lowpass", [8000.0, 1000.0],
-                                  StubModel(), clips, labels, seed=5)
+        [result] = robustness_sweep("lowpass", [8000.0, 1000.0],
+                                    [StubModel()], clips, labels, seed=5)
         assert result.spectro_snr_db[0] == math.inf
         assert result.accuracy[0] == 1.0
         assert result.accuracy[1] == pytest.approx(2.0 / 3.0)
@@ -291,12 +291,14 @@ class TestRobustnessSweep:
     @pytest.mark.parametrize("kind, axis", [("awgn", [math.inf, 10.0, 0.0]),
                                             ("lowpass", [8000.0, 1000.0])])
     def test_each_clip_is_rendered_once_per_cell(self, kind, axis):
-        # one clean rendering per clip, then one per (axis value, clip) cell
-        # that both the prediction and the energy ratio use
+        # each model renders each clip clean once, then once per (axis value,
+        # clip) cell that perturbs it, for both the prediction and the energy
+        # ratio; the first cell of each axis is an identity (awgn at inf, a
+        # cutoff at or above Nyquist), which reuses the clean rendering
         clips, labels = self.make_clips()
-        model = CountingModel()
-        robustness_sweep(kind, axis, model, clips, labels, seed=5)
-        assert model.renders == len(clips) * (len(axis) + 1)
+        models = [CountingModel(), CountingModel()]
+        robustness_sweep(kind, axis, models, clips, labels, seed=5)
+        assert [model.renders for model in models] == [len(clips) * len(axis)] * 2
 
     def test_each_cell_designs_its_filter_once(self, monkeypatch):
         # one design per cell below Nyquist (4 kHz here), whatever the clip
@@ -311,7 +313,7 @@ class TestRobustnessSweep:
 
         monkeypatch.setattr(fbsplab.perturb, "design_butterworth_lowpass", counted)
         clips, labels = self.make_clips()
-        robustness_sweep("lowpass", [4000.0, 9000.0, 1000.0, 2500.0], StubModel(),
+        robustness_sweep("lowpass", [4000.0, 9000.0, 1000.0, 2500.0], [StubModel()],
                          clips, labels, seed=5)
         assert [filt.cutoff_hz for filt in designs] == [1000.0, 2500.0]
         for filt in designs:
@@ -325,7 +327,7 @@ class TestRobustnessSweep:
         clips, labels = self.make_clips()
         model = CountingModel()
         with pytest.raises(ValueError, match=message):
-            robustness_sweep(kind, axis, model, clips, labels, seed=5)
+            robustness_sweep(kind, axis, [model], clips, labels, seed=5)
         assert model.renders == 0
 
     def test_clips_at_two_sample_rates_get_their_own_cells(self, monkeypatch):
@@ -345,27 +347,68 @@ class TestRobustnessSweep:
         monkeypatch.setattr(fbsplab.perturb, "design_butterworth_lowpass", counted_design)
         monkeypatch.setattr(fbsplab.perturb, "apply_filter", counted_apply)
         clips = [sine(400.0, 0.1, 8000), sine(3000.0, 0.1, 16000)]
-        robustness_sweep("lowpass", [1000.0, 6000.0], StubModel(), clips, [0, 1], seed=5)
+        robustness_sweep("lowpass", [1000.0, 6000.0], [StubModel()], clips, [0, 1], seed=5)
         assert [(f.cutoff_hz, f.sample_rate) for f in designs] == [
             (1000.0, 8000.0), (1000.0, 16000.0), (6000.0, 16000.0)]
         assert applied == [(1000.0, 8000), (1000.0, 16000), (6000.0, 16000)]
 
     def test_cells_are_independently_seeded(self):
         clips, labels = self.make_clips()
-        a = robustness_sweep("awgn", [10.0], StubModel(), clips, labels, seed=5)
-        b = robustness_sweep("awgn", [10.0], StubModel(), clips, labels, seed=5)
-        c = robustness_sweep("awgn", [10.0], StubModel(), clips, labels, seed=6)
+        [a] = robustness_sweep("awgn", [10.0], [StubModel()], clips, labels, seed=5)
+        [b] = robustness_sweep("awgn", [10.0], [StubModel()], clips, labels, seed=5)
+        [c] = robustness_sweep("awgn", [10.0], [StubModel()], clips, labels, seed=6)
         assert a.spectro_snr_db[0] == b.spectro_snr_db[0]
         assert a.spectro_snr_db[0] != c.spectro_snr_db[0]
+
+    @pytest.mark.parametrize("kind, axis", [("awgn", [math.inf, 10.0, 0.0]),
+                                            ("lowpass", [8000.0, 1000.0, 2500.0])])
+    def test_a_paired_sweep_scores_each_model_as_if_swept_alone(self, kind, axis):
+        clips, labels = self.make_clips()
+        a, b = StubModel(), StubModel(n_fft=128)
+        b.bank_label = "wide"
+        paired = robustness_sweep(kind, axis, [a, b], clips, labels, seed=5)
+        alone = [robustness_sweep(kind, axis, [model], clips, labels, seed=5)[0]
+                 for model in (a, b)]
+        assert [r.bank_label for r in paired] == ["stub", "wide"]
+        for together, single in zip(paired, alone):
+            assert together.accuracy.tobytes() == single.accuracy.tobytes()
+            assert together.spectro_snr_db.tobytes() == single.spectro_snr_db.tobytes()
+        assert paired[0].spectro_snr_db.tobytes() != paired[1].spectro_snr_db.tobytes()
+
+    @pytest.mark.parametrize("kind, axis, perturbing", [("awgn", [math.inf, 10.0, 0.0], 3),
+                                                        ("lowpass", [8000.0, 1000.0], 1)])
+    def test_each_cell_perturbs_each_clip_once_for_all_models(self, kind, axis, perturbing,
+                                                              monkeypatch):
+        # awgn runs at every cell (returning its clip at inf); the filter
+        # runs only below Nyquist
+        calls = []
+        noise, apply = fbsplab.perturb.add_awgn, fbsplab.perturb.apply_filter
+
+        def counted_noise(signal, snr_db, seed):
+            calls.append(("awgn", snr_db, seed))
+            return noise(signal, snr_db, seed)
+
+        def counted_apply(filt, signal):
+            calls.append(("lowpass", filt.cutoff_hz, id(signal)))
+            return apply(filt, signal)
+
+        monkeypatch.setattr(fbsplab.perturb, "add_awgn", counted_noise)
+        monkeypatch.setattr(fbsplab.perturb, "apply_filter", counted_apply)
+        clips, labels = self.make_clips()
+        robustness_sweep(kind, axis, [StubModel(), StubModel(n_fft=128)], clips, labels, seed=5)
+        assert len(calls) == len(set(calls)) == perturbing * len(clips)
+        assert {call[0] for call in calls} == {kind}
 
     def test_validation(self):
         clips, labels = self.make_clips()
         with pytest.raises(ValueError):
-            robustness_sweep("bandstop", [1.0], StubModel(), clips, labels)
+            robustness_sweep("bandstop", [1.0], [StubModel()], clips, labels)
         with pytest.raises(ValueError):
-            robustness_sweep("awgn", [1.0], StubModel(), clips, labels[:2])
+            robustness_sweep("awgn", [1.0], [StubModel()], clips, labels[:2])
         with pytest.raises(ValueError):
-            robustness_sweep("awgn", [1.0], StubModel(), [], [])
+            robustness_sweep("awgn", [1.0], [StubModel()], [], [])
+        with pytest.raises(ValueError):
+            robustness_sweep("awgn", [1.0], [], clips, labels)
 
     def test_default_axis_shape(self):
         assert DEFAULT_SNR_AXIS[0] == math.inf
@@ -379,8 +422,8 @@ class TestRobustnessSweep:
 
     def test_csv_format(self, tmp_path):
         clips, labels = self.make_clips()
-        result = robustness_sweep("awgn", [math.inf, 0.0],
-                                  StubModel(), clips, labels, seed=1)
+        [result] = robustness_sweep("awgn", [math.inf, 0.0],
+                                    [StubModel()], clips, labels, seed=1)
         path = tmp_path / "sweep.csv"
         sweep_to_csv(path, result)
         lines = path.read_text().strip().split("\n")
