@@ -375,12 +375,12 @@ class TestRobustnessSweep:
             assert together.spectro_snr_db.tobytes() == single.spectro_snr_db.tobytes()
         assert paired[0].spectro_snr_db.tobytes() != paired[1].spectro_snr_db.tobytes()
 
-    @pytest.mark.parametrize("kind, axis, perturbing", [("awgn", [math.inf, 10.0, 0.0], 3),
-                                                        ("lowpass", [8000.0, 1000.0], 1)])
-    def test_each_cell_perturbs_each_clip_once_for_all_models(self, kind, axis, perturbing,
+    @pytest.mark.parametrize("kind, axis, cells", [("awgn", [math.inf, 10.0, 0.0], 3),
+                                                   ("lowpass", [8000.0, 1000.0], 1)])
+    def test_each_cell_perturbs_each_clip_once_for_all_models(self, kind, axis, cells,
                                                               monkeypatch):
-        # awgn runs at every cell (returning its clip at inf); the filter
-        # runs only below Nyquist
+        # add_awgn runs at every awgn cell (returning its clip at inf), the
+        # filter only at cells below Nyquist; neither runs again per model
         calls = []
         noise, apply = fbsplab.perturb.add_awgn, fbsplab.perturb.apply_filter
 
@@ -396,7 +396,7 @@ class TestRobustnessSweep:
         monkeypatch.setattr(fbsplab.perturb, "apply_filter", counted_apply)
         clips, labels = self.make_clips()
         robustness_sweep(kind, axis, [StubModel(), StubModel(n_fft=128)], clips, labels, seed=5)
-        assert len(calls) == len(set(calls)) == perturbing * len(clips)
+        assert len(calls) == len(set(calls)) == cells * len(clips)
         assert {call[0] for call in calls} == {kind}
 
     def test_validation(self):
