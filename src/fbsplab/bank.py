@@ -155,7 +155,8 @@ def _check_n(n_fft: int) -> None:
 
 
 def dft_kernel(n_fft: int) -> KernelBank:
-    """Unit-norm one-sided DFT bank, N//2 + 1 rows."""
+    """Unit-norm one-sided DFT bank, N//2 + 1 rows: a reference for the tests and
+    ``dft_reference_bank`` that no command builds (their STFT is ``init_params``)."""
     grid = dft_grid(n_fft)[:, None]
     scale = 1.0 / np.sqrt(n_fft)
     weights = scale * np.exp(-2j * np.pi * grid * np.arange(n_fft))
@@ -258,8 +259,8 @@ class FrequencyResponse:
 
 
 # Peak bytes of building an (F, N) bank per F * N * 16 bytes of its weights,
-# measured with tracemalloc: 3.22 for fbsp_kernel and 3.09 for dft_kernel at
-# n_fft 64, about 3.07 and 2.07 from n_fft 256 on.
+# measured with tracemalloc on a warm call: 3.15 for fbsp_kernel and 3.12 for
+# dft_kernel at n_fft 64, 2.28 and 2.07 at 255 and 256, 2.07 for both from 1024 on.
 _BUILD_PEAK_FACTOR = 3.25
 # Peak bytes of frequency_response, the bank included, per
 # (F*N + N*P + F*P) * 16 bytes for F filters, N taps and P probes, measured

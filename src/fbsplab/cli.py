@@ -37,7 +37,6 @@ from typing import Sequence, get_origin, get_type_hints
 from fbsplab.bank import (  # the build and response bounds come with their peak factors
     _BUILD_PEAK_FACTOR,
     RESPONSE_PEAK_FACTOR,
-    dft_kernel,
     fbsp_kernel,
     frequency_response,
     init_params,
@@ -322,7 +321,7 @@ def _cmd_gen(cfg: dict, args) -> int:
 def _resolve_bank(cfg: dict):
     """Pick the analysis bank as (n_fft, filters, make) and record n_fft in
     ``cfg``, building nothing until ``make()``; a params file fixes n_fft and
-    must not clash."""
+    must not clash; without one, both modes build the fbsp bank at ``init_params``."""
     mode, params_file, explicit = cfg["mode"], cfg["params_file"], cfg["n_fft"]
     if mode == "fbsp" and params_file:
         params, n_fft = load_params(params_file)
@@ -334,9 +333,7 @@ def _resolve_bank(cfg: dict):
         n_fft = explicit if explicit is not None else 256
         if mode == "stft" and params_file:
             raise ValueError("a params file only applies to --mode fbsp")
-        filters = n_fft // 2 + 1
-        make = ((lambda: fbsp_kernel(init_params(n_fft), n_fft)) if mode == "fbsp"
-                else (lambda: dft_kernel(n_fft)))
+        filters, make = n_fft // 2 + 1, lambda: fbsp_kernel(init_params(n_fft), n_fft)
     cfg["n_fft"] = n_fft
     return n_fft, filters, make
 

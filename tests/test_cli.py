@@ -354,7 +354,7 @@ class TestExitCodes:
         wav = tmp_path / "x.wav"
         assert main(["gen", "--duration", "0.5", "--out", str(wav)]) == 0
         monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 10 ** 6)
-        monkeypatch.setattr(fbsplab.cli, "dft_kernel", lambda n_fft: pytest.fail("built the bank"))
+        monkeypatch.setattr(fbsplab.cli, "fbsp_kernel", lambda *a: pytest.fail("built the bank"))
         start = time.perf_counter()
         code = main(["spectrogram", "--input", str(wav), "--n-fft", "64", "--hop", "1",
                      "--out", str(tmp_path / "s.csv")])
@@ -373,7 +373,8 @@ class TestExitCodes:
         wf = Waveform(np.random.default_rng(0).standard_normal(samples), 8000)
         spec = FeatureSpec(n_fft=n_fft, hop=hop)
         frames = spec.grid_for(len(wf)).num_frames
-        for bank in (dft_kernel(n_fft), fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
+        for bank in (dft_kernel(n_fft), fbsp_kernel(init_params(n_fft), n_fft),
+                     fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
             tracemalloc.start()
             try:
                 spec.spectrogram(wf, bank)
@@ -390,8 +391,8 @@ class TestExitCodes:
         wav = tmp_path / "x.wav"
         assert main(["gen", "--duration", "0.164", "--out", str(wav)]) == 0
         builds = []
-        monkeypatch.setattr(fbsplab.cli, "dft_kernel", lambda n_fft: builds.append(n_fft)
-                            or dft_kernel(n_fft))
+        monkeypatch.setattr(fbsplab.cli, "fbsp_kernel", lambda *a: builds.append(a)
+                            or fbsp_kernel(*a))
         monkeypatch.setattr(FeatureSpec, "spectrogram", lambda *a: pytest.fail("rendered"))
         monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 120_000)
         start = time.perf_counter()
@@ -413,6 +414,7 @@ class TestExitCodes:
         spec = FeatureSpec(n_fft=n_fft, hop=hop)
         frames, filters = spec.grid_for(len(wf)).num_frames, n_fft // 2 + 1
         for build in (lambda: dft_kernel(n_fft),
+                      lambda: fbsp_kernel(init_params(n_fft), n_fft),
                       lambda: fbsp_kernel(FbspParams(1.3, 0.9, dft_grid(n_fft)), n_fft)):
             tracemalloc.start()
             try:
@@ -558,6 +560,38 @@ class TestSpectrogram:
         meta = json.loads((tmp_path / "fbsp.csv.meta.json").read_text())
         assert meta["bank"]["kind"] == "fbsp"
 
+    # --mode stft builds the fbsp bank at its STFT point, the bank --mode fbsp builds
+    # without --params, so the two write the same bytes
+    @pytest.mark.parametrize("n_fft", [64, 63])
+    @pytest.mark.parametrize("gen_args", [["--kind", "sine", "--frequency", "500"],
+                                          ["--kind", "band_noise", "--encoding", "float32"]])
+    def test_stft_and_fbsp_modes_write_the_same_files(self, tmp_path, gen_args, n_fft):
+        wav = str(tmp_path / "x.wav")
+        assert main(["gen", *gen_args, "--duration", "0.3", "--out", wav]) == 0
+        written = []
+        for mode in ("stft", "fbsp"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["spectrogram", "--input", wav, "--mode", mode, "--n-fft", str(n_fft),
+                         "--out", str(out)]) == 0
+            written.append((out.read_bytes(), (tmp_path / f"{mode}.csv.meta.json").read_bytes()))
+        assert written[0] == written[1]
+        assert json.loads(written[0][1])["bank"]["m"] == 0.0
+
+    def test_stft_mode_matches_the_rfft_of_hann_frames(self, tmp_path):
+        wav, out = str(tmp_path / "chirp.wav"), tmp_path / "s.csv"
+        assert main(["gen", "--kind", "chirp", "--duration", "2", "--sample-rate", "16000",
+                     "--encoding", "float32", "--out", wav]) == 0
+        assert main(["spectrogram", "--input", wav, "--mode", "stft", "--n-fft", "1024",
+                     "--out", str(out)]) == 0
+        _, values = read_csv_matrix(out)
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        samples, n_fft, hop = read_wav(wav).samples, 1024, 512
+        starts = hop * np.arange((len(samples) - n_fft) // hop + 1)
+        hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)
+        coeffs = np.fft.rfft(samples[starts[:, None] + np.arange(n_fft)] * hann, axis=1)
+        power = np.abs(coeffs.T) ** 2 / n_fft + meta["eps"]
+        np.testing.assert_allclose(np.exp(values), power, rtol=1e-6)
+
     def test_params_file_fixes_n_fft(self, tmp_path):
         wav = tmp_path / "tone.wav"
         run("gen", "--duration", "0.2", "--out", str(wav))
@@ -587,6 +621,16 @@ class TestFreqResponse:
             f"filter_{k}" for k in range(9)) + ",max_gain"
         assert matrix.shape == (9, 11)
         assert matrix[0, 0] == 0.0 and matrix[-1, 0] == 0.5
+
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    def test_stft_and_fbsp_modes_write_the_same_response(self, tmp_path, window):
+        written = []
+        for mode in ("stft", "fbsp"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["freq-response", "--mode", mode, "--n-fft", "64", "--window", window,
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestGradcheck:
@@ -1104,8 +1148,7 @@ def test_response_larger_than_memory_is_refused_after_the_build_check(
 def test_response_larger_than_memory_is_refused_before_the_build(
         tmp_path, monkeypatch, capsys, mode):
     monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 200_000)
-    for kernel in ("dft_kernel", "fbsp_kernel"):
-        monkeypatch.setattr(fbsplab.cli, kernel, lambda *a: pytest.fail("built the bank"))
+    monkeypatch.setattr(fbsplab.cli, "fbsp_kernel", lambda *a: pytest.fail("built the bank"))
     out = tmp_path / "r.csv"
     assert main(["freq-response", "--mode", mode, "--n-fft", "64", "--out", str(out)]) == 2
     assert "the response of n_fft 64 at num_probes 33" in capsys.readouterr().err
