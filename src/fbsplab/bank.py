@@ -347,5 +347,5 @@ def response_to_csv(path: str, response: FrequencyResponse) -> None:
     """Write a response as CSV: probe_freq, filter_0..filter_{F-1}, max_gain."""
     num_filters = response.gains.shape[0]
     header = ["probe_freq"] + [f"filter_{k}" for k in range(num_filters)] + ["max_gain"]
-    write_csv(path, header, ([f, *gains, top] for f, gains, top in zip(
-        response.probe_freqs, response.gains.T, response.max_gain_curve)))
+    write_csv(path, header, np.column_stack((response.probe_freqs, response.gains.T,
+                                             response.max_gain_curve)))

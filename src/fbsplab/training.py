@@ -226,7 +226,7 @@ def make_task(
     duration: float = 0.75,
     sample_rate: float = 8000.0,
     seed: int = 0,
-    snr_range: float | tuple[float, float] | None = None,
+    snr_range: float | Sequence[float] | None = None,
     train_fraction: float = 0.8,
 ) -> TaskCorpus:
     """A labeled corpus with a seeded 80/20 split, drawing no clip.
@@ -234,8 +234,9 @@ def make_task(
     Every example draws from its own generator seeded by (seed, class index,
     example index), so its ``waveforms`` hold no samples and draw a clip on
     each read, the same clip every time. snr_range of None keeps clips clean; a
-    scalar adds noise at that level, a (lo, hi) pair draws a level per clip. A
-    pair with lo > hi or an infinite width, a level or pair end that
+    scalar adds noise at that level, a (lo, hi) pair (any two-element sequence,
+    kept as a tuple) draws a level per clip. A pair with lo > hi, an infinite
+    width or other than two ends, a level or pair end that
     ``snr_power_ratio`` refuses, a clip length ``signals`` refuses, a sample
     rate that is not a whole number, a class band reaching Nyquist or, for
     band_noise, holding no FFT bin, and a split leaving either side empty, are
@@ -243,8 +244,11 @@ def make_task(
     """
     if len(classes) < 2:
         raise ValueError("a classification task needs at least two classes")
+    if np.ndim(snr_range) == 1:  # a list or array pair draws as the tuple does
+        snr_range = tuple(snr_range)
     given = list(snr_range) if isinstance(snr_range, tuple) else snr_range
-    if isinstance(snr_range, tuple) and not 0.0 <= snr_range[1] - snr_range[0] < math.inf:
+    if isinstance(snr_range, tuple) and not (
+            len(snr_range) == 2 and 0.0 <= snr_range[1] - snr_range[0] < math.inf):
         raise ValueError(f"snr_range must be a [lo, hi] pair with lo <= hi and a finite "
                          f"width, got {given}")
     for level in [] if snr_range is None else np.atleast_1d(given).tolist():

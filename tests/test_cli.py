@@ -1132,6 +1132,28 @@ def test_response_bound_covers_the_measured_peak(n_fft, default_probes):
             assert peak <= bound
 
 
+# the whole command after one untraced call: the bank build, the response and the CSV
+# writer, which formats one (P, F + 2) float64 matrix of the probes, gains and maxima;
+# measured at 0.65 of the bound. The 0.26 MB bound at n_fft 64 models the response
+# alone: the command peaked at 0.94 of it writing value by value, 1.41 through the
+# matrix path's fixed working set
+@pytest.mark.parametrize("n_fft", [255, 256])
+def test_response_bound_covers_the_command_and_its_csv(tmp_path, monkeypatch, n_fft):
+    argv = ["freq-response", "--n-fft", str(n_fft), "--out", str(tmp_path / "r.csv")]
+    bounds = []
+    check = fbsplab.cli._require_memory
+    monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
+                        bounds.append((verb, needed)) or check(subject, verb, needed))
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dict(bounds)["compute"]
+
+
 def test_response_larger_than_memory_is_refused_after_the_build_check(
         tmp_path, monkeypatch, capsys):
     # at n_fft 64 the bound is about 0.11 MB for the build, 0.26 MB for the

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fbsplab import runio
 from fbsplab.cli import main
@@ -58,6 +61,13 @@ def _spread(rows, cols):
     return rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
 
 
+def _powers_of_ten():
+    """1e-5 to 1e17, where fixed notation starts and ends, and their float64 neighbours."""
+    powers = np.array([float(f"1e{p}") for p in range(-5, 18)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near]).reshape(6, -1)
+
+
 @pytest.mark.parametrize("matrix", [
     np.array([[1e-05, 1e+17, -0.0, 3.0, -23.025850929940457],
               [0.1, -1e-300, 2.0 ** 60, 1.0 / 3.0, 7.0]]),
@@ -72,6 +82,12 @@ def _spread(rows, cols):
     np.empty((0, SPLIT_MIN_VALUES + 1)),  # no rows
     np.log(np.random.default_rng(1).random((2 * SPLIT_MIN_VALUES // 129 + 1, 129))).T,
     np.random.default_rng(2).standard_normal((129, 124)),  # a short_calls spectrogram
+    _powers_of_ten(),
+    # exact ties at the 17th digit, rounded half to even: odd quarters above 1e15,
+    # odd eighths above 1e14
+    np.array([1e15 + (2 * np.arange(64) + 1) / 4, -1e14 - (2 * np.arange(64) + 1) / 8]),
+    np.array([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+               1.7976931348623157e308, -1.7976931348623157e308]]),
 ])
 def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, two_cpus, matrix):
     header = [f"c{j}" for j in range(matrix.shape[1])]
@@ -80,6 +96,32 @@ def test_float_matrix_writes_the_bytes_of_the_per_value_path(tmp_path, two_cpus,
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
     assert len(two_cpus) == (matrix.size >= SPLIT_MIN_VALUES)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv", "values.csv"]
+
+
+def _per_value_bytes(matrix):
+    return "".join(",".join(map(runio.format_value, row)) + "\n"
+                   for row in matrix.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9), elements=(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: np.array(bits, np.uint64).view(np.float64))
+    | st.floats(-1e18, 1e18))))
+def test_matrix_path_writes_the_per_value_bytes_of_any_float64(matrix):
+    assert b"".join(runio._row_lines(matrix)) == _per_value_bytes(matrix)
+
+
+def test_log_powers_rarely_fall_back_to_the_per_value_path(monkeypatch):
+    # a spectrogram_long matrix at n_fft 1,024: a path that sent every value through
+    # format_value would write the same bytes, only slower
+    matrix = np.log(np.random.default_rng(3).random((1873, 513)) ** 4 + 1e-10).T
+    calls = []
+    real = runio.format_value
+    monkeypatch.setattr(runio, "format_value", lambda value: calls.append(value) or real(value))
+    text = b"".join(runio._row_lines(matrix))
+    assert len(calls) < 0.01 * matrix.size
+    monkeypatch.setattr(runio, "format_value", real)
+    assert text == _per_value_bytes(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,18 @@ class TestMakeTask:
             make_task(TWO_TONES, 5, snr_range=snr_range)
         assert message in str(err.value)
 
+    def test_a_list_pair_draws_as_the_tuple_does(self, monkeypatch):
+        listed = make_task(TWO_TONES, 3, duration=0.2, seed=2, snr_range=[0.0, 12.0])
+        paired = make_task(TWO_TONES, 3, duration=0.2, seed=2, snr_range=(0.0, 12.0))
+        assert ([wf.samples.tobytes() for wf in listed.waveforms]
+                == [wf.samples.tobytes() for wf in paired.waveforms])
+        monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
+        for bad in ([20.0, 10.0], [0.0, 6.0, 12.0]):
+            with pytest.raises(ValueError) as err:
+                make_task(TWO_TONES, 5, snr_range=bad)
+            assert str(err.value) == (f"snr_range must be a [lo, hi] pair with lo <= hi and a "
+                                      f"finite width, got {bad}")
+
     def test_split_is_checked_before_any_clip(self, monkeypatch):
         # 0.1 of 4 clips trains on none; all 4 were drawn before the refusal
         monkeypatch.setattr(training, "_draw_example", lambda *args: pytest.fail("drew a clip"))
