@@ -148,7 +148,7 @@ def _digits(values: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndar
         k += low
         k -= high
         scaled, error = _times_pow10(size, k)
-    del size, low, high
+    del size, low, high  # each temporary goes once used: the peak sizes FORMAT_VALUES
     # scaled is an even integer above 2**53, so adding the error rounded half
     # to even rounds the exact product half to even, as FLOAT_FORMAT does; the
     # largest float64 below each power of ten keeps 17 digits, so n < 10**17
