@@ -399,9 +399,10 @@ class TrainedModel:
         return self.features.spectrogram(signal, self.bank)
 
     def predict(self, spec: Spectrogram) -> int:
-        """Class index of a spectrogram rendered by ``spectrogram``."""
-        logits = self.head.logits(spec.values.mean(axis=1)[None, :])
-        return int(np.argmax(logits[0]))
+        """Class index of a spectrogram rendered by ``spectrogram``, pooled by ``_clip_means``."""
+        filters, num_frames = spec.values.shape
+        feats = _clip_means(spec.values.T, np.array([num_frames]), np.empty((1, filters)))
+        return int(np.argmax(self.head.logits(feats)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +442,15 @@ def _frame_split(corpus: TaskCorpus, indices: np.ndarray,
     return frames, counts
 
 
+def _clip_means(logp: np.ndarray, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` (clips, filters) filled with each clip's time mean: clip c's ``counts[c]``
+    consecutive rows of ``logp`` added in order by ``np.add.reduceat``, then divided by
+    ``counts[c]``. Every feature vector, the trainer's and ``predict``'s, pools this way."""
+    np.add.reduceat(logp, np.cumsum(counts) - counts, axis=0, out=out)
+    out /= counts[:, None]
+    return out
+
+
 def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: float,
                    buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple]:
     """(clips, filters) time-averaged log-power rows of a ``_stack_frames`` split,
@@ -451,8 +461,7 @@ def _clip_features(bank: KernelBank, split: tuple[np.ndarray, np.ndarray], eps: 
     feats = np.empty((len(counts), bank.num_filters))
     for clips, rows in clip_groups(counts):
         logp = forward(bank, frames[rows], eps, (outputs[rows], scratch))[0]
-        np.add.reduceat(logp, np.cumsum(counts[clips]) - counts[clips], axis=0, out=feats[clips])
-    feats /= counts[:, None]
+        _clip_means(logp, counts[clips], feats[clips])
     return feats, (frames, outputs[:len(frames)], bank.folded_blocks)
 
 

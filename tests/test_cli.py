@@ -1681,6 +1681,15 @@ def test_gradcheck_refuses_a_row_energy_the_loss_cannot_square(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gradcheck_at_the_stft_point_skips_only_the_m_checks(tmp_path):
+    # d_m at m = 0 is the convention 0, which the one-sided quotient does not approach
+    out = tmp_path / "r.json"
+    assert main(["gradcheck", "--m", "0", "--f-b", "1", "--draws", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["skipped"] == ["point.m", "pullback.m"]
+    assert len(report["checks"]) == 3 * 3 + 3 - 2 and report["failed"] == []
+
+
 def test_gradcheck_names_the_given_point_when_its_m_probe_leaves_the_envelope_range(
         tmp_path, capsys):
     # at m = 0 the m-derivative is differenced one-sided, from a probe at m = step

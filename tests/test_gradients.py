@@ -314,6 +314,25 @@ class TestGradientCheckReport:
             gradient_check_report(n_fft=16, draws=0, point=(1.5, 0.8))
 
 
+class TestGradientCheckAtTheStftPoint:
+    # at m = 0 d_m is the convention 0, and the one-sided quotient from m = 0 has no
+    # finite limit off the unit-energy minimum, so only the point's m checks are left out
+
+    @pytest.mark.parametrize("f_b", [1.0, 1.3])
+    def test_m_checks_are_skipped_and_the_rest_pass(self, f_b):
+        report = gradient_check_report(n_fft=N_FFT, seed=0, draws=1, point=(0.0, f_b))
+        assert report["skipped"] == ["point.m", "pullback.m"]
+        assert report["status"] == "pass" and report["failed"] == []
+        assert [check["param"].split("[")[0] for check in report["checks"]] == [
+            "point.f_b", "point.f_c", "draw0.m", "draw0.f_b", "draw0.f_c",
+            "pullback.f_b", "pullback.f_c"]
+
+    def test_a_point_off_m_0_skips_nothing(self):
+        report = gradient_check_report(n_fft=N_FFT, seed=0, draws=0)
+        assert report["skipped"] == []
+        assert [check["param"] for check in report["checks"]][0] == "point.m"
+
+
 class TestUnresolvableBandwidth:
     # the sqrt(f_b) prefactor's central difference misses by (step/f_b)^2/8
     # relative; the report refuses a fixed f_b where that reaches its tolerance

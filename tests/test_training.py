@@ -601,3 +601,52 @@ class TestModelAndLog:
                        val_indices=corpus.train_indices,  # overlap
                        class_names=corpus.class_names,
                        sample_rate=corpus.sample_rate)
+
+
+class TestOnePoolingRule:
+    # a sweep classifies a clip from the vector the trainer would pool for it
+
+    @pytest.mark.parametrize("m, f_b", [(0.0, 1.0), (1.3, 0.9)])
+    def test_predict_pools_a_clip_as_the_trainer_does(self, monkeypatch, m, f_b):
+        features = FeatureSpec(n_fft=256, hop=128)
+        params = FbspParams(m=m, f_b=f_b, f_c=dft_grid(256))
+        rng = np.random.default_rng(5)
+        head = LinearHead(rng.standard_normal((3, 129)), np.zeros(3), np.zeros(129),
+                          np.ones(129))
+        model = TrainedModel(params, head, features, ("a", "b", "c"))
+        given_head = []
+        logits = LinearHead.logits
+
+        def capture(self, feats):
+            given_head.append(feats)
+            return logits(self, feats)
+
+        monkeypatch.setattr(LinearHead, "logits", capture)
+        corpus = make_task(THREE_WAY, 2, duration=0.75, seed=4)
+        window = training.WindowSpec(features.window, features.n_fft)
+        for clip in corpus.waveforms:
+            model.predict(model.spectrogram(clip))
+            grid = features.grid_for(len(clip))
+            split = (training.fold(training.frame(clip, grid, window)),
+                     np.array([grid.num_frames]))
+            buffers = training.workspace(grid.num_frames, params.num_filters)
+            pooled = training._clip_features(model.bank, split, features.eps, buffers)[0]
+            assert given_head[-1].tobytes() == pooled.tobytes()
+        assert len(given_head) == len(corpus)
+
+    def test_every_pooling_site_calls_the_one_rule(self, monkeypatch):
+        calls = []
+        clip_means = training._clip_means
+
+        def counted(*args):
+            calls.append(args[1])
+            return clip_means(*args)
+
+        monkeypatch.setattr(training, "_clip_means", counted)
+        corpus = small_task()
+        model = train(corpus, TrainConfig(epochs=2, freeze_epochs=2), FAST_FEATURES)
+        assert len(calls) == 2  # one render while frozen: the validation and train splits
+        feature_matrix(model.params, prepare_frames(corpus, FAST_FEATURES), FAST_FEATURES)
+        assert len(calls) == 3
+        model.predict(model.spectrogram(corpus.waveforms[0]))
+        assert len(calls) == 4
