@@ -20,8 +20,8 @@ fields of ``FeatureSpec`` and ``TrainConfig``.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or config (out of memory
 included; ``_require_memory`` alone reads physical memory and refuses work above
-it, for train and sweep once, on the whole run's peak, before ``make_task``; no run
-holds the corpus, since ``train`` draws each clip from its seeds as it frames it),
+it, once per command on its whole peak, before the work (``spectrogram`` first bounds
+its WAV read); no run holds the corpus: ``train`` draws each clip as it frames it),
 3 numerical failure (singular gradient, divergence, failed check).
 """
 
@@ -295,11 +295,6 @@ def _require_memory(subject: str, verb: str, needed: float) -> None:
                           f"more than the {available} bytes of physical memory")
 
 
-def _require_bank_memory(n_fft: int, filters: int) -> None:
-    """Refuse, before allocating, a (filters, n_fft) bank too large to build."""
-    _require_memory(f"a bank of n_fft {n_fft}", "build", _BUILD_PEAK_FACTOR * 16 * filters * n_fft)
-
-
 def _read_input(path: str):
     """``read_wav(path)``, refused first if the WAV is too large to read and process."""
     size = os.path.getsize(path)
@@ -345,15 +340,15 @@ def _cmd_spectrogram(cfg: dict, args) -> int:
     cfg["hop"] = hop = cfg["hop"] if cfg["hop"] is not None else n_fft // 2
     wf = _read_input(cfg["input"])
     spec = FeatureSpec(n_fft=n_fft, hop=hop, window=cfg["window"], eps=cfg["eps"])
-    # a clip shorter than one frame, a bank too large to build, and a render (the frames,
-    # two (T, 2F) workspace buffers and the (F, T) result) beside the bank's weights and
-    # matrix (32 F N bytes) and the clip it holds (8 bytes a sample) larger than memory,
-    # each fail before the bank is built
+    # a clip shorter than one frame, then a peak larger than memory, fail before the bank is
+    # built; the peak is the clip held throughout (8 bytes a sample) beside the larger of the
+    # bank's build and the render (the frames, two (T, 2F) workspace buffers and the (F, T)
+    # result beside the bank's weights and matrix, 32 F N bytes)
     frames = spec.grid_for(len(wf)).num_frames
-    _require_bank_memory(n_fft, filters)
     _require_memory(f"a spectrogram of {frames} frames at n_fft {n_fft} and hop {hop} with its "
                     f"{filters} x {n_fft} bank", "render",
-                    8 * frames * (n_fft + 5 * filters) + 32 * filters * n_fft + 8 * len(wf))
+                    8 * len(wf) + max(_BUILD_PEAK_FACTOR * 16 * filters * n_fft,
+                                      8 * frames * (n_fft + 5 * filters) + 32 * filters * n_fft))
     spectrogram_to_csv(args.out, spec.spectrogram(wf, make_bank()))
     return 0
 
@@ -362,9 +357,9 @@ def _cmd_freq_response(cfg: dict, args) -> int:
     n_fft, filters, make_bank = _resolve_bank(cfg)
     probes = cfg["num_probes"] if cfg["num_probes"] is not None else n_fft // 2 + 1
     cfg["num_probes"] = probes
-    _require_bank_memory(n_fft, filters)
     _require_memory(f"the response of n_fft {n_fft} at num_probes {probes}", "compute",
-                    RESPONSE_PEAK_FACTOR * 16 * (filters * n_fft + (n_fft + filters) * probes))
+                    max(_BUILD_PEAK_FACTOR * 16 * filters * n_fft, RESPONSE_PEAK_FACTOR * 16
+                        * (filters * n_fft + (n_fft + filters) * probes)))
     response = frequency_response(make_bank(), WindowSpec(cfg["window"], n_fft), probes)
     response_to_csv(args.out, response)
     return 0
@@ -469,7 +464,8 @@ def _cmd_sweep(cfg: dict, args) -> int:
         train(corpus, frozen_cfg, features).model("stft"),
         train(corpus, train_cfg, features),
     ]
-    val_wfs = [corpus.waveforms[i] for i in corpus.val_indices]
+    clean = replace(corpus.waveforms, snr_range=None)  # a row's axis value is the clips' SNR
+    val_wfs = [clean[i] for i in corpus.val_indices]
     results = robustness_sweep(sweep_cfg["kind"], sweep_cfg["axis"], models, val_wfs,
                                corpus.labels[corpus.val_indices], seed=sweep_cfg["seed"],
                                order=sweep_cfg["order"])

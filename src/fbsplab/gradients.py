@@ -41,6 +41,7 @@ __all__ = [
     "DRAW_MARGIN",
     "MAX_CHECK_N_FFT",
     "MAX_CHECK_ENERGY",
+    "MAX_FB_SPACING",
     "CHECK_REL_TOL",
     "CHECK_ABS_TOL",
     "fbsp_loss",
@@ -285,6 +286,10 @@ def admissible_draw(
 
 # Relative tolerance of the report's checks.
 CHECK_REL_TOL = 1e-5
+# Largest float spacing of a checked point's f_b, in steps. f_b +- step rounds to a multiple
+# of that spacing, and the loss's f_b quotient then missed by up to 3.9 ulp(f_b) / step (m = 0,
+# n_fft 16 and 64, f_b from 2**10 to 2**19 at step 1e-6), so this keeps it below CHECK_REL_TOL.
+MAX_FB_SPACING = 2e-6
 # Absolute accuracy the oracle promises at its default step: its rounding
 # error, about eps |f| / step, reached 5e-10 on the pairing scalar's d_m.
 CHECK_ABS_TOL = 1e-8
@@ -322,8 +327,9 @@ def gradient_check_report(
     above ``MAX_CHECK_N_FFT``; a ``step`` that is not finite, positive and
     below 1/(2 n_fft), at which a one-sided stencil from f_c[0] = 0 would
     reach f_c[1]; a ``point`` whose f_b the step cannot resolve or whose row
-    energy exceeds ``MAX_CHECK_ENERGY``; and a point at m = 0 whose one-sided
-    m-probe at m = step puts the sinc argument above 2**52.
+    energy exceeds ``MAX_CHECK_ENERGY``; a point at m = 0 whose one-sided
+    m-probe at m = step puts the sinc argument above 2**52; and an f_b whose
+    float spacing exceeds ``MAX_FB_SPACING`` steps.
     """
     if draws < 0:
         raise ValueError(f"draws must be non-negative, got {draws}")
@@ -371,6 +377,10 @@ def gradient_check_report(
             raise ValueError(f"the point m=0, f_b={fixed.f_b} cannot be differenced in m: its "
                              f"one-sided m-probe at m = step = {step} exceeds 2**52: {err}"
                              ) from None
+    if math.ulp(fixed.f_b) > MAX_FB_SPACING * step:
+        raise ValueError(f"step {step} cannot resolve f_b {fixed.f_b} from above: its float "
+                         f"spacing {math.ulp(fixed.f_b):.4g} exceeds {MAX_FB_SPACING:g} x step "
+                         f"= {MAX_FB_SPACING * step:.4g}")
     # d_m at m = 0 is the convention 0, which the one-sided quotient does not approach
     skipped = ["point.m", "pullback.m"] if fixed.m == 0.0 else []
     rng = np.random.default_rng(seed)

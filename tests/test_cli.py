@@ -290,9 +290,9 @@ class TestExitCodes:
                      "--out", str(out)])
         assert time.perf_counter() - start < 10.0
         assert code == 2
-        err = capsys.readouterr().err
-        needed = int(fbsplab.cli._BUILD_PEAK_FACTOR * 16 * 500001 * 1000000)
-        assert f"n_fft 1000000 needs about {needed} bytes" in err
+        # the build, 3.25 x 16 x 500001 x 1000000 bytes, is the larger term of the one bound
+        assert ("the response of n_fft 1000000 at num_probes 3 needs about 26000052000000 "
+                "bytes to compute") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["stft", "fbsp", "params"])
@@ -303,12 +303,18 @@ class TestExitCodes:
         save_params(str(params), init_params(256), 256)
         bank_args = (["--mode", "fbsp", "--params", str(params)] if mode == "params"
                      else ["--mode", mode, "--n-fft", "256"])
-        # building the 129 x 256 bank peaks near 1.6 MiB, a 33 x 64 one near 0.1 MiB
+        # building the 129 x 256 bank peaks near 1.6 MiB, a 33 x 64 one near 0.1 MiB; the
+        # build (1,717,248 B) is the larger term of each command's one bound, beside the
+        # 1600-sample clip (12,800 B) that spectrogram holds, and the response at 3 probes
         monkeypatch.setattr(fbsplab.cli, "_physical_memory", lambda: 2 ** 20)
-        for command in (["spectrogram", "--input", str(wav)], ["freq-response"]):
+        for command, message in (
+                (["spectrogram", "--input", str(wav)], "a spectrogram of 11 frames at n_fft 256 "
+                 "and hop 128 with its 129 x 256 bank needs about 1730048 bytes to render"),
+                (["freq-response", "--num-probes", "3"],
+                 "the response of n_fft 256 at num_probes 3 needs about 1717248 bytes to compute")):
             out = tmp_path / "out.csv"
             assert main([*command, *bank_args, "--out", str(out)]) == 2
-            assert "n_fft 256 needs about" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert not out.exists()
         if mode != "params":
             assert main(["freq-response", "--mode", mode, "--n-fft", "64",
@@ -1009,6 +1015,27 @@ def test_a_sweep_builds_its_cells_twice_and_sweeps_once(tmp_path, monkeypatch):
         "c.json", "out.run.json", "out_fbsp.csv", "out_stft.csv"]
 
 
+def test_a_sweep_perturbs_the_clean_draw_of_each_validation_clip(tmp_path, monkeypatch):
+    # a task with snr_range stores each clip with its training noise; the sweep's axis
+    # states the SNR of the clips it scores, so it perturbs their clean draws
+    received = []
+    sweep = fbsplab.cli.robustness_sweep
+    monkeypatch.setattr(fbsplab.cli, "robustness_sweep", lambda kind, axis, models, waveforms,
+                        *rest, **kw: received.extend(waveforms)
+                        or sweep(kind, axis, models, waveforms, *rest, **kw))
+    snr_range = [0.0, 10.0]
+    assert run_with_config(tmp_path, "sweep", {"task": {"snr_range": snr_range},
+                                               "sweep": {"axis": [10]}}) == 0
+    task = dict(SMALL_RUN_CONFIG["task"])
+    classes = [fbsplab.training.ClassSpec(**entry) for entry in task.pop("classes")]
+    clean = fbsplab.training.make_task(classes, **task)
+    noisy = fbsplab.training.make_task(classes, **task, snr_range=snr_range)
+    assert len(received) == len(clean.val_indices) > 0
+    for wf, i in zip(received, clean.val_indices):
+        assert np.array_equal(wf.samples, clean.waveforms[i].samples)
+        assert not np.array_equal(wf.samples, noisy.waveforms[i].samples)
+
+
 def test_empty_sweep_axis_fails_before_the_corpus(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("generated the corpus or trained before the axis was checked")
@@ -1313,6 +1340,32 @@ def test_run_bound_covers_the_measured_command_peak(tmp_path, monkeypatch, comma
         tracemalloc.stop()
     bound = max(bounds)
     assert peak <= bound <= 1.3 * peak
+
+
+# Once its input is read, each command makes at most one memory refusal, on its whole peak;
+# spectrogram bounds its WAV read before it knows the clip's frame count
+@pytest.mark.parametrize("command, verbs", [
+    ("gen", ["generate"]), ("spectrogram", ["read", "render"]), ("freq-response", ["compute"]),
+    ("perturb", ["read"]), ("train", ["train"]), ("sweep", ["train"]), ("gradcheck", []),
+])
+def test_each_command_makes_one_memory_refusal(tmp_path, monkeypatch, command, verbs):
+    wav, out = str(tmp_path / "x.wav"), str(tmp_path / "out")
+    assert main(["gen", "--duration", "0.2", "--out", wav]) == 0
+    seen = []
+    check = fbsplab.cli._require_memory
+    monkeypatch.setattr(fbsplab.cli, "_require_memory", lambda subject, verb, needed:
+                        seen.append(verb) or check(subject, verb, needed))
+    argv = {"gen": ["gen", "--duration", "0.2", "--out", out + ".wav"],
+            "spectrogram": ["spectrogram", "--input", wav, "--n-fft", "64", "--out", out],
+            "freq-response": ["freq-response", "--n-fft", "64", "--out", out],
+            "perturb": ["perturb", "--input", wav, "--snr-db", "10", "--out", out + ".wav"],
+            "gradcheck": ["gradcheck", "--n-fft", "32", "--draws", "0", "--out", out]}
+    if command in ("train", "sweep"):
+        assert run_with_config(tmp_path, command, {"sweep": {"axis": [10]}} if command == "sweep"
+                               else {}) == 0
+    else:
+        assert main(argv[command]) == 0
+    assert seen == verbs
 
 
 # ---------------------------------------------------------------------------
@@ -1688,6 +1741,18 @@ def test_gradcheck_at_the_stft_point_skips_only_the_m_checks(tmp_path):
     report = json.loads(out.read_text())
     assert report["skipped"] == ["point.m", "pullback.m"]
     assert len(report["checks"]) == 3 * 3 + 3 - 2 and report["failed"] == []
+
+
+@pytest.mark.parametrize("f_b, code", [("1e3", 0), ("16383", 0), ("16384", 2), ("1e8", 2)])
+def test_gradcheck_refuses_a_bandwidth_the_step_cannot_resolve_from_above(tmp_path, capsys,
+                                                                          f_b, code):
+    # f_b +- step rounds to a multiple of f_b's float spacing, 2**-38 from f_b = 2**14 on; at
+    # 1e8 the quotient missed the f_b gradient by 3%, a failure of the oracle, not the gradient
+    out = tmp_path / "r.json"
+    assert main(["gradcheck", "--m", "0", "--f-b", f_b, "--draws", "0", "--out", str(out)]) == code
+    refused = f"step 1e-06 cannot resolve f_b {float(f_b)} from above"
+    assert (refused in capsys.readouterr().err) == (code == 2)
+    assert out.exists() == (code == 0)
 
 
 def test_gradcheck_names_the_given_point_when_its_m_probe_leaves_the_envelope_range(
