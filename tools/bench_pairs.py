@@ -2,30 +2,33 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_N.json \\
-        [--pairs 10] [--seed 4444] [--seconds 15] [--workloads a,b] [--work DIR]
+    python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_N.json [--work DIR]
 
 Each side runs from a ``git archive`` copy of its revision, so each runs its own
 committed code and its own benchmark; the copies live under --work (a new
-temporary directory by default, deleted at the end). Pair i runs every workload
-once on each side, the parent first in odd pairs and the change first in even
-ones, each as ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` from the copy's root.
+temporary directory by default, deleted at the end). The change's
+``BENCHMARK.json`` fixes the command, the run length (``run_seconds``) and the
+workloads. Pair i runs every workload once on each side, the parent first in odd
+pairs and the change first in even ones, each as ``<command> --workload W --seed
+SEED --seconds <run_seconds> --trace 0`` from the copy's root.
 
 The output keeps ``BENCH_44.json``'s layout: ``runs`` holds, per workload, each
 run's pair, side, exit code, operation counts and end-to-end metrics, and
-``summary`` holds, per workload, the operation counts of each side and, per
-end-to-end metric of the change's ``BENCHMARK.json``, both sides' medians and
-inclusive quartiles, the change's percent difference, the pairs it won (ties
-count for neither), the parent's interquartile range and whether the change's
-median is within the metric's bound. Fields this script does not compute (what,
-claim, verification, ...) are kept from an existing --out file, so they can be
-written by hand and survive a rerun.
+``summary`` holds, per workload, the operation counts of each side, the runs of
+each side that failed as a whole (nonzero exit, correct false, no result line or
+timed out; their metrics are missing from the medians) and, per end-to-end metric,
+both sides' medians and inclusive quartiles, the change's percent difference, the
+pairs it won (ties count for neither), the parent's interquartile range and
+whether the change's median is within the metric's bound. ``environment`` gets
+the python, numpy and scipy versions; its other keys and the fields this script
+does not compute (what, claim, verification, ...) are kept from an existing --out
+file, so they can be written by hand and survive a rerun.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -35,6 +38,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+SEED = 4444
 RUN_TIMEOUT_S = 600
 
 
@@ -49,29 +54,39 @@ def export(rev: str, directory: str) -> str:
     return commit
 
 
-def run_once(directory: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its exit code and the result object of its last stdout line."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=directory, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    lines = proc.stdout.strip().splitlines()
+def run_once(directory: str, argv: list[str]) -> dict:
+    """One benchmark run: its exit code and the result object of its last stdout line.
+
+    A run that times out or prints no result line is a failed run with no metrics."""
+    failed_run = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-        print(f"{workload}: no result line (exit {proc.returncode}): {proc.stderr[-500:]}",
-              file=sys.stderr)
-    run = {"exit": proc.returncode, "correct": result["correct"],
+        proc = subprocess.run(argv, cwd=directory, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        print(f"{' '.join(argv)}: timed out after {RUN_TIMEOUT_S} s", file=sys.stderr)
+        code, result = None, failed_run
+    else:
+        code = proc.returncode
+        try:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            print(f"{' '.join(argv)}: no result line (exit {code}): {proc.stderr[-500:]}",
+                  file=sys.stderr)
+            result = failed_run
+    run = {"exit": code, "correct": result["correct"],
            "attempted": result["attempted"], "failed": result["failed"]}
     run.update({name: entry["value"] for name, entry in result["metrics"].items()})
     return run
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-side operation counts and, per end-to-end metric, the pair statistics."""
+    """Per-side operation and failed-run counts and, per end-to-end metric, the pair statistics."""
     sides = {side: [run for run in runs if run["side"] == side] for side in ("parent", "change")}
     summary = {key: {side: sum(run[key] for run in sides[side]) for side in sides}
                for key in ("failed", "attempted")}
+    summary["failed_runs"] = {side: sum(1 for run in sides[side]
+                                        if run["exit"] != 0 or not run["correct"])
+                              for side in sides}
     by_pair = {(run["pair"], run["side"]): run for run in runs}
     pairs = sorted({run["pair"] for run in runs})
     for metric in metrics:
@@ -105,10 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, help="BENCH_*.json to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=4444)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", help="comma-separated; default: every workload")
     parser.add_argument("--work", help="directory for the two copies; default: a temporary one")
     args = parser.parse_args(argv)
 
@@ -117,15 +128,15 @@ def main(argv=None) -> int:
         commits = {side: export(getattr(args, side), dirs[side]) for side in dirs}
         with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             benchmark = json.load(fh)
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [entry["name"] for entry in benchmark["workloads"]])
+        workloads = [entry["name"] for entry in benchmark["workloads"]]
+        options = ["--seed", str(SEED), "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
         runs = {workload: [] for workload in workloads}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    run = {"pair": pair, "side": side,
-                           **run_once(dirs[side], workload, args.seed, args.seconds)}
+                    argv = [*benchmark["command"], "--workload", workload, *options]
+                    run = {"pair": pair, "side": side, **run_once(dirs[side], argv)}
                     runs[workload].append(run)
                     print(json.dumps({"workload": workload, **run}), file=sys.stderr, flush=True)
 
@@ -134,15 +145,14 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     doc.update({
-        "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": " ".join([*benchmark["command"], "--workload", "<w>", *options]),
         "sources": f"git archive copies of the parent ({commits['parent'][:7]}) and of the "
                    f"change ({commits['change'][:7]}), each run from its own directory",
-        "seed": args.seed,
-        "pair_order": f"each of {args.pairs} pairs ran {', '.join(workloads)}; odd pairs ran "
+        "seed": SEED,
+        "pair_order": f"each of {PAIRS} pairs ran {', '.join(workloads)}; odd pairs ran "
                       "parent first, even pairs change first",
-        "environment": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                        "machine": platform.machine()},
+        "environment": {**doc.get("environment", {}), "python": platform.python_version(),
+                        **{name: importlib.metadata.version(name) for name in ("numpy", "scipy")}},
         "summary": {workload: summarize(runs[workload], benchmark["end_to_end"])
                     for workload in workloads},
         "runs": runs,
